@@ -2,7 +2,8 @@
 
 Subpackages by theme:
 
-- ``stp``: Kronecker lifts, swap matrices, the dimension-free products.
+- ``stp``: the dimension-free products in reshape form; Kronecker lifts
+  and swap matrices as reference constructions.
 - ``signal_space``: equivalence classes, quotient geometry, projection.
 - ``basis``: generating layers, the ordered basis, orthonormalization.
 - ``metrics``: coherence, Welch bound, spark, RIP certification.

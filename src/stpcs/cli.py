@@ -49,6 +49,13 @@ def _write_matrix(args, a, kind="real", name=None, provenance=None) -> None:
             print(",".join(io._render(v, kind) for v in row))
 
 
+def _write_signal(args, x) -> None:
+    if args.output:
+        io.save_signal(args.output, x)
+    else:
+        print(",".join(repr(float(v)) for v in x))
+
+
 def _emit_json(args, doc: dict) -> None:
     text = json.dumps(doc, indent=2)
     if args.output:
@@ -147,10 +154,7 @@ def _cmd_basis(args) -> int:
 def _cmd_project(args) -> int:
     x = io.load_signal(args.input)
     y = project(x, args.n, Side.parse(args.side))
-    if args.output:
-        io.save_signal(args.output, y)
-    else:
-        print(",".join(repr(float(v)) for v in y))
+    _write_signal(args, y)
     return 0
 
 
@@ -158,10 +162,7 @@ def _cmd_compress(args) -> int:
     a, _ = io.load_matrix(args.matrix)
     x = io.load_signal(args.signal)
     y = compress(a, x, Side.parse(args.side))
-    if args.output:
-        io.save_signal(args.output, y)
-    else:
-        print(",".join(repr(float(v)) for v in y))
+    _write_signal(args, y)
     return 0
 
 
@@ -174,10 +175,7 @@ def _cmd_recover(args) -> int:
     else:
         spec = SparsitySpec(a.shape[1], args.k)
         x = recover(a, args.s, y, spec, side, method=args.method)
-    if args.output:
-        io.save_signal(args.output, x)
-    else:
-        print(",".join(repr(float(v)) for v in x))
+    _write_signal(args, x)
     return 0
 
 

@@ -7,18 +7,20 @@ signal are lifted to t = lcm(n0, p) and the effective unknown is the
 replicated signal, so that case reduces to the divisible one.
 
 Recovery is the l0 oracle: the lifted system splits into s independent
-copies of the atom (directly for the right convention, after a swap
-permutation for the left one), and each copy is solved by exhaustive
-search over supports of at most k indices with a least-squares fit per
-support.  With spark(atom) > 2k the accepted solution is provably the
-only blockwise-k-sparse one.
+copies of the atom, whose measurement blocks are the columns of a
+reshaped y (contiguous blocks for the right convention, interleaved
+ones for the left).  One exhaustive sweep over supports of at most k
+indices fits each support once by least squares against all s columns.
+With spark(atom) > 2k the accepted solution is provably the only
+blockwise-k-sparse one.  Blockwise recovery builds no lifted or swap
+matrix; those stay in `stp` as reference constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import BadShape, NoSolution, NotUnique
 from .metrics import DEFAULT_BUDGET, spark
 from .signal_space import reduce_matrix
-from .stp import Side, as_matrix, as_signal, mv_stp, swap_matrix
+from .stp import Side, as_matrix, as_signal, mv_stp
 
 __all__ = [
     "SparsityMode",
@@ -48,6 +50,10 @@ RESIDUAL_TOL = 1e-8
 # through different supports (zero-padded coefficients), not a violation
 # of uniqueness.
 _SAME_SOLUTION_ATOL = 1e-6
+
+# The support sweep fits a chunk of supports at once; a chunk's stacked
+# arrays hold about this many floats, whatever the lift factor.
+_FIT_CHUNK = 1 << 14
 
 
 class SparsityMode(Enum):
@@ -109,83 +115,100 @@ def compress_varying(a, xs, side: Side = Side.LEFT) -> list[np.ndarray]:
     return [compress(a, x, side) for x in xs]
 
 
-def _omp_block(a: np.ndarray, y: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
-    """Greedy fast path: orthogonal matching pursuit with at most k picks.
+def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
+    """Greedy fast path: orthogonal matching pursuit with at most k picks per column.
 
     Selects the column most correlated with the residual, refits by least
     squares, and stops once the residual beats the tolerance.  No
     uniqueness certificate; use the oracle when one is needed.
     """
-    n = a.shape[1]
     norms = np.linalg.norm(a, axis=0)
     norms[norms == 0.0] = 1.0
-    support: list[int] = []
-    resid = y.copy()
-    coef = np.zeros(0)
-    for _ in range(k):
-        if float(np.linalg.norm(resid)) < residual_tol:
-            break
-        scores = np.abs(a.T @ resid) / norms
-        scores[support] = -1.0
-        support.append(int(np.argmax(scores)))
-        coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
-        resid = y - a[:, support] @ coef
-    if float(np.linalg.norm(resid)) >= residual_tol:
-        raise NoSolution(f"matching pursuit residual stayed above {residual_tol:.1e}")
-    x = np.zeros(n)
-    x[support] = coef
-    return x
+    xs = np.zeros((a.shape[1], ys.shape[1]))
+    for b, y in enumerate(ys.T):
+        support: list[int] = []
+        resid = y.copy()
+        coef = np.zeros(0)
+        for _ in range(k):
+            if float(np.linalg.norm(resid)) < residual_tol:
+                break
+            scores = np.abs(a.T @ resid) / norms
+            scores[support] = -1.0
+            support.append(int(np.argmax(scores)))
+            coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
+            resid = y - a[:, support] @ coef
+        if float(np.linalg.norm(resid)) >= residual_tol:
+            raise NoSolution(
+                f"matching pursuit residual stayed above {residual_tol:.1e} in block {b}"
+            )
+        xs[support, b] = coef
+    return xs
 
 
-def _solve_block(a: np.ndarray, y: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
-    """Unique x with at most k nonzeros and a @ x ~= y, by support search.
+def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
+    """Unique x_b with at most k nonzeros and a @ x_b ~= ys[:, b], by support search.
 
-    Enumerates supports of size 0..k, keeps every candidate whose
-    least-squares residual beats `residual_tol`, and deduplicates by the
-    solution vector (supersets of the true support refit the same
-    vector).  Raises NoSolution/NotUnique accordingly.
+    Enumerates supports of size 0..k once for all columns: each support
+    gets one least-squares fit (the pseudo-inverse, stacked over a chunk
+    of supports) against every column, and a column accepts the fits
+    whose residual beats `residual_tol`.  A column's solution is its
+    first accepted fit; it is unique when every later accepted fit lies
+    within _SAME_SOLUTION_ATOL of it (supersets of the true support refit
+    the same vector).  The lowest-index column with no accepted fit
+    raises NoSolution, with two distinct ones NotUnique.  Returns the
+    n-by-cols solution matrix.
     """
-    n = a.shape[1]
-    solutions: list[np.ndarray] = []
-
-    def consider(x):
-        for seen in solutions:
-            if np.allclose(seen, x, rtol=0.0, atol=_SAME_SOLUTION_ATOL):
-                return
-        solutions.append(x)
-
-    if float(np.linalg.norm(y)) < residual_tol:
-        consider(np.zeros(n))
+    m, n = a.shape
+    cols = ys.shape[1]
+    xs = np.zeros((n, cols))
+    found = np.linalg.norm(ys, axis=0) < residual_tol  # the empty support
+    distinct = np.zeros(cols, dtype=bool)
+    chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
     for size in range(1, k + 1):
-        for sup in combinations(range(n), size):
-            cols = a[:, sup]
-            coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
-            if float(np.linalg.norm(y - cols @ coef)) < residual_tol:
-                x = np.zeros(n)
-                x[list(sup)] = coef
-                consider(x)
-    if not solutions:
-        raise NoSolution(f"no support of size <= {k} fits the measurements")
-    if len(solutions) > 1:
-        raise NotUnique(f"{len(solutions)} distinct sparse solutions fit the measurements")
-    return solutions[0]
+        rcond = np.finfo(float).eps * max(m, size)  # np.linalg.lstsq's default cutoff
+        combos = combinations(range(n), size)
+        while batch := list(islice(combos, chunk)):
+            idx = np.array(batch)
+            subs = np.moveaxis(a[:, idx], 1, 0)  # (chunk, m, size)
+            coef = np.linalg.pinv(subs, rcond=rcond) @ ys  # (chunk, size, cols)
+            resid = np.linalg.norm(ys - subs @ coef, axis=1)  # (chunk, cols)
+            hit_s, hit_b = np.nonzero(resid < residual_tol)  # ordered by support
+            rows, fit = idx[hit_s], coef[hit_s, :, hit_b]  # (hits, size) each
+            new_b, first = np.unique(hit_b, return_index=True)
+            fresh = ~found[new_b]
+            xs[rows[first[fresh]], new_b[fresh, None]] = fit[first[fresh]]
+            found[new_b] = True
+            # distance of every accepted fit to its column's solution
+            diff = xs.T[hit_b]
+            diff[np.arange(hit_b.size)[:, None], rows] -= fit
+            distinct[hit_b[np.abs(diff).max(axis=1) > _SAME_SOLUTION_ATOL]] = True
+    bad = np.flatnonzero(~found | distinct)
+    if bad.size:
+        b = int(bad[0])
+        if not found[b]:
+            raise NoSolution(f"no support of size <= {k} fits block {b} of the measurements")
+        raise NotUnique(f"distinct sparse solutions fit block {b} of the measurements")
+    return xs
 
 
 def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
             residual_tol: float = RESIDUAL_TOL, method: str = "oracle") -> np.ndarray:
     """Exact sparse recovery from y = lift_s(a) @ x.
 
-    For the right convention the lifted system is block diagonal and the
-    s copies are solved independently.  The left convention conjugates by
-    swap permutations: (A (x) I_s) x = W[s,m] (I_s (x) A) W[n,s] x, so the
-    right solver runs on the permuted data and the answer is permuted
-    back.  Blockwise sparsity applies to the right-system unknown; for
-    the left system that unknown is the swap-permuted signal.
+    The lifted system is s copies of the atom, Y = A X, one per column of
+    X.  The right convention reads X = x.reshape(s, n).T and
+    Y = y.reshape(s, m).T (consecutive blocks); the left one reads
+    X = x.reshape(n, s) and Y = y.reshape(m, s) (interleaved entries).
+    These reshapes are the swap conjugation
+    (A (x) I_s) x = W[s,m] (I_s (x) A) W[n,s] x without its matrices.  All
+    columns are solved together and X is reshaped back.  Blockwise
+    sparsity applies to the columns of X.
 
     ``method="oracle"`` (default) is the exhaustive support search with
     uniqueness detection; ``method="omp"`` is the greedy matching-pursuit
     fast path for larger instances, exact under the coherence bound but
-    without a uniqueness certificate.
+    without a uniqueness certificate.  GLOBAL sparsity solves the
+    block-diagonal system I_s (x) A as one column.
     """
     a = as_matrix(a)
     y = as_signal(y)
@@ -196,21 +219,14 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
         raise BadShape(f"measurement dim {y.size} != rows*s = {m * s}")
     if method not in ("oracle", "omp"):
         raise BadShape(f"unknown recovery method {method!r}")
-    solve = _solve_block if method == "oracle" else _omp_block
-    if side is Side.LEFT:
-        y = swap_matrix(m, s) @ y
+    solve = _sweep if method == "oracle" else _omp
+    ys = y.reshape(m, s) if side is Side.LEFT else y.reshape(s, m).T
     if spec.mode is SparsityMode.GLOBAL:
         big = np.kron(np.eye(s), a)
-        x = solve(big, y, spec.per_block_k, residual_tol)
+        xs = solve(big, ys.T.reshape(-1, 1), spec.per_block_k, residual_tol).reshape(s, n).T
     else:
-        parts = [
-            solve(a, y[b * m:(b + 1) * m], spec.per_block_k, residual_tol)
-            for b in range(s)
-        ]
-        x = np.concatenate(parts)
-    if side is Side.LEFT:
-        x = swap_matrix(s, n) @ x
-    return x
+        xs = solve(a, ys, spec.per_block_k, residual_tol)
+    return xs.reshape(-1) if side is Side.LEFT else xs.T.reshape(-1)
 
 
 def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
@@ -243,6 +259,10 @@ def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
 
 
 def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff spark(atom) > 2k, certifying per-block uniqueness for every lift."""
-    atom, _ = reduce_matrix(a, Side.LEFT)
+    """True iff spark(atom) > 2k, certifying per-block uniqueness for every lift.
+
+    Spark is invariant under both identity lifts, so the matrix is reduced
+    on both sides and the smaller atom is enumerated.
+    """
+    atom = min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
     return spark(atom, budget=budget) > 2 * k

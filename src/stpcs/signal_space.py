@@ -15,7 +15,7 @@ argument by any lift of itself (same-side lifts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -141,10 +141,28 @@ class MatrixClass:
 
 
 def inner_v(x, y, side: Side = Side.LEFT) -> float:
-    """Lift-invariant inner product: lift both to lcm dim, dot, divide by dim."""
+    """Lift-invariant inner product: lift both to lcm dim, dot, divide by dim.
+
+    Computed without the lifts.  With g = gcd of the dims a, b: RIGHT
+    pairs entry i of x with entry j of y once per lcm period exactly when
+    i = j (mod g), so the dot is that of the residue-class sums.  LEFT
+    splits both signals into g groups; within a group the lifts are step
+    functions with a/g and b/g pieces, and the dot sums the pieces of
+    their common refinement weighted by width.
+    """
     x, y = as_signal(x), as_signal(y)
-    t = lcm(x.size, y.size)
-    return float(lift_signal(x, t, side) @ lift_signal(y, t, side)) / t
+    a, b = x.size, y.size
+    g = gcd(a, b)
+    t = a * b // g
+    if side is Side.RIGHT:
+        return float(x.reshape(-1, g).sum(0) @ y.reshape(-1, g).sum(0)) / t
+    ag, bg = a // g, b // g  # within a group, x pieces are bg wide and y pieces ag wide
+    xg, yg = x.reshape(g, ag), y.reshape(g, bg)
+    if ag == 1 or bg == 1:  # the pieces nest: block sums of the finer signal
+        return float(xg.sum(1) @ yg.sum(1)) / t
+    starts = np.union1d(np.arange(ag) * bg, np.arange(bg) * ag)
+    widths = np.diff(starts, append=ag * bg)
+    return float(np.sum((xg[:, starts // bg] * yg[:, starts // ag]) @ widths)) / t
 
 
 def norm_v(x) -> float:
@@ -178,6 +196,7 @@ def projection_matrix(m: int, n: int, side: Side = Side.LEFT) -> np.ndarray:
     RIGHT mirrors the ones-blocks to the other Kronecker side.  Applying it to
     x in R^m gives the distance-minimizing element of R^n, and the residual is
     orthogonal to every vector of R^n under the matching inner product.
+    A reference construction: `project` applies it without building it.
     """
     if m < 1 or n < 1:
         raise BadShape("projection_matrix needs positive dimensions")
@@ -194,6 +213,16 @@ def projection_matrix(m: int, n: int, side: Side = Side.LEFT) -> np.ndarray:
 
 
 def project(x, n: int, side: Side = Side.LEFT) -> np.ndarray:
-    """Project a signal onto R^n (closest point in the quotient distance)."""
+    """Project a signal onto R^n (closest point in the quotient distance).
+
+    Equals projection_matrix(dim x, n, side) @ x: the block means of the
+    lcm lift, consecutive blocks for LEFT and strided ones for RIGHT.
+    """
     x = as_signal(x)
-    return projection_matrix(x.size, n, side) @ x
+    if n < 1:
+        raise BadShape("projection target dimension must be positive")
+    t = lcm(x.size, n)
+    xl = lift_signal(x, t, side)
+    if side is Side.LEFT:
+        return xl.reshape(n, t // n).mean(axis=1)
+    return xl.reshape(t // n, n).mean(axis=0)

@@ -1,4 +1,4 @@
-"""Dimension-free matrix/vector products built from Kronecker lifts.
+"""Dimension-free matrix/vector products defined by Kronecker lifts.
 
 Two mirror-symmetric conventions run through the whole package.  The
 *left* convention lifts a matrix as ``A (x) I_s`` and a vector by
@@ -7,6 +7,13 @@ repeating each entry (``x (x) 1_s``); the *right* convention lifts as
 with mismatched dimensions are lifted to the least common multiple, so
 every product below is defined for arbitrary shapes and degenerates to
 the conventional product when the inner dimensions already agree.
+
+An identity lift of the left factor is never built; it acts on a
+reshaped view, (A (x) I_s) x = vec(A @ x.reshape(n, s)) and
+(I_s (x) A) x = vec(x.reshape(s, n) @ A^T).  Compressing a signal by an
+m-by-n atom therefore needs memory for the lifted signal, the result
+and the atom only.  `lift_matrix` and `swap_matrix` build the dense
+matrices and serve as reference constructions and test oracles.
 
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent use is safe.
@@ -81,7 +88,8 @@ def swap_matrix(m: int, n: int) -> np.ndarray:
 
     W[m,n] (x (x) y) = y (x) x for x in R^m, y in R^n.  Consequently
     W[m,p] (A (x) B) W[q,n] = B (x) A for A m-by-n, B p-by-q, and
-    W[m,n]^-1 = W[m,n]^T = W[n,m].
+    W[m,n]^-1 = W[m,n]^T = W[n,m].  A reference construction: the package
+    applies W[m,n] v as v.reshape(m, n).T.reshape(-1).
     """
     if m < 1 or n < 1:
         raise BadShape("swap_matrix needs positive dimensions")
@@ -102,12 +110,15 @@ def lift_signal(x, t: int, side: Side = Side.LEFT) -> np.ndarray:
     r, rem = divmod(t, x.size)
     if rem:
         raise BadShape(f"cannot lift dim {x.size} to non-multiple {t}")
-    ones = np.ones(r)
-    return np.kron(x, ones) if side is Side.LEFT else np.kron(ones, x)
+    return np.repeat(x, r) if side is Side.LEFT else np.tile(x, r)
 
 
 def lift_matrix(a, s: int, side: Side = Side.LEFT) -> np.ndarray:
-    """Lift `a` by an identity factor: A (x) I_s (LEFT) or I_s (x) A (RIGHT)."""
+    """Lift `a` by an identity factor: A (x) I_s (LEFT) or I_s (x) A (RIGHT).
+
+    The dense reference construction; the products apply lifts in
+    reshape form instead.
+    """
     a = as_matrix(a)
     eye = np.eye(s)
     return np.kron(a, eye) if side is Side.LEFT else np.kron(eye, a)
@@ -119,11 +130,21 @@ def mm_stp(a, b, side: Side = Side.LEFT) -> np.ndarray:
     With t = lcm(a.cols, b.rows), LEFT computes
     (A (x) I_{t/n}) (B (x) I_{t/p}) and RIGHT the mirrored
     (I_{t/n} (x) A) (I_{t/p} (x) B).  When n = p both reduce exactly to
-    the conventional product A @ B.
+    the conventional product A @ B.  Only B is lifted; A acts on the
+    (n, t/n) (LEFT) or (t/n, n) (RIGHT) view of the lifted rows.
     """
     a, b = as_matrix(a), as_matrix(b)
-    t = lcm(a.shape[1], b.shape[0])
-    return lift_matrix(a, t // a.shape[1], side) @ lift_matrix(b, t // b.shape[0], side)
+    (m, n), (p, q) = a.shape, b.shape
+    t = lcm(n, p)
+    alpha, beta = t // n, t // p
+    eye = np.eye(beta)
+    if side is Side.LEFT:
+        # rows of B (x) I_beta viewed as (n, alpha): A acts on the first axis
+        bl = (b[:, None, :, None] * eye[None, :, None, :]).reshape(n, alpha, q * beta)
+        return np.tensordot(a, bl, axes=1).reshape(m * alpha, q * beta)
+    # rows of I_beta (x) B viewed as (alpha, n): A acts on the second axis
+    bl = (eye[:, None, :, None] * b[None, :, None, :]).reshape(alpha, n, beta * q)
+    return (a @ bl).reshape(alpha * m, beta * q)
 
 
 def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
@@ -132,10 +153,16 @@ def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
     With s = lcm(a.cols, dim x), LEFT computes
     (A (x) I_{s/n}) (x (x) 1_{s/r}) and RIGHT the mirrored
     (I_{s/n} (x) A) (1_{s/r} (x) x).  Reduces to A @ x when n = dim x.
+    Applied in reshape form: O(ms) time, no memory beyond the lift and
+    the result.
     """
     a, x = as_matrix(a), as_signal(x)
-    s = lcm(a.shape[1], x.size)
-    return lift_matrix(a, s // a.shape[1], side) @ lift_signal(x, s, side)
+    n = a.shape[1]
+    s = lcm(n, x.size)
+    xl = lift_signal(x, s, side)
+    if side is Side.LEFT:
+        return (a @ xl.reshape(n, s // n)).reshape(-1)
+    return (xl.reshape(s // n, n) @ a.T).reshape(-1)
 
 
 def sta(x, y, side: Side = Side.LEFT, subtract: bool = False) -> np.ndarray:

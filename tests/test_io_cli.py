@@ -156,6 +156,23 @@ def test_project_cli(tmp_path):
     assert np.allclose(io.load_signal(yf), [1.5, 3.5], atol=1e-12)
 
 
+def test_signal_verbs_print_to_stdout_without_output(tmp_path, capsys):
+    row, eye = tmp_path / "row.csv", tmp_path / "eye.csv"
+    xf = tmp_path / "x.csv"
+    yf = tmp_path / "y.csv"
+    io.save_matrix(row, np.array([[1.0, 1.0]]))
+    io.save_matrix(eye, np.eye(2))
+    io.save_signal(xf, np.array([1.0, 2.0, 3.0, 4.0]))
+    io.save_signal(yf, np.array([0.0, -2.5]))
+    for argv, printed in [
+        (["project", "-i", str(xf), "-n", "2"], "1.5,3.5"),
+        (["compress", "-A", str(row), "-x", str(xf)], "4.0,6.0"),
+        (["recover", "-A", str(eye), "-y", str(yf), "--k", "1"], "0.0,-2.5"),
+    ]:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == printed
+
+
 def test_basis_cli_json(tmp_path):
     out = tmp_path / "basis.json"
     assert main(["basis", "-m", "5", "-o", str(out)]) == 0

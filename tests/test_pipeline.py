@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +120,10 @@ def test_swap_conjugation_identity_exact():
         lhs = np.kron(a, np.eye(s)) @ x
         rhs = swap_matrix(s, 2) @ (np.kron(np.eye(s), a) @ (swap_matrix(3, s) @ x))
         assert np.array_equal(lhs, rhs)
+        # the reshape forms recover uses in place of the two swap products
+        assert np.array_equal(swap_matrix(2, s) @ lhs, lhs.reshape(2, s).T.reshape(-1))
+        xr = swap_matrix(3, s) @ x
+        assert np.array_equal(swap_matrix(s, 3) @ xr, xr.reshape(s, 3).T.reshape(-1))
 
 
 # --- recovery --------------------------------------------------------------------
@@ -192,6 +199,99 @@ def test_recover_not_unique_never_raised_under_guarantee():
             x = place_block_sparse(6, [pos], [amp])
             xh = recover(a, 1, np.asarray(a @ x), SparsitySpec(6, 1), Side.LEFT)
             assert np.allclose(xh, x, atol=1e-8)
+
+
+def reference_block(a, y, k, tol=1e-8, same_atol=1e-6):
+    """One block by its own support loop: one lstsq per support, dedup by vector."""
+    n = a.shape[1]
+    solutions = [np.zeros(n)] if np.linalg.norm(y) < tol else []
+    for size in range(1, k + 1):
+        for sup in combinations(range(n), size):
+            coef, *_ = np.linalg.lstsq(a[:, sup], y, rcond=None)
+            if np.linalg.norm(y - a[:, sup] @ coef) < tol:
+                x = np.zeros(n)
+                x[list(sup)] = coef
+                if not any(np.allclose(v, x, rtol=0.0, atol=same_atol) for v in solutions):
+                    solutions.append(x)
+    if not solutions:
+        raise NoSolution("reference")
+    if len(solutions) > 1:
+        raise NotUnique("reference")
+    return solutions[0]
+
+
+def reference_recover(a, s, y, k, side):
+    """Blocks solved one at a time, in the order recover reports failures."""
+    m, n = a.shape
+    if side is Side.LEFT:
+        y = swap_matrix(m, s) @ y
+    x = np.concatenate([reference_block(a, y[b * m:(b + 1) * m], k) for b in range(s)])
+    return swap_matrix(s, n) @ x if side is Side.LEFT else x
+
+
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_batched_sweep_matches_per_block_reference(side, seed):
+    # small integer atoms: blocks that are all-zero, 1-sparse or 2-sparse, and
+    # atoms with dependent columns, so unique, NoSolution and NotUnique all occur
+    rng = np.random.default_rng(seed)
+    m, n, s = int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(1, 5))
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    xs = np.zeros((n, s))
+    for b in range(s):
+        sup = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
+        xs[sup, b] = rng.choice([-2.0, -1.0, 1.0, 3.0], size=sup.size)
+    x = xs.reshape(-1) if side is Side.LEFT else xs.T.reshape(-1)
+    y = compress(a, x, side)
+    k = int(rng.integers(1, 3))
+    spec = SparsitySpec(n, k)
+    try:
+        expected = reference_recover(a, s, y, k, side)
+    except (NoSolution, NotUnique) as exc:
+        with pytest.raises(type(exc)):
+            recover(a, s, y, spec, side)
+    else:
+        assert np.allclose(recover(a, s, y, spec, side), expected, rtol=0.0, atol=1e-9)
+
+
+# columns 0 and 1 coincide: y = e1 has two 1-sparse fits, y = e1 + e2 has none
+_DUP = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_NOT_UNIQUE_BLOCK = np.array([1.0, 0.0])
+_NO_SOLUTION_BLOCK = np.array([1.0, 1.0])
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("blocks,error", [
+    ((_NOT_UNIQUE_BLOCK, _NO_SOLUTION_BLOCK), NotUnique),
+    ((_NO_SOLUTION_BLOCK, _NOT_UNIQUE_BLOCK), NoSolution),
+])
+def test_lowest_failing_block_decides_the_error(side, blocks, error):
+    ys = np.column_stack(blocks)  # measurement block b is column b
+    y = ys.reshape(-1) if side is Side.LEFT else ys.T.reshape(-1)
+    with pytest.raises(error):
+        recover(_DUP, 2, y, SparsitySpec(3, 1), side)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_lift_allocates_no_dense_matrices(phi):
+    # s = 256 copies of the atom: a dense lift or swap matrix is tens of MB
+    p = 4096
+    xs = np.zeros((16, p // 16))
+    xs[np.arange(p // 16) % 16, np.arange(p // 16)] = 2.0
+    x = xs.reshape(-1)
+    y = compress(phi, x, Side.LEFT)
+    assert _traced_peak(lambda: mv_stp(phi, x, Side.LEFT)) < 1_000_000
+    assert _traced_peak(lambda: recover_signal(phi, y, p, 1, Side.LEFT)) < 1_000_000
+    assert np.allclose(recover_signal(phi, y, p, 1, Side.LEFT), x, atol=1e-8)
 
 
 def test_recover_validates_shapes(phi):
@@ -288,3 +388,7 @@ def test_uniqueness_guarantee_examples():
 def test_uniqueness_guarantee_uses_the_atom():
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     assert uniqueness_guarantee(np.kron(a, np.eye(3)), 1)
+    # both lift sides reduce to the 7x16 atom; spark of the 56x128 lift
+    # itself would exceed the subset budget
+    assert uniqueness_guarantee(np.kron(SENSING_7X16, np.eye(8)), 1)
+    assert uniqueness_guarantee(np.kron(np.eye(8), SENSING_7X16), 1)

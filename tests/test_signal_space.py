@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpcs import (
@@ -141,6 +141,21 @@ def test_inner_is_lift_invariant(side, x, y, a, b):
     assert abs(v1 - v2) <= 1e-12
 
 
+@pytest.mark.parametrize("side", SIDES)
+@given(int_signals, int_signals)
+@example(np.arange(3.0), np.arange(6.0))  # one dim divides the other
+@example(np.arange(4.0), np.arange(6.0))  # coprime parts 2 and 3
+def test_inner_matches_explicit_lcm_dot(side, x, y):
+    t = math.lcm(x.size, y.size)
+
+    def ones_lift(v):
+        ones = np.ones(t // v.size)
+        return np.kron(v, ones) if side is Side.LEFT else np.kron(ones, v)
+
+    expected = float(ones_lift(x) @ ones_lift(y)) / t
+    assert inner_v(x, y, side) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
 def test_norm_examples():
     assert norm_v(np.ones(7)) == pytest.approx(1.0, abs=1e-15)
     assert norm_v([2, -1, -1]) == pytest.approx(math.sqrt(2), abs=1e-15)
@@ -213,6 +228,15 @@ def test_project_identity_and_pair_means():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(project(x, 4), x)
     assert np.allclose(project(x, 2), [1.5, 3.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(int_signals, st.integers(min_value=1, max_value=8))
+@example(np.arange(6.0), 3)  # n | m
+@example(np.arange(4.0), 6)  # non-divisible
+def test_project_matches_projection_matrix(side, x, n):
+    expected = projection_matrix(x.size, n, side) @ x
+    assert np.allclose(project(x, n, side), expected, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (5, 3), (6, 4), (7, 2)])

@@ -1,9 +1,11 @@
+from math import lcm
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stpcs import Side, kron, mm_stp, mv_stp, sta, swap_matrix
+from stpcs import Side, kron, lift_matrix, mm_stp, mv_stp, sta, swap_matrix
 from stpcs.errors import BadShape
 
 SIDES = [Side.LEFT, Side.RIGHT]
@@ -102,6 +104,19 @@ def test_mm_degenerates_to_conventional_product(side, ab):
     assert np.array_equal(mm_stp(a, b, side), a @ b)
 
 
+@pytest.mark.parametrize("side", SIDES)
+@given(st.tuples(dims6, dims6, dims6, dims6).flatmap(
+    lambda s: st.tuples(int_matrix(s[0], s[1]), int_matrix(s[2], s[3]))
+))
+@example((np.arange(6.0).reshape(3, 2), np.arange(8.0).reshape(4, 2)))  # n | p
+@example((np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(6, 2)))  # non-divisible
+def test_mm_matches_dense_lift_oracle(side, ab):
+    a, b = ab
+    t = lcm(a.shape[1], b.shape[0])
+    expected = lift_matrix(a, t // a.shape[1], side) @ lift_matrix(b, t // b.shape[0], side)
+    assert np.array_equal(mm_stp(a, b, side), expected)
+
+
 def test_mm_left_row_against_identity():
     out = mm_stp(np.array([[1.0, 1.0]]), np.eye(4), Side.LEFT)
     assert np.array_equal(out, np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=float))
@@ -177,6 +192,22 @@ def test_mv_matches_explicit_lift_expansion():
     x = np.array([1.0, 2.0, 3.0])
     expected = np.kron(a, np.eye(3)) @ np.kron(x, np.ones(2))
     assert np.array_equal(mv_stp(a, x, Side.LEFT), expected)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(st.tuples(dims6, dims6, dims6).flatmap(
+    lambda s: st.tuples(int_matrix(s[0], s[1]), st.lists(ints, min_size=s[2], max_size=s[2]))
+))
+@example((np.ones((2, 3)), [1, 2, 3, 4, 5, 6]))  # n | p
+@example((np.arange(8.0).reshape(2, 4), [1, -2, 3, -4, 5, -6]))  # non-divisible
+def test_mv_matches_dense_lift_oracle(side, ax):
+    a, x = ax
+    x = np.array(x, dtype=float)
+    s = lcm(a.shape[1], x.size)
+    ones = np.ones(s // x.size)
+    xl = np.kron(x, ones) if side is Side.LEFT else np.kron(ones, x)
+    expected = lift_matrix(a, s // a.shape[1], side) @ xl
+    assert np.array_equal(mv_stp(a, x, side), expected)
 
 
 # --- semi-tensor addition ---------------------------------------------------
