@@ -5,7 +5,10 @@ Builds the 7x16 reference sensing matrix, plants blockwise-sparse
 signals, compresses them through both lift conventions, and recovers
 them exactly with the support-search solver.  Also runs one
 non-divisible case where the signal dimension does not divide the lift.
+Exits with status 1 when any round trip is not exact.
 """
+
+import sys
 
 import numpy as np
 
@@ -36,6 +39,7 @@ def main():
           f"uniqueness: {uniqueness_guarantee(phi, k)}")
 
     spec = SparsitySpec(phi.shape[1], k)
+    exact = []
     for s in (1, 2, 3):
         p = phi.shape[1] * s
         x = np.zeros(p)
@@ -52,10 +56,11 @@ def main():
             y = compress(phi, planted, side)
             xh = recover(phi, s, y, spec, side)
             ok = np.allclose(xh, planted, atol=1e-8)
+            exact.append(ok)
             print(f"  s={s} side={side.value:<5} weight={np.count_nonzero(planted)} "
                   f"dim {p} -> {y.size}: exact={ok}")
 
-    # non-divisible case: signal length 24 against 16 columns
+    # non-divisible case: signal length 45 against 30 columns
     phi6 = horizontal_expand(vertical_expand_star(6), aocm(5))
     p = 45
     pl = plan(phi6, p, Side.RIGHT)
@@ -63,9 +68,11 @@ def main():
     x[11] = 2.0
     y = compress(phi6, x, Side.RIGHT)
     xh = recover_signal(phi6, y, p, 1, Side.RIGHT)
+    exact.append(np.allclose(xh, x, atol=1e-8))
     print(f"non-divisible: atom {pl.atom.shape}, p={p}, lift s={pl.s}, "
-          f"replication r={pl.r}; exact={np.allclose(xh, x, atol=1e-8)}")
+          f"replication r={pl.r}; exact={exact[-1]}")
+    return 0 if all(exact) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

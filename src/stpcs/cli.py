@@ -46,7 +46,7 @@ def _write_matrix(args, a, kind="real", name=None, provenance=None) -> None:
         io.save_matrix(args.output, a, kind=kind, name=name, provenance=provenance)
     else:
         for row in np.atleast_2d(a):
-            print(",".join(io._render(v, kind) for v in row))
+            print(io.format_row(row, kind))
 
 
 def _write_signal(args, x) -> None:

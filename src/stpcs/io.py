@@ -23,6 +23,7 @@ from .stp import as_matrix, as_signal
 
 __all__ = [
     "KINDS",
+    "format_row",
     "save_matrix",
     "load_matrix",
     "save_signal",
@@ -41,10 +42,15 @@ def _validate_kind(a: np.ndarray, kind: str) -> None:
         raise BadShape("sign matrix must contain only -1 and +1")
 
 
-def _render(v: float, kind: str) -> str:
-    if kind in ("sign", "boolean") or float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
+def format_row(row, kind: str = "real") -> str:
+    """One matrix row as a CSV line, as save_matrix writes it.
+
+    Entries of sign and boolean matrices and integral floats are written
+    as integers, other floats in shortest round-trip repr.
+    """
+    whole = kind in ("sign", "boolean")
+    return ",".join(str(int(v)) if whole or float(v).is_integer() else repr(float(v))
+                    for v in row)
 
 
 def save_matrix(path, a, kind: str = "real", name: str | None = None,
@@ -65,8 +71,7 @@ def save_matrix(path, a, kind: str = "real", name: str | None = None,
         path.write_text(json.dumps(doc, indent=2) + "\n")
         return
     lines = [f"# {a.shape[0]},{a.shape[1]},{kind}"]
-    for row in a:
-        lines.append(",".join(_render(v, kind) for v in row))
+    lines.extend(format_row(row, kind) for row in a)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -12,8 +12,10 @@ reshaped y (contiguous blocks for the right convention, interleaved
 ones for the left).  One exhaustive sweep over supports of at most k
 indices fits each support once by least squares against all s columns.
 With spark(atom) > 2k the accepted solution is provably the only
-blockwise-k-sparse one.  Blockwise recovery builds no lifted or swap
-matrix; those stay in `stp` as reference constructions.
+blockwise-k-sparse one.  The greedy matching-pursuit path batches the
+same way: each step picks and refits for all columns at once.  Blockwise
+recovery builds no lifted or swap matrix; those stay in `stp` as
+reference constructions.
 """
 
 from __future__ import annotations
@@ -115,33 +117,53 @@ def compress_varying(a, xs, side: Side = Side.LEFT) -> list[np.ndarray]:
     return [compress(a, x, side) for x in xs]
 
 
-def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
-    """Greedy fast path: orthogonal matching pursuit with at most k picks per column.
+def _fit(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits of ys against a stack of column subsets.
 
-    Selects the column most correlated with the residual, refits by least
-    squares, and stops once the residual beats the tolerance.  No
-    uniqueness certificate; use the oracle when one is needed.
+    `subs` is (..., m, size) and `ys` broadcasts against (..., m, cols).
+    Each fit is the pseudo-inverse with np.linalg.lstsq's default cutoff,
+    so a rank-deficient subset gets the minimum-norm solution.  Returns
+    the coefficients (..., size, cols) and the residuals (..., m, cols).
+    """
+    rcond = np.finfo(float).eps * max(subs.shape[-2:])
+    coef = np.linalg.pinv(subs, rcond=rcond) @ ys
+    return coef, ys - subs @ coef
+
+
+def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
+    """Orthogonal matching pursuit with at most k picks per column, all columns at once.
+
+    Each step scores every column still above the tolerance against the
+    atom, picks its most correlated unchosen atom column, and refits all
+    of them together; a column stops once its residual beats the
+    tolerance.  Stopped columns leave the batch, so the supports of the
+    columns still in it always have the same size.  No uniqueness
+    certificate; use the oracle when one is needed.  The lowest-index
+    column still above the tolerance after k picks raises NoSolution.
     """
     norms = np.linalg.norm(a, axis=0)
     norms[norms == 0.0] = 1.0
     xs = np.zeros((a.shape[1], ys.shape[1]))
-    for b, y in enumerate(ys.T):
-        support: list[int] = []
-        resid = y.copy()
-        coef = np.zeros(0)
-        for _ in range(k):
-            if float(np.linalg.norm(resid)) < residual_tol:
-                break
-            scores = np.abs(a.T @ resid) / norms
-            scores[support] = -1.0
-            support.append(int(np.argmax(scores)))
-            coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
-            resid = y - a[:, support] @ coef
-        if float(np.linalg.norm(resid)) >= residual_tol:
-            raise NoSolution(
-                f"matching pursuit residual stayed above {residual_tol:.1e} in block {b}"
-            )
-        xs[support, b] = coef
+    live = np.flatnonzero(np.linalg.norm(ys, axis=0) >= residual_tol)
+    support = np.zeros((live.size, 0), dtype=np.intp)
+    targets = resid = ys[:, live].T  # (live, m)
+    for _ in range(k):
+        if not live.size:
+            break
+        scores = np.abs(resid @ a) / norms  # (live, n)
+        np.put_along_axis(scores, support, -1.0, axis=1)
+        support = np.column_stack([support, scores.argmax(axis=1)])
+        subs = np.moveaxis(a[:, support], 1, 0)  # (live, m, size)
+        coef, resid = _fit(subs, targets[:, :, None])
+        coef, resid = coef[:, :, 0], resid[:, :, 0]
+        done = np.linalg.norm(resid, axis=1) < residual_tol
+        xs[support[done], live[done, None]] = coef[done]
+        keep = ~done
+        live, support, targets, resid = live[keep], support[keep], targets[keep], resid[keep]
+    if live.size:
+        raise NoSolution(
+            f"matching pursuit residual stayed above {residual_tol:.1e} in block {live[0]}"
+        )
     return xs
 
 
@@ -165,13 +187,12 @@ def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.nda
     distinct = np.zeros(cols, dtype=bool)
     chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
     for size in range(1, k + 1):
-        rcond = np.finfo(float).eps * max(m, size)  # np.linalg.lstsq's default cutoff
         combos = combinations(range(n), size)
         while batch := list(islice(combos, chunk)):
             idx = np.array(batch)
             subs = np.moveaxis(a[:, idx], 1, 0)  # (chunk, m, size)
-            coef = np.linalg.pinv(subs, rcond=rcond) @ ys  # (chunk, size, cols)
-            resid = np.linalg.norm(ys - subs @ coef, axis=1)  # (chunk, cols)
+            coef, resid = _fit(subs, ys)  # (chunk, size, cols), (chunk, m, cols)
+            resid = np.linalg.norm(resid, axis=1)  # (chunk, cols)
             hit_s, hit_b = np.nonzero(resid < residual_tol)  # ordered by support
             rows, fit = idx[hit_s], coef[hit_s, :, hit_b]  # (hits, size) each
             new_b, first = np.unique(hit_b, return_index=True)
@@ -205,10 +226,11 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     sparsity applies to the columns of X.
 
     ``method="oracle"`` (default) is the exhaustive support search with
-    uniqueness detection; ``method="omp"`` is the greedy matching-pursuit
-    fast path for larger instances, exact under the coherence bound but
-    without a uniqueness certificate.  GLOBAL sparsity solves the
-    block-diagonal system I_s (x) A as one column.
+    uniqueness detection; ``method="omp"`` is greedy orthogonal matching
+    pursuit, one pick and one stacked refit per step for all blocks still
+    above the tolerance, exact under the coherence bound but without a
+    uniqueness certificate.  GLOBAL sparsity solves the block-diagonal
+    system I_s (x) A as one column.
     """
     a = as_matrix(a)
     y = as_signal(y)

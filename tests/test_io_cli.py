@@ -127,9 +127,10 @@ def test_compress_recover_round_trip_via_files(tmp_path):
     io.save_signal(xf, x)
     assert main(["compress", "-A", str(a), "-x", str(xf), "--side", "left",
                  "-o", str(yf)]) == 0
-    assert main(["recover", "-A", str(a), "-y", str(yf), "--k", "1",
-                 "--side", "left", "-s", "2", "-o", str(rf)]) == 0
-    assert np.allclose(io.load_signal(rf), x, atol=1e-8)
+    for method in ("oracle", "omp"):
+        assert main(["recover", "-A", str(a), "-y", str(yf), "--k", "1", "--side", "left",
+                     "-s", "2", "--method", method, "-o", str(rf)]) == 0
+        assert np.allclose(io.load_signal(rf), x, atol=1e-8)
 
 
 def test_recover_with_signal_dimension_plan(tmp_path):
@@ -143,9 +144,10 @@ def test_recover_with_signal_dimension_plan(tmp_path):
     x[4] = 3.0
     y = np.kron(mat, np.eye(3)) @ np.kron(x, np.ones(2))
     io.save_signal(yf, y)
-    assert main(["recover", "-A", str(a), "-y", str(yf), "--k", "2",
-                 "--side", "left", "-p", "9", "-o", str(rf)]) == 0
-    assert np.allclose(io.load_signal(rf), x, atol=1e-8)
+    for method in ("oracle", "omp"):
+        assert main(["recover", "-A", str(a), "-y", str(yf), "--k", "2", "--side", "left",
+                     "-p", "9", "--method", method, "-o", str(rf)]) == 0
+        assert np.allclose(io.load_signal(rf), x, atol=1e-8)
 
 
 def test_project_cli(tmp_path):
@@ -168,9 +170,10 @@ def test_signal_verbs_print_to_stdout_without_output(tmp_path, capsys):
         (["project", "-i", str(xf), "-n", "2"], "1.5,3.5"),
         (["compress", "-A", str(row), "-x", str(xf)], "4.0,6.0"),
         (["recover", "-A", str(eye), "-y", str(yf), "--k", "1"], "0.0,-2.5"),
+        (["gen", "aocm", "-t", "4"], "1,1,1,1\n1,-1,1,-1\n1,1,-1,-1\n1,-1,-1,1"),
     ]:
         assert main(argv) == 0
-        assert capsys.readouterr().out.strip() == printed
+        assert capsys.readouterr().out == printed + "\n"
 
 
 def test_basis_cli_json(tmp_path):

@@ -168,10 +168,13 @@ def test_recover_identity_returns_measurements():
 
 
 def test_recover_global_mode(phi):
-    x = place_block_sparse(16, [4], [1.5])
-    y = compress(phi, x, Side.RIGHT)
-    xh = recover(phi, 1, y, SparsitySpec(16, 1, SparsityMode.GLOBAL), Side.RIGHT)
-    assert np.allclose(xh, x, atol=1e-8)
+    spec = SparsitySpec(16, 1, SparsityMode.GLOBAL)
+    for s, pos in ((1, 4), (2, 21)):
+        x = place_block_sparse(16 * s, [pos], [1.5])
+        y = compress(phi, x, Side.RIGHT)
+        for method in ("oracle", "omp"):
+            xh = recover(phi, s, y, spec, Side.RIGHT, method=method)
+            assert np.allclose(xh, x, atol=1e-8)
 
 
 def test_recover_no_solution_when_k_too_small():
@@ -345,7 +348,7 @@ def test_mv_stp_is_the_compression_map(phi):
 # --- matching-pursuit fast path --------------------------------------------------------
 
 @pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("s", [1, 2, 256])
 def test_omp_fast_path_matches_oracle(phi, side, s):
     spec = SparsitySpec(16, 1)
     rng = np.random.default_rng(13)
@@ -364,6 +367,63 @@ def test_omp_two_sparse_on_low_coherence_design(phi30):
     x[3], x[17] = 2.0, -1.0
     y = compress(phi30, x, Side.RIGHT)
     assert np.allclose(recover(phi30, 1, y, spec, Side.RIGHT, method="omp"), x, atol=1e-8)
+
+
+def reference_omp(a, ys, k, residual_tol=1e-8):
+    """Matching pursuit one column at a time: one gemv and one lstsq per step."""
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0.0] = 1.0
+    xs = np.zeros((a.shape[1], ys.shape[1]))
+    for b, y in enumerate(ys.T):
+        support: list[int] = []
+        resid = y.copy()
+        coef = np.zeros(0)
+        for _ in range(k):
+            if float(np.linalg.norm(resid)) < residual_tol:
+                break
+            scores = np.abs(a.T @ resid) / norms
+            scores[support] = -1.0
+            support.append(int(np.argmax(scores)))
+            coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
+            resid = y - a[:, support] @ coef
+        if float(np.linalg.norm(resid)) >= residual_tol:
+            raise NoSolution(
+                f"matching pursuit residual stayed above {residual_tol:.1e} in block {b}"
+            )
+        xs[support, b] = coef
+    return xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_batched_omp_matches_per_column_reference(seed):
+    # Gaussian atoms, so no two scores tie exactly: with integer atoms the
+    # batched and the per-column products can break an exact tie differently,
+    # and both picks are valid.  Columns are all-zero or up to k-sparse, one
+    # atom column is zero, and half the cases get one column no k columns fit.
+    rng = np.random.default_rng(seed)
+    m, n, cols = int(rng.integers(3, 9)), int(rng.integers(4, 14)), int(rng.integers(1, 41))
+    k = int(rng.integers(0, 4))
+    a = rng.standard_normal((m, n))
+    a[:, rng.integers(n)] = 0.0
+    xs = np.zeros((n, cols))
+    for b in range(cols):
+        sup = rng.choice(n, size=int(rng.integers(0, k + 1)), replace=False)
+        xs[sup, b] = rng.standard_normal(sup.size)
+    ys = a @ xs
+    if rng.integers(2):
+        ys[:, rng.integers(cols)] = rng.standard_normal(m)
+    # the left convention reads the measurement blocks as the columns of y.reshape(m, s)
+    spec = SparsitySpec(n, k)
+    try:
+        expected = reference_omp(a, ys, k)
+    except NoSolution as exc:
+        with pytest.raises(NoSolution) as got:
+            recover(a, cols, ys.reshape(-1), spec, Side.LEFT, method="omp")
+        assert str(got.value) == str(exc)
+    else:
+        xh = recover(a, cols, ys.reshape(-1), spec, Side.LEFT, method="omp")
+        assert np.allclose(xh.reshape(n, cols), expected, rtol=1e-9, atol=1e-9)
 
 
 def test_omp_reports_failure_as_no_solution():

@@ -14,6 +14,7 @@ from stpcs import (
     equivalent,
     inner_v,
     lift_signal,
+    matrices_equivalent,
     norm_v,
     project,
     projection_matrix,
@@ -107,6 +108,17 @@ def test_equivalent_examples():
     assert equivalent(x, np.kron(x, np.ones(3)), Side.LEFT)
     assert not equivalent([1, 2], [1, 2, 3], Side.LEFT)
     assert equivalent([1, 1], [1, 1, 1], Side.LEFT)
+
+
+def test_matrices_equivalent_examples():
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    assert matrices_equivalent(np.kron(a, np.eye(3)), a, Side.LEFT)
+    assert matrices_equivalent(np.kron(np.eye(3), a), a, Side.RIGHT)
+    # each lift is the other side's irreducible matrix
+    assert not matrices_equivalent(np.kron(a, np.eye(3)), a, Side.RIGHT)
+    assert not matrices_equivalent(a, a.T, Side.LEFT)
+    assert not matrices_equivalent(a, np.ones((2, 3)), Side.LEFT)
+    assert not matrices_equivalent(np.ones((2, 3)), np.kron(a, np.eye(2)), Side.RIGHT)
 
 
 @pytest.mark.parametrize("side", SIDES)
