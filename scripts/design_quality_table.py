@@ -41,10 +41,12 @@ def main():
         phi = horizontal_expand(hs, b)
         m, n = phi.shape
         mu = coherence(phi)
-        wb = welch_bound(m, n) if n > m else float("nan")
+        # with n <= m the design expands instead of compressing and the
+        # Welch bound does not apply (alpha = 7: aocm(6) has 2 columns)
+        welch = f"{welch_bound(m, n):>8.4f}" if n > m else f"{'expands':>8}"
         print(
             f"{alpha:>5} {hv.shape[0]:>8} {hs.shape[0]:>8} {n:>5} "
-            f"{mu:>8.4f} {wb:>8.4f} {max_sparsity(phi):>6} {n / m:>6.2f}"
+            f"{mu:>8.4f} {welch} {max_sparsity(phi):>6} {n / m:>6.2f}"
         )
     print()
     print("mu = 1/(alpha-1) throughout; the star expansion needs fewer rows,")

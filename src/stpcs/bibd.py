@@ -256,7 +256,12 @@ _AOCM5 = np.array(
 def aocm(t: int) -> np.ndarray:
     """Largest known sign matrix with pairwise column inner products +-1.
 
-    Even t falls back to the orthogonal construction.  For t = 2^p - 1
+    Even t falls back to the orthogonal construction: for even t an
+    inner product of two +-1 columns is even, so +-1 is impossible and the
+    columns must be orthogonal.  Three pairwise-orthogonal sign columns
+    need 4 | t, so t = 2 (mod 4) gives only 2 columns (aocm(6) is 6x2),
+    and the sensing matrix built from it at alpha = 7 has fewer columns
+    than rows.  For t = 2^p - 1
     the first row of the t+1 orthogonal matrix is deleted, which leaves
     every pairwise inner product at -1 and is maximal.  t = 5 has a
     known 5x5 solution.  Other odd t raise Unsupported; no general

@@ -6,6 +6,17 @@ certification of the restricted isometry property.  Everything here is
 exact at desk scale: subset enumerations are complete (guarded by a
 budget) rather than sampled.
 
+Spark and RIP share one subset kernel.  The Gram matrix G = A^T A is
+formed once; each chunk of lexicographic k-subsets T gathers its k-by-k
+blocks G_T, whose eigenvalues are the squared singular values of the
+column block A_T.  A subset counts as dependent when the singular-value
+test sigma_min <= 1e-9 sigma_max holds for A_T.  That test runs only on
+the subsets a determinant screen flags, det(G_T) <= 1e-12 trace(G_T)^k:
+every subset the test could call dependent is flagged, since then
+det(G_T) <= lambda_min lambda_max^(k-1) <= 1e-18 trace(G_T)^k, six
+orders of magnitude below the screen.  All other subsets are
+independent without an SVD.
+
 The class-level variants reduce a matrix to its irreducible Kronecker
 atom first; spark, coherence, and the RIP constant are invariant under
 identity lifts, so the atom's numbers are the class's numbers.
@@ -15,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +55,13 @@ DEFAULT_BUDGET = 10**6
 # counts as zero in rank decisions.
 _RANK_RTOL = 1e-9
 
-_SVD_CHUNK = 4096
+# Gram blocks with det(G_T) <= _SCREEN * trace(G_T)**k go to the
+# singular-value test; a block that test calls dependent has
+# det <= 1e-18 * trace**k (module docstring), and the factor 1e6 between
+# the two absorbs rounding in G and in det.
+_SCREEN = 1e-12
+
+_CHUNK = 4096
 
 
 def _column_cosines(a: np.ndarray) -> np.ndarray:
@@ -58,12 +75,15 @@ def _column_cosines(a: np.ndarray) -> np.ndarray:
     return (a.T @ a) / np.outer(norms, norms)
 
 
+def _pair_cosines(a) -> np.ndarray:
+    """Cosines of all ordered pairs of distinct columns, flattened."""
+    g = _column_cosines(a)
+    return g[~np.eye(g.shape[0], dtype=bool)]
+
+
 def coherence(a) -> float:
     """Largest absolute pairwise column cosine, in [0, 1]."""
-    g = _column_cosines(a)
-    n = g.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    return float(np.max(np.abs(g[off])))
+    return float(np.max(np.abs(_pair_cosines(a))))
 
 
 def signed_coherence(a) -> float:
@@ -72,10 +92,7 @@ def signed_coherence(a) -> float:
     Kept alongside `coherence` because the magnitude-free maximum can be
     negative and carries sign information the bound arguments ignore.
     """
-    g = _column_cosines(a)
-    n = g.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    return float(np.max(g[off]))
+    return float(np.max(_pair_cosines(a)))
 
 
 def welch_bound(m: int, n: int) -> float:
@@ -85,18 +102,27 @@ def welch_bound(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
-def _iter_subset_singulars(a: np.ndarray, k: int):
-    """Yield (subset_array, singular_values) over all k-column subsets, chunked."""
-    n = a.shape[1]
-    combos = combinations(range(n), k)
+def _gram_blocks(g: np.ndarray, k: int):
+    """Yield (subsets, blocks, suspect) over all k-subsets of the columns of A, chunked.
+
+    g is the Gram matrix A^T A.  Subsets come in lexicographic order as
+    rows of an index array; the blocks are G_T = A_T^T A_T; `suspect`
+    flags every subset that `_singular_values` could find rank-deficient.
+    """
+    combos = combinations(range(g.shape[0]), k)
     while True:
-        chunk = list(islice(combos, _SVD_CHUNK))
-        if not chunk:
+        idx = np.fromiter(chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp)
+        if not idx.size:
             return
-        idx = np.array(chunk)
-        subs = a[:, idx]  # (m, chunk, k)
-        subs = np.moveaxis(subs, 1, 0)  # (chunk, m, k)
-        yield idx, np.linalg.svd(subs, compute_uv=False)
+        idx = idx.reshape(-1, k)
+        blocks = g[idx[:, :, None], idx[:, None, :]]  # (chunk, k, k)
+        trace = np.trace(blocks, axis1=1, axis2=2)
+        yield idx, blocks, np.linalg.det(blocks) <= _SCREEN * trace**k
+
+
+def _singular_values(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of the column blocks a[:, row] for each row of idx."""
+    return np.linalg.svd(np.moveaxis(a[:, idx], 1, 0), compute_uv=False)
 
 
 def _check_budget(n: int, k: int, budget: int, what: str) -> None:
@@ -112,17 +138,21 @@ def spark(a, budget: int = DEFAULT_BUDGET):
 
     Returns math.inf when the columns are independent (full column rank),
     rather than a numeric stand-in.  Enumeration runs in increasing subset
-    size with a batched singular-value rank test, so the first hit is the
-    spark.
+    size, so the first hit is the spark.  A subset is dependent when its
+    smallest singular value is at most 1e-9 of its largest; that test runs
+    only on the subsets the Gram determinant screen flags (see the module
+    docstring), all others being independent.
     """
     a = as_matrix(a)
     m, n = a.shape
+    g = a.T @ a
     for k in range(1, min(m, n) + 1):
         _check_budget(n, k, budget, "spark")
-        for _, sv in _iter_subset_singulars(a, k):
-            dependent = sv[:, -1] <= _RANK_RTOL * sv[:, 0]
-            if np.any(dependent):
-                return k
+        for idx, _, suspect in _gram_blocks(g, k):
+            if np.any(suspect):
+                sv = _singular_values(a, idx[suspect])
+                if np.any(sv[:, -1] <= _RANK_RTOL * sv[:, 0]):
+                    return k
     if n > m:
         return m + 1  # any m+1 columns of an m-row matrix are dependent
     return math.inf
@@ -130,11 +160,15 @@ def spark(a, budget: int = DEFAULT_BUDGET):
 
 def max_sparsity(a) -> int:
     """Largest k with k < (1 + 1/coherence)/2, the lossless-recovery bound."""
-    mu = coherence(a)
+    return _sparsity_bound(coherence(a), as_matrix(a).shape[1])
+
+
+def _sparsity_bound(mu: float, n: int) -> int:
+    """`max_sparsity` of an n-column matrix of coherence mu."""
     if mu == 0.0:
         # only possible with orthogonal columns (cols <= rows); every
         # sparsity up to the column count is then recoverable
-        return as_matrix(a).shape[1]
+        return n
     v = 0.5 * (1.0 + 1.0 / mu)
     nearest = round(v)
     if abs(v - nearest) < 1e-9:
@@ -154,6 +188,13 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     over every k-column submatrix; the property holds when delta < 1.
     The certificate is scale-sensitive, so columns should be unit-norm;
     pass normalize=True to rescale them first.
+
+    The squared singular values of a submatrix are the eigenvalues of its
+    Gram block, so delta comes from `eigvalsh` of the blocks.  Blocks the
+    determinant screen flags as possibly rank-deficient take their extreme
+    singular values from an SVD of the column block instead, so that a
+    dependent subset reads sigma_min^2 = 0 and delta = 1 exactly, not a
+    rounding error below it.  With k above the row count, sigma_min = 0.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -166,10 +207,15 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
         a = a / norms
     _check_budget(n, k, budget, "rip_check")
     delta = 0.0
-    for _, sv in _iter_subset_singulars(a, k):
-        smax = sv[:, 0]
-        smin = sv[:, -1] if k <= m else np.zeros(len(sv))
-        delta = max(delta, float(np.max(smax**2 - 1.0)), float(np.max(1.0 - smin**2)))
+    for idx, blocks, suspect in _gram_blocks(a.T @ a, k):
+        lam = np.linalg.eigvalsh(blocks)  # ascending
+        top, low = lam[:, -1], lam[:, 0]
+        if np.any(suspect):
+            sv = _singular_values(a, idx[suspect])
+            top[suspect], low[suspect] = sv[:, 0] ** 2, sv[:, -1] ** 2
+        if k > m:
+            low[:] = 0.0
+        delta = max(delta, float(np.max(top - 1.0)), float(np.max(1.0 - low)))
     return RipResult(delta, delta < 1.0)
 
 
@@ -247,12 +293,14 @@ def component_metrics(a, rip_k: int | None = None,
     """Metrics of a fixed matrix, no reduction."""
     a = as_matrix(a)
     m, n = a.shape
+    cosines = _pair_cosines(a)
+    mu = float(np.max(np.abs(cosines)))
     report = CsReport(
-        coherence=coherence(a),
-        signed_coherence=signed_coherence(a),
+        coherence=mu,
+        signed_coherence=float(np.max(cosines)),
         welch_bound=welch_bound(m, n) if n > m else None,
         spark=spark(a, budget=budget),
-        max_k=max_sparsity(a),
+        max_k=_sparsity_bound(mu, n),
     )
     if rip_k is not None:
         res = rip_check(a, rip_k, normalize=True, budget=budget)

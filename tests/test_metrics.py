@@ -37,6 +37,52 @@ def spark_oracle(a):
     return math.inf
 
 
+def rip_oracle(a, k, normalize=False):
+    """Reference RIP constant: one SVD per k-column submatrix."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    if normalize:
+        a = a / np.linalg.norm(a, axis=0)
+    delta = 0.0
+    for sub in combinations(range(n), k):
+        sv = np.linalg.svd(a[:, sub], compute_uv=False)
+        smin = sv[-1] if k <= m else 0.0
+        delta = max(delta, float(sv[0] ** 2 - 1.0), float(1.0 - smin**2))
+    return delta, delta < 1.0
+
+
+MATRIX_KINDS = ("gaussian", "integer", "near_dependent", "rank_deficient",
+                "scaled", "duplicate", "zero_column")
+
+
+def generated_matrix(kind, seed, m, n, noise_exp=-10.0):
+    """An m-by-n test matrix of the given kind, drawn from `seed`.
+
+    near_dependent sets one column to a combination of others plus noise
+    of size 10**noise_exp; rank_deficient does the same without noise;
+    scaled multiplies each column by a factor in 1e-6..1e6.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        return rng.integers(-3, 4, (m, n)).astype(float)
+    a = rng.standard_normal((m, n))
+    if kind == "scaled":
+        a *= 10.0 ** rng.uniform(-6.0, 6.0, n)
+    elif kind in ("near_dependent", "rank_deficient") and n >= 2:
+        j = int(rng.integers(n))
+        others = np.delete(np.arange(n), j)
+        sub = rng.choice(others, size=int(rng.integers(1, n)), replace=False)
+        a[:, j] = a[:, sub] @ rng.standard_normal(sub.size)
+        if kind == "near_dependent":
+            a[:, j] += 10.0**noise_exp * rng.standard_normal(m)
+    elif kind == "duplicate" and n >= 2:
+        i, j = rng.choice(n, size=2, replace=False)
+        a[:, j] = a[:, i]
+    elif kind == "zero_column":
+        a[:, int(rng.integers(n))] = 0.0
+    return a
+
+
 # --- coherence ----------------------------------------------------------------
 
 def test_coherence_of_orthogonal_columns_is_zero():
@@ -126,6 +172,29 @@ def test_spark_invariant_under_identity_lifts(seed, s):
     assert spark(np.kron(np.eye(s), a)) == base
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(MATRIX_KINDS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=-14.0, max_value=-7.0),
+)
+def test_spark_matches_bruteforce_oracle_on_generated_matrices(kind, seed, m, n, noise_exp):
+    a = generated_matrix(kind, seed, m, n, noise_exp)
+    assert spark(a) == spark_oracle(a)
+
+
+def test_spark_finds_a_dependent_subset_past_the_first_chunk():
+    # C(24, 4) = 10626 subsets of size 4; the only dependent one is the
+    # lexicographically last, {20, 21, 22, 23}, so several chunks of
+    # Gram blocks are screened before it is reached.
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 24))
+    a[:, 23] = a[:, 20] - 2.0 * a[:, 21] + 0.5 * a[:, 22]
+    assert spark(a) == spark_oracle(a) == 4
+
+
 def test_spark_budget_guard():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 12))
@@ -193,6 +262,40 @@ def test_rip_beyond_rows_cannot_hold():
     a /= np.linalg.norm(a, axis=0)
     delta, ok = rip_check(a, 3)
     assert delta >= 1.0 and not ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("gaussian", "integer", "rank_deficient")),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=7),
+    st.booleans(),
+)
+def test_rip_matches_per_subset_svd_oracle(kind, seed, m, n, normalize):
+    a = generated_matrix(kind, seed, m, n)
+    if normalize and np.any(np.linalg.norm(a, axis=0) == 0.0):
+        return  # an integer draw with a zero column; normalize refuses it
+    for k in range(1, n + 1):
+        delta, ok = rip_check(a, k, normalize=normalize)
+        ref_delta, ref_ok = rip_oracle(a, k, normalize=normalize)
+        assert delta == pytest.approx(ref_delta, abs=1e-12)
+        if abs(ref_delta - 1.0) > 1e-9:
+            assert ok == ref_ok
+
+
+def test_rip_of_rank_deficient_subset_is_not_satisfied():
+    # three unit columns in a plane: the Gram block has eigenvalues 0 and
+    # two that sum to 3, so delta >= 1 - sigma_min^2 = 1 and the
+    # certificate must fail, whatever rounding does to the zero eigenvalue
+    # (an eigvalsh of the block alone reads delta < 1 on several seeds)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((4, 2))
+        a = np.column_stack([a, a @ rng.standard_normal(2)])
+        delta, ok = rip_check(a, 3, normalize=True)
+        assert (delta, ok) == rip_oracle(a, 3, normalize=True), seed
+        assert delta >= 1.0 and not ok, seed
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
