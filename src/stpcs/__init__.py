@@ -72,7 +72,6 @@ from .pipeline import (
     SparsityMode,
     SparsitySpec,
     compress,
-    compress_varying,
     plan,
     recover,
     recover_signal,

@@ -23,8 +23,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import BadShape, DependentInput, InsufficientBasis
-from .signal_space import inner_v, norm_v, reduce_signal
-from .stp import Side, as_signal, lift_signal
+from .signal_space import dist_v, inner_v, norm_v, reduce_signal
+from .stp import Side, as_signal, sta
 
 __all__ = [
     "BasisElement",
@@ -121,12 +121,6 @@ def basis_up_to(m: int) -> list[BasisElement]:
     return out
 
 
-def _axpy(v: np.ndarray, c: float, e: np.ndarray, side: Side) -> np.ndarray:
-    """v + c*e after lifting both to their lcm dimension."""
-    t = np.lcm(v.size, e.size)
-    return lift_signal(v, t, side) + c * lift_signal(e, t, side)
-
-
 # Coefficients smaller than this are treated as exact zeros during
 # orthonormalization, keeping intermediate dimensions from growing on
 # numerically-zero projections.  True nonzero coefficients here are
@@ -151,7 +145,7 @@ def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
             for e in es:
                 c = inner_v(v, e, side)
                 if abs(c) > _COEF_EPS:
-                    v = _axpy(v, -c, e, side)
+                    v = sta(v, -c * e, side)
                     v, _ = reduce_signal(v, side, atol=1e-10)
         nv = norm_v(v)
         if nv < 1e-10:
@@ -181,11 +175,10 @@ def coordinates(x, basis: OrthonormalBasis, residual_tol: float = 1e-8) -> np.nd
     recon = np.zeros(1)
     for c, e in zip(xi, basis.elements):
         if abs(c) > _COEF_EPS:
-            recon = _axpy(recon, c, e, basis.side)
-    t = np.lcm(x.size, recon.size)
-    resid = lift_signal(x, t, basis.side) - lift_signal(recon, t, basis.side)
-    if norm_v(resid) > residual_tol:
+            recon = sta(recon, c * e, basis.side)
+    resid = dist_v(x, recon, basis.side)
+    if resid > residual_tol:
         raise InsufficientBasis(
-            f"reconstruction residual {norm_v(resid):.3e} exceeds {residual_tol:.1e}"
+            f"reconstruction residual {resid:.3e} exceeds {residual_tol:.1e}"
         )
     return xi

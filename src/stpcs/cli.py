@@ -309,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("-y", "--measurements", required=True)
     r.add_argument("--k", type=int, required=True, help="per-block sparsity bound")
     r.add_argument("--side", choices=["left", "right"], default="left")
-    r.add_argument("-s", type=int, default=1, help="identity-lift factor")
-    r.add_argument("-p", type=int, default=None,
-                   help="original signal dimension (enables the non-divisible case)")
+    lift = r.add_mutually_exclusive_group()
+    lift.add_argument("-s", type=int, default=1, help="identity-lift factor")
+    lift.add_argument("-p", type=int, default=None,
+                      help="original signal dimension (enables the non-divisible case)")
     r.add_argument("--method", choices=["oracle", "omp"], default="oracle",
                    help="exhaustive search with uniqueness detection, or greedy pursuit")
     r.add_argument("-o", "--output")

@@ -63,6 +63,10 @@ _SCREEN = 1e-12
 
 _CHUNK = 4096
 
+# rip_check certifies delta < 1 - _RIP_MARGIN: a true delta of exactly 1
+# reads a few ulps either side of 1 and must not pass on its last bit.
+_RIP_MARGIN = 1e-12
+
 
 def _column_cosines(a: np.ndarray) -> np.ndarray:
     """Matrix of pairwise column cosines; raises on zero columns."""
@@ -216,7 +220,7 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
         if k > m:
             low[:] = 0.0
         delta = max(delta, float(np.max(top - 1.0)), float(np.max(1.0 - low)))
-    return RipResult(delta, delta < 1.0)
+    return RipResult(delta, delta < 1.0 - _RIP_MARGIN)
 
 
 def blockwise_rip_delta(a, k: int, s: int, side: Side = Side.RIGHT,

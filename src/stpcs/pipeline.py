@@ -7,13 +7,13 @@ signal are lifted to t = lcm(n0, p) and the effective unknown is the
 replicated signal, so that case reduces to the divisible one.
 
 Recovery is the l0 oracle: the lifted system splits into s independent
-copies of the atom, whose measurement blocks are the columns of a
-reshaped y (contiguous blocks for the right convention, interleaved
-ones for the left).  One exhaustive sweep over supports of at most k
-indices fits each support once by least squares against all s columns.
+copies of the atom, one per block of y and of x (`stp.blocks` sets out
+the block layout of both conventions).  One exhaustive sweep over
+supports of at most k indices fits each support once by least squares
+against all s blocks.
 With spark(atom) > 2k the accepted solution is provably the only
 blockwise-k-sparse one.  The greedy matching-pursuit path batches the
-same way: each step picks and refits for all columns at once.  Blockwise
+same way: each step picks and refits for all blocks at once.  Blockwise
 recovery builds no lifted or swap matrix; those stay in `stp` as
 reference constructions.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BadShape, NoSolution, NotUnique
 from .metrics import DEFAULT_BUDGET, spark
 from .signal_space import reduce_matrix
-from .stp import Side, as_matrix, as_signal, mv_stp
+from .stp import Side, as_matrix, as_signal, blocks, lift_matrix, mv_stp, unblocks, unlift
 
 __all__ = [
     "SparsityMode",
@@ -38,7 +38,6 @@ __all__ = [
     "CompressionPlan",
     "plan",
     "compress",
-    "compress_varying",
     "recover",
     "recover_signal",
     "uniqueness_guarantee",
@@ -110,11 +109,6 @@ def plan(a, p: int, side: Side = Side.LEFT) -> CompressionPlan:
 def compress(a, x, side: Side = Side.LEFT) -> np.ndarray:
     """Compress a signal of arbitrary dimension: the semi-tensor product a*x."""
     return mv_stp(a, x, side)
-
-
-def compress_varying(a, xs, side: Side = Side.LEFT) -> list[np.ndarray]:
-    """Compress a dimension-varying signal stream, one plan per time step."""
-    return [compress(a, x, side) for x in xs]
 
 
 def _fit(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,14 +210,10 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
             residual_tol: float = RESIDUAL_TOL, method: str = "oracle") -> np.ndarray:
     """Exact sparse recovery from y = lift_s(a) @ x.
 
-    The lifted system is s copies of the atom, Y = A X, one per column of
-    X.  The right convention reads X = x.reshape(s, n).T and
-    Y = y.reshape(s, m).T (consecutive blocks); the left one reads
-    X = x.reshape(n, s) and Y = y.reshape(m, s) (interleaved entries).
-    These reshapes are the swap conjugation
-    (A (x) I_s) x = W[s,m] (I_s (x) A) W[n,s] x without its matrices.  All
-    columns are solved together and X is reshaped back.  Blockwise
-    sparsity applies to the columns of X.
+    The lifted system is s copies of the atom, Y = A X, where the columns
+    of Y = blocks(y, s, side) and X = blocks(x, s, side) are the blocks
+    of y and x (see `stp.blocks`).  All columns are solved together and
+    x = unblocks(X, side).  Blockwise sparsity applies to the columns of X.
 
     ``method="oracle"`` (default) is the exhaustive support search with
     uniqueness detection; ``method="omp"`` is greedy orthogonal matching
@@ -242,13 +232,14 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     if method not in ("oracle", "omp"):
         raise BadShape(f"unknown recovery method {method!r}")
     solve = _sweep if method == "oracle" else _omp
-    ys = y.reshape(m, s) if side is Side.LEFT else y.reshape(s, m).T
+    ys = blocks(y, s, side)
     if spec.mode is SparsityMode.GLOBAL:
-        big = np.kron(np.eye(s), a)
-        xs = solve(big, ys.T.reshape(-1, 1), spec.per_block_k, residual_tol).reshape(s, n).T
+        big = lift_matrix(a, s, Side.RIGHT)  # I_s (x) A: blocks are runs
+        x = solve(big, unblocks(ys, Side.RIGHT)[:, None], spec.per_block_k, residual_tol)
+        xs = blocks(x[:, 0], s, Side.RIGHT)
     else:
         xs = solve(a, ys, spec.per_block_k, residual_tol)
-    return xs.reshape(-1) if side is Side.LEFT else xs.T.reshape(-1)
+    return unblocks(xs, side)
 
 
 def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
@@ -257,27 +248,20 @@ def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
 
     Plans the lift, recovers the (possibly replicated) unknown, and in
     the non-divisible case strips the replication: the lifted solution
-    must reduce by the factor r, otherwise it does not correspond to any
-    p-dimensional signal and NoSolution is raised.
+    must be an r-fold lift (`stp.unlift`), otherwise it does not
+    correspond to any p-dimensional signal and NoSolution is raised.
     """
     pl = plan(a, p, side)
     spec = SparsitySpec(int(pl.atom.shape[1]), k)
     xt = recover(pl.atom, pl.s, y, spec, side, residual_tol, method)
     if pl.r == 1:
         return xt
-    if side is Side.LEFT:
-        blocks = xt.reshape(p, pl.r)
-        ok = np.allclose(blocks, blocks[:, :1], rtol=0.0, atol=residual_tol)
-        x = blocks[:, 0]
-    else:
-        blocks = xt.reshape(pl.r, p)
-        ok = np.allclose(blocks, blocks[:1, :], rtol=0.0, atol=residual_tol)
-        x = blocks[0]
-    if not ok:
+    x = unlift(xt, pl.r, side, residual_tol)
+    if x is None:
         raise NoSolution(
             f"lifted solution is not {pl.r}-fold replicated; no dim-{p} signal matches"
         )
-    return x.copy()
+    return x
 
 
 def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:

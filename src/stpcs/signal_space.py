@@ -20,7 +20,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import BadShape, ZeroVector
-from .stp import Side, as_matrix, as_signal, lift_signal, sta
+from .stp import Side, as_matrix, as_signal, blocks, lift_matrix, lift_signal, sta, unlift
 
 __all__ = [
     "SignalClass",
@@ -54,40 +54,20 @@ def reduce_signal(x, side: Side = Side.LEFT, atol: float = REDUCE_ATOL):
     is maximal and the returned atom is irreducible.
     """
     x = as_signal(x)
-    n = x.size
-    for s in _divisors_desc(n):
-        if s == 1:
-            break
-        if side is Side.LEFT:
-            blocks = x.reshape(n // s, s)
-            atom = blocks[:, 0]
-            ok = np.allclose(blocks, atom[:, None], rtol=0.0, atol=atol)
-        else:
-            blocks = x.reshape(s, n // s)
-            atom = blocks[0]
-            ok = np.allclose(blocks, atom[None, :], rtol=0.0, atol=atol)
-        if ok:
-            return atom.copy(), s
+    for s in _divisors_desc(x.size)[:-1]:
+        atom = unlift(x, s, side, atol)
+        if atom is not None:
+            return atom, s
     return x.copy(), 1
 
 
 def reduce_matrix(a, side: Side = Side.LEFT, atol: float = REDUCE_ATOL):
     """Return (atom, multiplicity) with a == atom (x) I_s (LEFT) or I_s (x) atom."""
     a = as_matrix(a)
-    m, n = a.shape
-    for s in _divisors_desc(np.gcd(m, n)):
-        if s == 1:
-            break
-        m0, n0 = m // s, n // s
-        if side is Side.LEFT:
-            blocks = a.reshape(m0, s, n0, s)
-            atom = blocks[:, 0, :, 0]
-            target = atom[:, None, :, None] * np.eye(s)[None, :, None, :]
-        else:
-            blocks = a.reshape(s, m0, s, n0)
-            atom = blocks[0, :, 0, :]
-            target = np.eye(s)[:, None, :, None] * atom[None, :, None, :]
-        if np.allclose(blocks, target, rtol=0.0, atol=atol):
+    for s in _divisors_desc(gcd(*a.shape))[:-1]:
+        # the rows, then the columns, of block 0
+        atom = blocks(blocks(a, s, side)[:, 0].T, s, side)[:, 0].T
+        if np.allclose(a, lift_matrix(atom, s, side), rtol=0.0, atol=atol):
             return atom.copy(), s
     return a.copy(), 1
 
@@ -215,14 +195,11 @@ def projection_matrix(m: int, n: int, side: Side = Side.LEFT) -> np.ndarray:
 def project(x, n: int, side: Side = Side.LEFT) -> np.ndarray:
     """Project a signal onto R^n (closest point in the quotient distance).
 
-    Equals projection_matrix(dim x, n, side) @ x: the block means of the
-    lcm lift, consecutive blocks for LEFT and strided ones for RIGHT.
+    Equals projection_matrix(dim x, n, side) @ x: the mean of the t/n
+    blocks (see `stp.blocks`) of the lcm lift.
     """
     x = as_signal(x)
     if n < 1:
         raise BadShape("projection target dimension must be positive")
     t = lcm(x.size, n)
-    xl = lift_signal(x, t, side)
-    if side is Side.LEFT:
-        return xl.reshape(n, t // n).mean(axis=1)
-    return xl.reshape(t // n, n).mean(axis=0)
+    return blocks(lift_signal(x, t, side), t // n, side).mean(axis=1)

@@ -8,12 +8,16 @@ with mismatched dimensions are lifted to the least common multiple, so
 every product below is defined for arbitrary shapes and degenerates to
 the conventional product when the inner dimensions already agree.
 
-An identity lift of the left factor is never built; it acts on a
-reshaped view, (A (x) I_s) x = vec(A @ x.reshape(n, s)) and
-(I_s (x) A) x = vec(x.reshape(s, n) @ A^T).  Compressing a signal by an
-m-by-n atom therefore needs memory for the lifted signal, the result
-and the atom only.  `lift_matrix` and `swap_matrix` build the dense
-matrices and serve as reference constructions and test oracles.
+Both conventions rest on one block layout: a vector of dimension n*s is
+s blocks of n entries, the interleaved entries b, b+s, ... (LEFT) or the
+b-th run of n consecutive entries (RIGHT).  A lifted matrix is s copies
+of its atom, copy b acting on block b; a lifted vector has s equal
+blocks.  `blocks` and `unblocks` hold this layout, and every product,
+reduction, projection and recovery goes through them instead of
+building an identity lift: the lifted product is unblocks(A @ blocks(x, s))
+on either side, in memory for the lifted signal, the result and the
+atom only.  `lift_matrix` and `swap_matrix` build the dense matrices
+and serve as reference constructions and test oracles.
 
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent use is safe.
@@ -36,6 +40,9 @@ __all__ = [
     "swap_matrix",
     "lift_signal",
     "lift_matrix",
+    "blocks",
+    "unblocks",
+    "unlift",
     "mm_stp",
     "mv_stp",
     "sta",
@@ -124,6 +131,36 @@ def lift_matrix(a, s: int, side: Side = Side.LEFT) -> np.ndarray:
     return np.kron(a, eye) if side is Side.LEFT else np.kron(eye, a)
 
 
+def blocks(v, s: int, side: Side = Side.LEFT) -> np.ndarray:
+    """The (n, s, ...) view of the leading axis of `v` as s blocks of n entries.
+
+    Column b is block b: entries b, b+s, ... (LEFT) or the b-th run of n
+    entries (RIGHT).  Trailing axes ride along.
+    """
+    v = np.asarray(v)
+    if side is Side.LEFT:
+        return v.reshape(-1, s, *v.shape[1:])
+    return v.reshape(s, -1, *v.shape[1:]).swapaxes(0, 1)
+
+
+def unblocks(g, side: Side = Side.LEFT) -> np.ndarray:
+    """Inverse of `blocks`: flatten an (n, s, ...) block array to its leading axis."""
+    g = np.asarray(g)
+    if side is Side.RIGHT:
+        g = g.swapaxes(0, 1)
+    return g.reshape(-1, *g.shape[2:])
+
+
+def unlift(x, r: int, side: Side = Side.LEFT, atol: float = 0.0):
+    """Return y with x == lift_signal(y, x.size, side) within `atol`, or None.
+
+    `x` is a 1-D array and `r` divides its size; y is a copy of block 0.
+    """
+    g = blocks(x, r, side)
+    y = g[:, 0]
+    return y.copy() if np.allclose(g, y[:, None], rtol=0.0, atol=atol) else None
+
+
 def mm_stp(a, b, side: Side = Side.LEFT) -> np.ndarray:
     """Matrix-matrix semi-tensor product.
 
@@ -131,20 +168,19 @@ def mm_stp(a, b, side: Side = Side.LEFT) -> np.ndarray:
     (A (x) I_{t/n}) (B (x) I_{t/p}) and RIGHT the mirrored
     (I_{t/n} (x) A) (I_{t/p} (x) B).  When n = p both reduce exactly to
     the conventional product A @ B.  Only B is lifted; A acts on the
-    (n, t/n) (LEFT) or (t/n, n) (RIGHT) view of the lifted rows.
+    blocks of its rows.
     """
     a, b = as_matrix(a), as_matrix(b)
     (m, n), (p, q) = a.shape, b.shape
     t = lcm(n, p)
-    alpha, beta = t // n, t // p
-    eye = np.eye(beta)
+    eye = np.eye(t // p)
     if side is Side.LEFT:
-        # rows of B (x) I_beta viewed as (n, alpha): A acts on the first axis
-        bl = (b[:, None, :, None] * eye[None, :, None, :]).reshape(n, alpha, q * beta)
-        return np.tensordot(a, bl, axes=1).reshape(m * alpha, q * beta)
-    # rows of I_beta (x) B viewed as (alpha, n): A acts on the second axis
-    bl = (eye[:, None, :, None] * b[None, :, None, :]).reshape(alpha, n, beta * q)
-    return (a @ bl).reshape(alpha * m, beta * q)
+        bl = (b[:, None, :, None] * eye[None, :, None, :]).reshape(t, -1)
+    else:
+        bl = (eye[:, None, :, None] * b[None, :, None, :]).reshape(t, -1)
+    g = blocks(bl, t // n, side)
+    # np.tensordot(a, g, axes=1) without its per-call overhead
+    return unblocks((a @ g.reshape(n, -1)).reshape(m, t // n, -1), side)
 
 
 def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
@@ -160,9 +196,7 @@ def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
     n = a.shape[1]
     s = lcm(n, x.size)
     xl = lift_signal(x, s, side)
-    if side is Side.LEFT:
-        return (a @ xl.reshape(n, s // n)).reshape(-1)
-    return (xl.reshape(s // n, n) @ a.T).reshape(-1)
+    return unblocks(a @ blocks(xl, s // n, side), side)
 
 
 def sta(x, y, side: Side = Side.LEFT, subtract: bool = False) -> np.ndarray:
@@ -171,8 +205,7 @@ def sta(x, y, side: Side = Side.LEFT, subtract: bool = False) -> np.ndarray:
     Returns a vector of dimension lcm(dim x, dim y); `subtract` flips the
     sign of the second operand.
     """
-    x, y = as_signal(x), as_signal(y)
-    t = lcm(x.size, y.size)
+    t = lcm(np.size(x), np.size(y))  # lift_signal validates both
     xl = lift_signal(x, t, side)
     yl = lift_signal(y, t, side)
     return xl - yl if subtract else xl + yl

@@ -207,6 +207,14 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+def test_recover_refuses_both_lift_factor_and_signal_dim(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "-A", str(tmp_path / "A.csv"), "-y", str(tmp_path / "y.csv"),
+              "--k", "1", "-s", "2", "-p", "24"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_budget_env_var_is_honored(tmp_path, capsys, monkeypatch):
     path = tmp_path / "A.csv"
     rng = np.random.default_rng(0)

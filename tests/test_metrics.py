@@ -298,6 +298,29 @@ def test_rip_of_rank_deficient_subset_is_not_satisfied():
         assert delta >= 1.0 and not ok, seed
 
 
+def test_rip_at_delta_one_is_not_certified():
+    # normalized, columns 0, 1, 2 have a Gram block with eigenvalue exactly
+    # 2, so delta = 1; an SVD reads it 4e-16 below 1, eigvalsh 4e-16 above
+    a = np.array([[2.0, 1.0, 2.0, 0.0], [-2.0, 0.0, 2.0, 1.0], [-1.0, 0.0, -1.0, -2.0]])
+    delta, ok = rip_check(a, 3, normalize=True)
+    assert delta == pytest.approx(1.0, abs=1e-12) and not ok
+
+
+def test_rip_boundary_cases_are_never_certified():
+    # integer designs often have delta exactly 1; rounding must not certify them
+    rng = np.random.default_rng(5)
+    boundary = 0
+    for _ in range(2000):
+        a = rng.integers(-2, 3, (3, 4)).astype(float)
+        if np.any(np.linalg.norm(a, axis=0) == 0.0):
+            continue
+        delta, ok = rip_check(a, 3, normalize=True)
+        if abs(delta - 1.0) < 1e-12:
+            boundary += 1
+            assert not ok, a
+    assert boundary > 50
+
+
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
 @pytest.mark.parametrize("k", [1, 2])
 def test_blockwise_enumeration_matches_atom_rip(side, k):

@@ -12,7 +12,6 @@ from stpcs import (
     SparsitySpec,
     aocm,
     compress,
-    compress_varying,
     equivalent,
     horizontal_expand,
     mv_stp,
@@ -81,18 +80,6 @@ def test_compress_right_example():
 def test_compress_by_identity_is_noop(side):
     x = np.array([3.0, -1.0, 2.0])
     assert np.array_equal(compress(np.eye(3), x, side), x)
-
-
-def test_compress_varying_plans_per_step():
-    a = np.arange(12.0).reshape(3, 4)
-    xs = [np.ones(4), np.ones(6), np.ones(4)]
-    ys = compress_varying(a, xs, Side.LEFT)
-    assert [y.size for y in ys] == [3, 9, 3]
-    assert [(plan(a, x.size).s, plan(a, x.size).r) for x in xs] == [(1, 1), (3, 2), (1, 1)]
-
-
-def test_compress_varying_empty():
-    assert compress_varying(np.eye(2), [], Side.LEFT) == []
 
 
 @pytest.mark.parametrize("side", SIDES)

@@ -5,8 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stpcs import Side, kron, lift_matrix, mm_stp, mv_stp, sta, swap_matrix
+from stpcs import (
+    Side,
+    kron,
+    lift_matrix,
+    lift_signal,
+    mm_stp,
+    mv_stp,
+    project,
+    recover_signal,
+    reduce_signal,
+    sta,
+    swap_matrix,
+)
 from stpcs.errors import BadShape
+from stpcs.golden import SENSING_7X16
+from stpcs.stp import blocks, unblocks, unlift
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -208,6 +222,83 @@ def test_mv_matches_dense_lift_oracle(side, ax):
     xl = np.kron(x, ones) if side is Side.LEFT else np.kron(ones, x)
     expected = lift_matrix(a, s // a.shape[1], side) @ xl
     assert np.array_equal(mv_stp(a, x, side), expected)
+
+
+# --- block layout -----------------------------------------------------------
+
+# (n, s, trailing axes) of an integer array with n*s rows
+layouts = st.tuples(dims, dims, st.lists(dims, max_size=2)).flatmap(
+    lambda d: st.tuples(
+        st.just(d[1]),
+        st.lists(ints, min_size=d[0] * d[1] * int(np.prod(d[2])),
+                 max_size=d[0] * d[1] * int(np.prod(d[2]))).map(
+            lambda v: np.array(v, dtype=float).reshape(d[0] * d[1], *d[2])),
+    )
+)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(layouts)
+def test_unblocks_inverts_blocks(side, sv):
+    s, v = sv
+    g = blocks(v, s, side)
+    assert g.shape == (v.shape[0] // s, s, *v.shape[1:])
+    assert np.array_equal(unblocks(g, side), v)
+
+
+def test_block_columns_are_interleaved_left_and_runs_right():
+    v = np.arange(6.0)
+    assert np.array_equal(blocks(v, 2, Side.LEFT)[:, 1], [1.0, 3.0, 5.0])
+    assert np.array_equal(blocks(v, 2, Side.RIGHT)[:, 1], [3.0, 4.0, 5.0])
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(layouts.flatmap(lambda sv: st.tuples(
+    st.just(sv), int_matrix(3, sv[1].shape[0] // sv[0]))))
+def test_atom_on_blocks_is_the_lifted_matrix(side, case):
+    (s, v), a = case
+    lifted = unblocks(np.tensordot(a, blocks(v, s, side), axes=1), side)
+    assert np.array_equal(lifted, np.tensordot(lift_matrix(a, s, side), v, axes=1))
+    if v.ndim == 1:
+        assert np.array_equal(unblocks(a @ blocks(v, s, side), side), lifted)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(st.lists(ints, min_size=1, max_size=5), dims)
+def test_blocks_of_a_lift_repeat_the_signal(side, x, s):
+    x = np.array(x, dtype=float)
+    g = blocks(lift_signal(x, x.size * s, side), s, side)
+    assert g.shape == (x.size, s)
+    assert all(np.array_equal(g[:, b], x) for b in range(s))
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(st.lists(ints, min_size=1, max_size=5), dims, st.data())
+def test_unlift_inverts_lift_and_refuses_a_bumped_lift(side, x, r, data):
+    x = np.array(x, dtype=float)
+    xl = lift_signal(x, x.size * r, side)
+    assert np.array_equal(unlift(xl, r, side), x)
+    if r > 1:
+        xl[data.draw(st.integers(0, xl.size - 1))] += 0.5
+        assert unlift(xl, r, side) is None
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_outputs_never_share_memory_with_inputs(side):
+    x = np.array([1.0, -2.0, 3.0, 1.0, -2.0, 3.0])
+    outs = [(lift_signal(x, 6, side), x), (lift_signal(x, 12, side), x),
+            (reduce_signal(x, side)[0], x), (reduce_signal(x[:3], side)[0], x),
+            (project(x, 6, side), x), (project(x, 3, side), x),
+            (mv_stp(np.eye(6), x, side), x), (mv_stp(np.eye(2), x, side), x)]
+    for p in (32, 24):  # r = 1 and r = 2
+        signal = np.zeros(p)
+        signal[p // 3] = 2.0
+        y = mv_stp(SENSING_7X16, signal, side)
+        xhat = recover_signal(SENSING_7X16, y, p, 1, side)
+        assert np.array_equal(xhat, signal)
+        outs += [(xhat, y), (xhat, SENSING_7X16)]
+    for out, arg in outs:
+        assert not np.shares_memory(out, arg)
 
 
 # --- semi-tensor addition ---------------------------------------------------
