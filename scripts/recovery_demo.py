@@ -4,7 +4,8 @@
 Builds the 7x16 reference sensing matrix, plants blockwise-sparse
 signals, compresses them through both lift conventions, and recovers
 them exactly with the support-search solver.  Also runs one
-non-divisible case where the signal dimension does not divide the lift.
+non-divisible case where the signal dimension does not divide the lift,
+and a global-sparsity round trip at lift factor 64.
 Exits with status 1 when any round trip is not exact.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from stpcs import (
     Side,
+    SparsityMode,
     SparsitySpec,
     aocm,
     compress,
@@ -27,6 +29,7 @@ from stpcs import (
     vertical_expand,
     vertical_expand_star,
 )
+from stpcs.stp import unblocks
 
 
 def main():
@@ -71,6 +74,19 @@ def main():
     exact.append(np.allclose(xh, x, atol=1e-8))
     print(f"non-divisible: atom {pl.atom.shape}, p={p}, lift s={pl.s}, "
           f"replication r={pl.r}; exact={exact[-1]}")
+
+    # global sparsity: two nonzeros in all, in two of 64 blocks
+    s, n = 64, phi.shape[1]
+    xs = np.zeros((n, s))
+    for b, v in zip(rng.choice(s, size=2, replace=False), (2.0, -1.0)):
+        xs[rng.integers(n), b] = v
+    for side in (Side.LEFT, Side.RIGHT):
+        x = unblocks(xs, side)  # column b of xs is block b of x
+        y = compress(phi, x, side)
+        xh = recover(phi, s, y, SparsitySpec(n, 2, SparsityMode.GLOBAL), side)
+        exact.append(np.allclose(xh, x, atol=1e-8))
+        print(f"global k=2 s={s} side={side.value:<5} dim {x.size} -> {y.size}: "
+              f"exact={exact[-1]}")
     return 0 if all(exact) else 1
 
 

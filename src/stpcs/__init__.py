@@ -8,7 +8,7 @@ Subpackages by theme:
 - ``basis``: generating layers, the ordered basis, orthonormalization.
 - ``metrics``: coherence, Welch bound, spark, RIP certification.
 - ``bibd``: block-design incidence matrices and sensing-matrix expansions.
-- ``pipeline``: compression plans and exact blockwise-sparse recovery.
+- ``pipeline``: compression plans and exact sparse recovery.
 - ``io``/``cli``: file formats and the command-line surface.
 """
 
@@ -57,7 +57,6 @@ from .metrics import (
     DEFAULT_BUDGET,
     CsReport,
     RipResult,
-    blockwise_rip_delta,
     class_metrics,
     coherence,
     component_metrics,
@@ -78,8 +77,6 @@ from .pipeline import (
     uniqueness_guarantee,
 )
 from .signal_space import (
-    MatrixClass,
-    SignalClass,
     angle_v,
     dist_v,
     equivalent,
@@ -91,6 +88,6 @@ from .signal_space import (
     reduce_matrix,
     reduce_signal,
 )
-from .stp import Side, kron, lift_matrix, lift_signal, mm_stp, mv_stp, sta, swap_matrix
+from .stp import Side, lift_matrix, lift_signal, mm_stp, mv_stp, sta, swap_matrix
 
 __version__ = "0.1.0"

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadShape, BudgetExceeded, ZeroColumn
 from .signal_space import reduce_matrix
-from .stp import Side, as_matrix, lift_matrix
+from .stp import Side, as_matrix
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -45,7 +45,6 @@ __all__ = [
     "spark",
     "max_sparsity",
     "rip_check",
-    "blockwise_rip_delta",
     "class_metrics",
 ]
 
@@ -221,43 +220,6 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
             low[:] = 0.0
         delta = max(delta, float(np.max(top - 1.0)), float(np.max(1.0 - low)))
     return RipResult(delta, delta < 1.0 - _RIP_MARGIN)
-
-
-def blockwise_rip_delta(a, k: int, s: int, side: Side = Side.RIGHT,
-                        budget: int = DEFAULT_BUDGET) -> float:
-    """RIP constant of the identity lift over blockwise-sparse supports.
-
-    Enumerates every support with at most k indices per length-n block of
-    the lifted matrix (I_s (x) A or A (x) I_s) directly.  Serves as an
-    independent cross-check that the lift inherits the atom's constant;
-    intended for small s (the enumeration is a product over blocks).
-    """
-    a = as_matrix(a)
-    m, n = a.shape
-    if not 1 <= k <= n:
-        raise BadShape(f"sparsity k={k} out of range for {n} columns")
-    per_block = [c for r in range(k + 1) for c in combinations(range(n), r)]
-    if len(per_block) ** s > budget:
-        raise BudgetExceeded(f"{len(per_block) ** s} blockwise supports exceed budget")
-    big = lift_matrix(a, s, side)
-    if side is Side.RIGHT:
-        offsets = [b * n for b in range(s)]  # block b owns columns [b*n, (b+1)*n)
-    else:
-        offsets = list(range(s))  # A (x) I_s: block b owns columns b, b+s, ...
-    delta = 0.0
-    for choice in product(per_block, repeat=s):
-        cols: list[int] = []
-        for b, sub in enumerate(choice):
-            if side is Side.RIGHT:
-                cols.extend(offsets[b] + c for c in sub)
-            else:
-                cols.extend(offsets[b] + c * s for c in sub)
-        if not cols:
-            continue
-        sv = np.linalg.svd(big[:, cols], compute_uv=False)
-        smin = sv[-1] if len(cols) <= big.shape[0] else 0.0
-        delta = max(delta, float(sv[0] ** 2 - 1.0), float(1.0 - smin**2))
-    return delta
 
 
 @dataclass

@@ -13,9 +13,11 @@ supports of at most k indices fits each support once by least squares
 against all s blocks.
 With spark(atom) > 2k the accepted solution is provably the only
 blockwise-k-sparse one.  The greedy matching-pursuit path batches the
-same way: each step picks and refits for all blocks at once.  Blockwise
-recovery builds no lifted or swap matrix; those stay in `stp` as
-reference constructions.
+same way: each step picks and refits for all blocks at once.  A bound
+of k nonzeros on the whole of x (GLOBAL sparsity) is a budget the
+blocks share, decided from the same per-block sweep.  Recovery builds
+no lifted or swap matrix; those stay in `stp` as reference
+constructions.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import BadShape, NoSolution, NotUnique
 from .metrics import DEFAULT_BUDGET, spark
 from .signal_space import reduce_matrix
-from .stp import Side, as_matrix, as_signal, blocks, lift_matrix, mv_stp, unblocks, unlift
+from .stp import Side, as_matrix, as_signal, blocks, mv_stp, unblocks, unlift
 
 __all__ = [
     "SparsityMode",
@@ -64,7 +66,11 @@ class SparsityMode(Enum):
 
 @dataclass(frozen=True)
 class SparsitySpec:
-    """Block length n and per-block bound k."""
+    """Block length n and sparsity bound k.
+
+    k bounds the nonzeros of each length-n block under BLOCKWISE and of
+    the whole vector under GLOBAL.
+    """
 
     block_len: int
     per_block_k: int
@@ -124,20 +130,24 @@ def _fit(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coef, ys - subs @ coef
 
 
-def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
+def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
     Each step scores every column still above the tolerance against the
     atom, picks its most correlated unchosen atom column, and refits all
     of them together; a column stops once its residual beats the
     tolerance.  Stopped columns leave the batch, so the supports of the
-    columns still in it always have the same size.  No uniqueness
-    certificate; use the oracle when one is needed.  The lowest-index
+    columns still in it always have the same size.  The lowest-index
     column still above the tolerance after k picks raises NoSolution.
+    Returns (xs, used, alt) as `_sweep` does: `used` is each column's
+    pick count, and `alt` is the scalar k+1, no rival for any column,
+    since pursuit gives no uniqueness certificate; use the oracle when
+    one is needed.
     """
     norms = np.linalg.norm(a, axis=0)
     norms[norms == 0.0] = 1.0
     xs = np.zeros((a.shape[1], ys.shape[1]))
+    used = np.zeros(ys.shape[1], dtype=np.intp)
     live = np.flatnonzero(np.linalg.norm(ys, axis=0) >= residual_tol)
     support = np.zeros((live.size, 0), dtype=np.intp)
     targets = resid = ys[:, live].T  # (live, m)
@@ -152,33 +162,36 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.ndarr
         coef, resid = coef[:, :, 0], resid[:, :, 0]
         done = np.linalg.norm(resid, axis=1) < residual_tol
         xs[support[done], live[done, None]] = coef[done]
+        used[live[done]] = support.shape[1]
         keep = ~done
         live, support, targets, resid = live[keep], support[keep], targets[keep], resid[keep]
     if live.size:
         raise NoSolution(
             f"matching pursuit residual stayed above {residual_tol:.1e} in block {live[0]}"
         )
-    return xs
+    return xs, used, k + 1
 
 
-def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.ndarray:
-    """Unique x_b with at most k nonzeros and a @ x_b ~= ys[:, b], by support search.
+def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
+    """Sparsest fits x_b with a @ x_b ~= ys[:, b] and the size of a rival, by support search.
 
     Enumerates supports of size 0..k once for all columns: each support
     gets one least-squares fit (the pseudo-inverse, stacked over a chunk
     of supports) against every column, and a column accepts the fits
     whose residual beats `residual_tol`.  A column's solution is its
-    first accepted fit; it is unique when every later accepted fit lies
-    within _SAME_SOLUTION_ATOL of it (supersets of the true support refit
-    the same vector).  The lowest-index column with no accepted fit
-    raises NoSolution, with two distinct ones NotUnique.  Returns the
-    n-by-cols solution matrix.
+    first accepted fit; a later accepted fit more than
+    _SAME_SOLUTION_ATOL from it is a rival (supersets of the true support
+    refit the same vector and are not).  Returns (xs, used, alt): the
+    n-by-cols solutions, the size of each column's first accepted
+    support (k+1 when none fits), and the smallest size at which a rival
+    was accepted (k+1 when there is none).  The sweep decides nothing;
+    `recover` weighs both sizes against the sparsity budget.
     """
     m, n = a.shape
     cols = ys.shape[1]
     xs = np.zeros((n, cols))
-    found = np.linalg.norm(ys, axis=0) < residual_tol  # the empty support
-    distinct = np.zeros(cols, dtype=bool)
+    used = np.where(np.linalg.norm(ys, axis=0) < residual_tol, 0, k + 1)  # the empty support
+    alt = np.full(cols, k + 1)
     chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
     for size in range(1, k + 1):
         combos = combinations(range(n), size)
@@ -190,20 +203,17 @@ def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float) -> np.nda
             hit_s, hit_b = np.nonzero(resid < residual_tol)  # ordered by support
             rows, fit = idx[hit_s], coef[hit_s, :, hit_b]  # (hits, size) each
             new_b, first = np.unique(hit_b, return_index=True)
-            fresh = ~found[new_b]
+            fresh = used[new_b] > k
             xs[rows[first[fresh]], new_b[fresh, None]] = fit[first[fresh]]
-            found[new_b] = True
+            used[new_b[fresh]] = size
             # distance of every accepted fit to its column's solution
             diff = xs.T[hit_b]
             diff[np.arange(hit_b.size)[:, None], rows] -= fit
-            distinct[hit_b[np.abs(diff).max(axis=1) > _SAME_SOLUTION_ATOL]] = True
-    bad = np.flatnonzero(~found | distinct)
-    if bad.size:
-        b = int(bad[0])
-        if not found[b]:
-            raise NoSolution(f"no support of size <= {k} fits block {b} of the measurements")
-        raise NotUnique(f"distinct sparse solutions fit block {b} of the measurements")
-    return xs
+            far = np.abs(diff).max(axis=1) > _SAME_SOLUTION_ATOL
+            if far.any():
+                rival = hit_b[far]
+                alt[rival] = np.minimum(alt[rival], size)
+    return xs, used, alt
 
 
 def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
@@ -213,14 +223,22 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     The lifted system is s copies of the atom, Y = A X, where the columns
     of Y = blocks(y, s, side) and X = blocks(x, s, side) are the blocks
     of y and x (see `stp.blocks`).  All columns are solved together and
-    x = unblocks(X, side).  Blockwise sparsity applies to the columns of X.
+    x = unblocks(X, side).  The sparsity bound k applies to each column
+    of X under BLOCKWISE and to all of x under GLOBAL.
 
     ``method="oracle"`` (default) is the exhaustive support search with
     uniqueness detection; ``method="omp"`` is greedy orthogonal matching
     pursuit, one pick and one stacked refit per step for all blocks still
     above the tolerance, exact under the coherence bound but without a
-    uniqueness certificate.  GLOBAL sparsity solves the block-diagonal
-    system I_s (x) A as one column.
+    uniqueness certificate.  Either reports, per block, the size of its
+    sparsest fit and of its smallest rival (a distinct fit), and the
+    decision is made here for both modes.  Block b's budget is k under
+    BLOCKWISE and, under GLOBAL, what the other blocks' sparsest fits
+    leave of k.  That is exact: a GLOBAL solution restricts to a fit in
+    every block, and no block can spend more than its budget.  The
+    lowest block whose sparsest fit exceeds its budget raises
+    NoSolution, or whose rival fits within it NotUnique.  In both modes
+    each block's residual must beat `residual_tol`.
     """
     a = as_matrix(a)
     y = as_signal(y)
@@ -232,13 +250,19 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     if method not in ("oracle", "omp"):
         raise BadShape(f"unknown recovery method {method!r}")
     solve = _sweep if method == "oracle" else _omp
-    ys = blocks(y, s, side)
-    if spec.mode is SparsityMode.GLOBAL:
-        big = lift_matrix(a, s, Side.RIGHT)  # I_s (x) A: blocks are runs
-        x = solve(big, unblocks(ys, Side.RIGHT)[:, None], spec.per_block_k, residual_tol)
-        xs = blocks(x[:, 0], s, Side.RIGHT)
-    else:
-        xs = solve(a, ys, spec.per_block_k, residual_tol)
+    k = spec.per_block_k
+    xs, used, alt = solve(a, blocks(y, s, side), k, residual_tol)
+    budget = k  # nonzeros block b may spend
+    if spec.mode is SparsityMode.GLOBAL:  # what the other blocks' sparsest fits leave
+        budget = np.maximum(k - (used.sum() - used), 0)
+    short = used > budget
+    bad = short | (alt <= budget)
+    if bad.any():
+        b = int(bad.argmax())
+        if short[b]:
+            limit = np.broadcast_to(budget, short.shape)[b]
+            raise NoSolution(f"no support of size <= {limit} fits block {b} of the measurements")
+        raise NotUnique(f"distinct sparse solutions fit block {b} of the measurements")
     return unblocks(xs, side)
 
 

@@ -14,7 +14,6 @@ argument by any lift of itself (same-side lifts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 import numpy as np
@@ -23,8 +22,6 @@ from .errors import BadShape, ZeroVector
 from .stp import Side, as_matrix, as_signal, blocks, lift_matrix, lift_signal, sta, unlift
 
 __all__ = [
-    "SignalClass",
-    "MatrixClass",
     "reduce_signal",
     "reduce_matrix",
     "equivalent",
@@ -84,40 +81,6 @@ def matrices_equivalent(a, b, side: Side = Side.LEFT, atol: float = REDUCE_ATOL)
     aa, _ = reduce_matrix(a, side, atol)
     ab, _ = reduce_matrix(b, side, atol)
     return aa.shape == ab.shape and np.allclose(aa, ab, rtol=0.0, atol=atol)
-
-
-@dataclass(frozen=True)
-class SignalClass:
-    """An equivalence class of signals, held by its irreducible atom."""
-
-    side: Side
-    atom: np.ndarray = field(repr=False)
-
-    @classmethod
-    def of(cls, x, side: Side = Side.LEFT) -> "SignalClass":
-        atom, _ = reduce_signal(x, side)
-        return cls(side, atom)
-
-    @property
-    def dim(self) -> int:
-        return int(self.atom.size)
-
-
-@dataclass(frozen=True)
-class MatrixClass:
-    """An equivalence class of matrices, held by its irreducible atom."""
-
-    side: Side
-    atom: np.ndarray = field(repr=False)
-
-    @classmethod
-    def of(cls, a, side: Side = Side.LEFT) -> "MatrixClass":
-        atom, _ = reduce_matrix(a, side)
-        return cls(side, atom)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return tuple(self.atom.shape)
 
 
 def inner_v(x, y, side: Side = Side.LEFT) -> float:

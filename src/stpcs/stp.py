@@ -36,7 +36,6 @@ __all__ = [
     "Side",
     "as_matrix",
     "as_signal",
-    "kron",
     "swap_matrix",
     "lift_signal",
     "lift_matrix",
@@ -83,11 +82,6 @@ def as_signal(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("signal entries must be finite")
     return arr
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def swap_matrix(m: int, n: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from stpcs import (
     Side,
     aocm,
-    blockwise_rip_delta,
     class_metrics,
     coherence,
     component_metrics,
+    lift_matrix,
     max_sparsity,
     rip_check,
     signed_coherence,
@@ -53,6 +53,31 @@ def rip_oracle(a, k, normalize=False):
 
 MATRIX_KINDS = ("gaussian", "integer", "near_dependent", "rank_deficient",
                 "scaled", "duplicate", "zero_column")
+
+
+def blockwise_rip_delta(a, k, s, side=Side.RIGHT):
+    """RIP constant of the identity lift over blockwise-sparse supports.
+
+    Enumerates every support with at most k indices per length-n block of
+    the lifted matrix (I_s (x) A or A (x) I_s) directly, one SVD each:
+    (sum over r <= k of C(n, r))^s supports, so only for small s.
+    """
+    n = a.shape[1]
+    per_block = [c for r in range(k + 1) for c in combinations(range(n), r)]
+    big = lift_matrix(a, s, side)
+    delta = 0.0
+    for choice in product(per_block, repeat=s):
+        # block b owns columns b*n .. b*n+n-1 (RIGHT) or b, b+s, ... (LEFT)
+        if side is Side.RIGHT:
+            cols = [b * n + c for b, sub in enumerate(choice) for c in sub]
+        else:
+            cols = [b + c * s for b, sub in enumerate(choice) for c in sub]
+        if not cols:
+            continue
+        sv = np.linalg.svd(big[:, cols], compute_uv=False)
+        smin = sv[-1] if len(cols) <= big.shape[0] else 0.0
+        delta = max(delta, float(sv[0] ** 2 - 1.0), float(1.0 - smin**2))
+    return delta
 
 
 def generated_matrix(kind, seed, m, n, noise_exp=-10.0):

@@ -14,6 +14,7 @@ from stpcs import (
     compress,
     equivalent,
     horizontal_expand,
+    lift_matrix,
     mv_stp,
     plan,
     recover,
@@ -24,6 +25,7 @@ from stpcs import (
 )
 from stpcs.errors import BadShape, NoSolution, NotUnique
 from stpcs.golden import SENSING_7X16
+from stpcs.stp import blocks, unblocks
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -421,6 +423,103 @@ def test_omp_reports_failure_as_no_solution():
 def test_recover_rejects_unknown_method(phi):
     with pytest.raises(BadShape):
         recover(phi, 1, np.zeros(7), SparsitySpec(16, 1), Side.LEFT, method="lasso")
+
+
+# --- global sparsity ------------------------------------------------------------------
+
+def kron_global_recover(a, s, y, k, side, method):
+    """GLOBAL recovery as one column of the dense lifted system I_s (x) A.
+
+    The per-support reference (or per-column pursuit) runs on the ns
+    columns of the lift with k nonzeros in all, and tests the residual
+    of all blocks together.
+    """
+    big = lift_matrix(a, s, Side.RIGHT)  # block b is the b-th run of n columns
+    col = unblocks(blocks(y, s, side), Side.RIGHT)
+    if method == "oracle":
+        x = reference_block(big, col, k)
+    else:
+        x = reference_omp(big, col[:, None], k)[:, 0]
+    return unblocks(blocks(x, s, Side.RIGHT), side)
+
+
+@pytest.mark.parametrize("method", ["oracle", "omp"])
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_global_recovery_matches_the_kron_path(method, seed):
+    # Gaussian, integer, spark-2 (a scaled copy) and spark-3 (a column sum)
+    # atoms, up to k+1 nonzeros anywhere in x, and in one case in five a y
+    # that no sparse x explains: solutions, NoSolution and NotUnique all occur
+    rng = np.random.default_rng(seed)
+    m, n, s = int(rng.integers(2, 6)), int(rng.integers(3, 7)), int(rng.integers(1, 5))
+    kind = seed % 4
+    if kind == 0:
+        a = rng.standard_normal((m, n))
+    else:
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        i, j, l = rng.choice(n, 3, replace=False)
+        if kind == 2:
+            a[:, j] = rng.choice([-2.0, 1.0, 2.0]) * a[:, i]
+        elif kind == 3:
+            a[:, l] = a[:, i] + a[:, j]
+    k = int(rng.integers(0, 4))
+    side = SIDES[int(rng.integers(2))]
+    xs = np.zeros((n, s))
+    for _ in range(int(rng.integers(0, k + 2))):
+        xs[rng.integers(n), rng.integers(s)] = rng.choice([-2.0, -1.0, 1.0, 3.0])
+    y = compress(a, unblocks(xs, side), side)
+    if rng.integers(5) == 0:
+        y = y + rng.standard_normal(y.size)
+    spec = SparsitySpec(n, k, SparsityMode.GLOBAL)
+    expected = _outcome(kron_global_recover, a, s, y, k, side, method)
+    got = _outcome(recover, a, s, y, spec, side, method=method)
+    if isinstance(expected, type) or isinstance(got, type):
+        same = got is expected
+    else:
+        same = np.allclose(got, expected, rtol=0.0, atol=1e-9)
+    if method == "omp" and not same:
+        # an exact score tie on an integer atom, broken differently by the
+        # batched and the lifted products: picks, and so outcomes, may
+        # differ only where distinct k-sparse solutions exist
+        assert _outcome(kron_global_recover, a, s, y, k, side, "oracle") is NotUnique
+        if not isinstance(got, type):
+            assert np.count_nonzero(np.abs(got) > 1e-9) <= k
+            assert np.linalg.norm(compress(a, got, side) - y) < 1e-8
+        return
+    assert same
+
+
+def _outcome(solve, *args, **kwargs):
+    """The solution, or the type of the recovery error raised."""
+    try:
+        return solve(*args, **kwargs)
+    except (NoSolution, NotUnique) as exc:
+        return type(exc)
+
+
+def test_global_budget_is_what_the_other_blocks_leave():
+    # spark 3: column 2 = column 0 + column 1, so each 1-sparse block below
+    # also has a distinct 2-sparse fit
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    x = np.array([2.0, 0.0, 0.0, 0.0, -1.0, 0.0])  # RIGHT: one nonzero per block
+    y = compress(a, x, Side.RIGHT)
+    with pytest.raises(NotUnique):
+        recover(a, 2, y, SparsitySpec(3, 2), Side.RIGHT)
+    # two nonzeros in all leave each block one: only the sparsest fits count
+    xh = recover(a, 2, y, SparsitySpec(3, 2, SparsityMode.GLOBAL), Side.RIGHT)
+    assert np.allclose(xh, x, rtol=0.0, atol=1e-9)
+    with pytest.raises(NotUnique):
+        recover(a, 2, y, SparsitySpec(3, 3, SparsityMode.GLOBAL), Side.RIGHT)
+
+
+def test_global_recovery_allocates_no_lifted_matrix(phi):
+    # I_256 (x) A is 1792 x 4096 floats, about 59 MB
+    s = 256
+    x = place_block_sparse(16 * s, [16 * 100 + 3], [2.0])
+    y = compress(phi, x, Side.RIGHT)
+    spec = SparsitySpec(16, 1, SparsityMode.GLOBAL)
+    assert _traced_peak(lambda: recover(phi, s, y, spec, Side.RIGHT)) < 1_000_000
+    assert np.allclose(recover(phi, s, y, spec, Side.RIGHT), x, atol=1e-8)
 
 
 # --- uniqueness guarantee -------------------------------------------------------------

@@ -6,9 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpcs import (
-    MatrixClass,
     Side,
-    SignalClass,
     angle_v,
     dist_v,
     equivalent,
@@ -287,15 +285,3 @@ def test_projection_is_a_stationary_point_of_squared_distance():
         fp = dist_v(y0 + h * e, x) ** 2
         fm = dist_v(y0 - h * e, x) ** 2
         assert abs((fp - fm) / (2 * h)) <= 1e-5
-
-
-# --- class wrappers ---------------------------------------------------------
-
-def test_signal_class_of_records_atom_dim():
-    c = SignalClass.of([1, 1, 2, 2], Side.LEFT)
-    assert c.dim == 2 and np.array_equal(c.atom, [1.0, 2.0])
-
-
-def test_matrix_class_of_records_atom_shape():
-    c = MatrixClass.of(np.kron(np.array([[1.0, 2.0]]), np.eye(2)), Side.LEFT)
-    assert c.shape == (1, 2)

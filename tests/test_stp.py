@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stpcs import (
     Side,
-    kron,
     lift_matrix,
     lift_signal,
     mm_stp,
@@ -43,23 +42,6 @@ def float_matrix(rows, cols):
 
 
 matrices = st.tuples(dims, dims).flatmap(lambda s: int_matrix(*s))
-
-
-# --- kron -------------------------------------------------------------------
-
-def test_kron_identity_is_noop():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(kron(np.eye(1), a), a)
-
-
-def test_kron_column_times_row():
-    out = kron(np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0, 1.0]]))
-    assert np.array_equal(out, np.array([[1, 1, 1], [-1, -1, -1]], dtype=float))
-
-
-def test_kron_identity_blocks():
-    out = kron(np.eye(2), np.array([[1.0, 1.0]]))
-    assert np.array_equal(out, np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=float))
 
 
 # --- swap matrices ----------------------------------------------------------
