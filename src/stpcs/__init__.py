@@ -42,7 +42,6 @@ from .errors import (
     BadShape,
     BudgetExceeded,
     DegreeMismatch,
-    DependentInput,
     InsufficientBasis,
     NoSolution,
     NotBibd,

@@ -1,30 +1,41 @@
 """Basis construction for the quotient signal space.
 
-The generating family consists of the scalar 1 together with every
-standard basis vector d(n, j) of R^n whose index j is coprime to n
-(1 <= j < n).  Layers with a multi-fold divisor (some s > 1 with s^2 | n)
-contribute dependent elements; the independent sub-layer keeps only the
-indices up to (s-1)*s*q where n = s^2*q with s maximal.  Concatenating
-the independent layers in ascending (n, j) order yields an ordered basis,
-which Gram-Schmidt turns into an orthonormal one under the quotient inner
-product.
+The generating family is the scalar 1 (written d(1, 1)) and every
+standard basis vector d(n, j) of R^n with j coprime to n.  Its Gram
+matrix has closed forms: under RIGHT <d(n, j), d(n', j')> is
+[j = j' mod gcd(n, n')] / lcm(n, n'); under LEFT it is the overlap length
+of [(j-1)/n, j/n) and [(j'-1)/n', j'/n').  `orthonormal_basis` runs an
+in-order Cholesky on that matrix, keeps the generators whose pivots are
+not negligible, and stores the inverse factor: element i is
+sum_k inverse[k, i] * d(labels[k]).  `coordinates` applies the inverse
+factor to closed-form inner products, so no lifted vector is built.
 
-Orthonormalization defaults to the RIGHT (whole-vector replication) lift:
-under that convention each orthonormalized element stays low-dimensional
-and matches the closed-form reference vectors used in the golden tests.
-The LEFT variant is available through the ``side`` argument.
+Under LEFT every generator is kept (rank sum(phi(n)), with phi(1) = 1);
+under RIGHT some are dependent.  `basis_layer` and `basis_up_to` keep the
+paper's printed rule instead: a layer n = s^2*q with s > 1 maximal keeps
+the indices j <= (s-1)*s*q.  The two selections differ (see README).
+
+Elements are built on first access, each in its atom dimension.  RIGHT:
+the element of d(n, j) lies in R^n, because averaging over residues mod n
+maps every earlier generator to a multiple of a generator of layer
+gcd(n, n'), hence maps their span into itself and commutes with the
+projection onto it.
+LEFT: the earlier generators span the step functions that break at the
+fractions j'/n' seen so far, so the element of d(n, j) is a two-step
+function on [h/k, j/n, (j-h)/(n-k)], the neighbours of j/n in the Farey
+sequence of order n, with k = j^-1 mod n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .errors import BadShape, DependentInput, InsufficientBasis
-from .signal_space import dist_v, inner_v, norm_v, reduce_signal
-from .stp import Side, as_signal, sta
+from .errors import BadShape, InsufficientBasis
+from .stp import Side, as_signal
 
 __all__ = [
     "BasisElement",
@@ -56,17 +67,44 @@ class BasisElement:
         return cls(n, j, v)
 
 
+def _gram(n1, j1, n2, j2, side: Side) -> np.ndarray:
+    """<d(n1, j1), d(n2, j2)> in closed form, elementwise over integer arrays."""
+    if side is Side.RIGHT:
+        return ((j1 - j2) % np.gcd(n1, n2) == 0) / np.lcm(n1, n2)
+    lo = np.maximum((j1 - 1) * n2, (j2 - 1) * n1)
+    hi = np.minimum(j1 * n2, j2 * n1)
+    return np.maximum(hi - lo, 0) / (n1 * n2)
+
+
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Ordered orthonormal elements (atoms) plus the lift side they live in."""
+    """The kept generators, the side and the inverse factor; atoms on demand."""
 
-    elements: list[np.ndarray] = field(repr=False)
     labels: list[tuple[int, int]]
     side: Side
+    inverse: np.ndarray = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
+
+    @cached_property
+    def elements(self) -> list[np.ndarray]:
+        """The orthonormal elements as atoms, built on first access.
+
+        Raises BadShape when they would hold more than _MAX_ENTRIES entries.
+        """
+        atoms = [_atom(n, j, self.side) for n, j in self.labels]
+        total = sum(dim for dim, _ in atoms)
+        if total > _MAX_ENTRIES:
+            raise BadShape(f"the {self.count} elements span {total} entries, above {_MAX_ENTRIES}")
+        ns, js = np.array(self.labels).T
+        out = []
+        for i, (dim, starts) in enumerate(atoms):
+            # constant on the runs that begin at `starts`; entry r is dim * <d(dim, r+1), e_i>
+            g = _gram(dim, starts[:, None] + 1, ns[: i + 1], js[: i + 1], self.side)
+            out.append(np.repeat(dim * g @ self.inverse[: i + 1, i], np.diff(starts, append=dim)))
+        return out
 
 
 def generating_layer(n: int) -> list[BasisElement]:
@@ -96,12 +134,11 @@ def has_multifold_divisor(n: int) -> bool:
 
 
 def basis_layer(n: int) -> list[BasisElement]:
-    """The independent part of layer n.
+    """The independent part of layer n by the paper's rule.
 
     Squarefree n keeps the whole generating layer.  Otherwise write
     n = s^2*q with s maximal (q is then squarefree) and keep only the
-    elements with index j <= (s-1)*s*q; the discarded tail is spanned by
-    lower layers.
+    elements with index j <= (s-1)*s*q.
     """
     elems = generating_layer(n)
     s = largest_square_divisor(n)
@@ -121,64 +158,88 @@ def basis_up_to(m: int) -> list[BasisElement]:
     return out
 
 
-# Coefficients smaller than this are treated as exact zeros during
-# orthonormalization, keeping intermediate dimensions from growing on
-# numerically-zero projections.  True nonzero coefficients here are
-# rationals bounded below by 1/(n*n') for layer dims n, n'.
-_COEF_EPS = 1e-12
+# A generator is dependent on its predecessors when its Cholesky pivot
+# falls below this fraction of its squared norm 1/n.  Through m = 40 the
+# fractions of kept generators are at least 1/m (LEFT) and 1/8 (RIGHT),
+# and those of dependent ones at most 1e-15.
+_PIVOT_TOL = 1e-10
+
+
+# Elements are for inspection and export: 2^24 entries is 128 MiB of
+# float64.  LEFT reaches it at m = 61; m = 30 needs 517487 entries.
+_MAX_ENTRIES = 1 << 24
+
+
+def _atom(n: int, j: int, side: Side) -> tuple[int, np.ndarray]:
+    """Dimension of the atom of the element of d(n, j), and where its runs start."""
+    if side is Side.RIGHT or n == 1:
+        return n, np.arange(n)
+    k = pow(j, -1, n)
+    h = (j * k - 1) // n  # the Farey neighbours of j/n are h/k and (j-h)/(n-k)
+    dim = lcm(k, n, n - k)
+    starts = np.unique([0, h * dim // k, j * dim // n, (j - h) * dim // (n - k)])
+    return dim, starts[starts < dim]
 
 
 def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
-    """Gram-Schmidt orthonormalization of basis_up_to(m).
+    """The orthonormal basis spanned by the generators of layers 1..m.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; every inner
-    product lifts both operands to their lcm dimension.  Each output is
-    reduced to its atom and scaled so its first nonzero entry is positive.
-    Raises DependentInput if a residual norm falls below 1e-10, which
-    would indicate a broken layer selection.
+    Generators are taken in ascending (n, j) order and each element is
+    scaled so that its first nonzero entry is positive.
     """
-    elems = basis_up_to(m)
-    es: list[np.ndarray] = []
-    for el in elems:
-        v = el.value.astype(float)
-        for _ in range(2):
-            for e in es:
-                c = inner_v(v, e, side)
-                if abs(c) > _COEF_EPS:
-                    v = sta(v, -c * e, side)
-                    v, _ = reduce_signal(v, side, atol=1e-10)
-        nv = norm_v(v)
-        if nv < 1e-10:
-            raise DependentInput(
-                f"element d({el.n},{el.j}) is dependent on its predecessors"
-            )
-        v = v / nv
-        v, _ = reduce_signal(v, side, atol=1e-10)
-        lead = np.flatnonzero(np.abs(v) > 1e-10)
-        if lead.size and v[lead[0]] < 0:
-            v = -v
-        es.append(v)
-    return OrthonormalBasis(es, [(e.n, e.j) for e in elems], side)
+    if m < 1:
+        raise BadShape("bound must be positive")
+    ns, js = np.array([(e.n, e.j) for n in range(1, m + 1) for e in generating_layer(n)]).T
+    g = _gram(ns[:, None], js[:, None], ns, js, side)  # becomes the Schur complement
+    factor = np.zeros_like(g)  # row i stays zero when generator i is dependent
+    for i in range(ns.size):
+        if g[i, i] > _PIVOT_TOL / ns[i]:
+            factor[i, i:] = g[i, i:] / np.sqrt(g[i, i])
+            g[i:, i:] -= np.outer(factor[i, i:], factor[i, i:])
+    kept = np.flatnonzero(np.diag(factor))
+    inverse = np.linalg.inv(factor[np.ix_(kept, kept)])
+    labels = [(int(ns[i]), int(js[i])) for i in kept]
+    basis = OrthonormalBasis(labels, side, inverse)
+    if side is Side.RIGHT:  # a LEFT element leads with its positive step on [h/k, j/n)
+        for i, e in enumerate(basis.elements):
+            # exact zeros come out at rounding level; the first entry above it leads
+            if e[np.abs(e) > 1e-9 * np.abs(e).max()][0] < 0:
+                e *= -1
+                inverse[:, i] *= -1
+    return basis
 
 
-def coordinates(x, basis: OrthonormalBasis, residual_tol: float = 1e-8) -> np.ndarray:
-    """Coefficients of x against an orthonormal basis.
+def coordinates(x, basis: OrthonormalBasis, residual_tol: float = 1e-9) -> np.ndarray:
+    """Coefficients xi[i] = <x, e_i> of x against an orthonormal basis.
 
-    Returns xi with xi[i] = <x, e_i> under the basis's lift side.  The
-    reconstruction sum(xi[i]*e_i) must land in x's equivalence class;
-    if its residual norm exceeds `residual_tol` the basis does not span
-    x (either built with too small a bound, or x lies outside the span
-    of the generating family) and InsufficientBasis is raised.
+    The inner products <x, d(n, j)> with the kept generators come in
+    closed form: under RIGHT from the residue sums of x mod gcd(dim x, n),
+    under LEFT from one cumulative sum of x read at the breakpoints j/n.
+    The inverse factor turns them into xi.  By Parseval ||xi||^2 equals
+    ||x||^2 exactly when the basis spans x; if the deficit
+    ||x||^2 - ||xi||^2 exceeds `residual_tol` * ||x||^2 (a relative, squared
+    quantity) InsufficientBasis is raised.
     """
     x = as_signal(x)
-    xi = np.array([inner_v(x, e, basis.side) for e in basis.elements])
-    recon = np.zeros(1)
-    for c, e in zip(xi, basis.elements):
-        if abs(c) > _COEF_EPS:
-            recon = sta(recon, c * e, basis.side)
-    resid = dist_v(x, recon, basis.side)
-    if resid > residual_tol:
+    p = x.size
+    ns, js = np.array(basis.labels).T
+    if basis.side is Side.RIGHT:
+        g = np.gcd(p, ns)
+        b = np.empty(ns.size)
+        for d in np.unique(g):
+            sel = g == d
+            b[sel] = x.reshape(-1, d).sum(0)[(js[sel] - 1) % d]
+        b /= np.lcm(p, ns)
+    else:
+        # f: p times the integral of x over [0, (j-1)/n) and over [0, j/n)
+        q, r = np.divmod(np.stack([js - 1, js]) * p, ns)
+        f = np.concatenate(([0.0], np.cumsum(x)))[q] + r / ns * np.append(x, 0.0)[q]
+        b = (f[1] - f[0]) / p
+    xi = basis.inverse.T @ b
+    norm2 = float(x @ x) / p
+    deficit = norm2 - float(xi @ xi)
+    if deficit > residual_tol * norm2:
         raise InsufficientBasis(
-            f"reconstruction residual {resid:.3e} exceeds {residual_tol:.1e}"
+            f"relative squared residual {deficit / norm2:.3e} exceeds {residual_tol:.1e}"
         )
     return xi

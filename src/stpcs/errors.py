@@ -53,9 +53,5 @@ class NotUnique(StpcsError):
     """Two distinct sparse candidates reproduce the measurements."""
 
 
-class DependentInput(StpcsError):
-    """Orthonormalization hit a (numerically) dependent input vector."""
-
-
 class InsufficientBasis(StpcsError):
     """The supplied basis does not span the signal being expanded."""

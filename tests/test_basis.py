@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from stpcs import (
     lift_signal,
     norm_v,
     orthonormal_basis,
+    reduce_signal,
     sta,
 )
+from stpcs.basis import _gram as closed_form_gram
 from stpcs.basis import largest_square_divisor
-from stpcs.errors import DependentInput, InsufficientBasis
+from stpcs.errors import InsufficientBasis
 from stpcs.golden import BASIS_LAYER_12, BASIS_LAYER_27, BASIS_LAYER_4, BASIS_ORDER_M10, ORTHONORMAL_FIRST9
 
 
@@ -146,12 +149,14 @@ def test_selected_layers_independent_up_to_15_right():
 
 def test_layer_16_dependency_under_replication_lifts():
     # the printed index cutoff keeps d(16,9) and d(16,11) although each is a
-    # dim-8 replication lift minus a kept element; the orthonormalization
-    # detects this honestly
+    # dim-8 replication lift minus a kept element; the orthonormal basis
+    # leaves them out and still spans them
     lhs = delta(16, 1) + delta(16, 9)
     assert np.array_equal(lhs, np.kron(np.ones(2), delta(8, 1)))
-    with pytest.raises(DependentInput):
-        orthonormal_basis(16, Side.RIGHT)
+    ob = orthonormal_basis(16, Side.RIGHT)
+    assert ob.count == 69
+    xi = coordinates(delta(16, 9), ob)
+    assert abs(xi @ xi - 1 / 16) <= 1e-12
 
 
 def test_removed_layer12_elements_are_replication_lifts():
@@ -176,7 +181,7 @@ def test_first_nine_orthonormal_elements_match_closed_forms():
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
 def test_orthonormality_under_matching_inner_product(side):
     ob = orthonormal_basis(10, side)
-    assert ob.count == 27
+    assert ob.count == (27 if side is Side.RIGHT else 32)
     for i, ei in enumerate(ob.elements):
         assert abs(norm_v(ei) - 1.0) <= 1e-10
         for ej in ob.elements[i + 1:]:
@@ -238,3 +243,91 @@ def test_coordinates_raise_outside_the_span():
     ob = orthonormal_basis(8)
     with pytest.raises(InsufficientBasis):
         coordinates(delta(4, 2), ob)
+
+
+# --- exact selection and the closed-form Gram matrix ---------------------------
+
+def _generators(m):
+    return [(1, 1)] + [(n, j) for n in range(2, m + 1) for j in range(1, n) if math.gcd(j, n) == 1]
+
+
+def _exact_kept(m, side):
+    """Labels kept by an in-order LDL^T in exact rationals, Gram entries from
+    the lifted integer vectors."""
+    gens = _generators(m)
+
+    def gram(a, b):
+        t = math.lcm(a[0], b[0])
+        dot = lift_signal(delta(*a), t, side) @ lift_signal(delta(*b), t, side)
+        return Fraction(int(dot), t)
+
+    kept, rows, ds = [], [], []
+    for g in gens:
+        row = []
+        for t, k in enumerate(kept):
+            row.append((gram(g, k) - sum(row[s] * ds[s] * rows[t][s] for s in range(t))) / ds[t])
+        d = gram(g, g) - sum(l * l * dt for l, dt in zip(row, ds))
+        if d:
+            kept.append(g)
+            rows.append(row)
+            ds.append(d)
+    return kept
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+@pytest.mark.parametrize("m", [5, 10, 12, 16])
+def test_selection_matches_exact_ldl(m, side):
+    assert orthonormal_basis(m, side).labels == _exact_kept(m, side)
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_closed_form_gram_equals_inner_v(side):
+    ns, js = np.array(_generators(12)).T
+    g = closed_form_gram(ns[:, None], js[:, None], ns, js, side)
+    want = [[inner_v(delta(*a), delta(*b), side) for b in zip(ns, js)] for a in zip(ns, js)]
+    assert np.array_equal(g, want)
+
+
+# --- coordinates of the generating family ---------------------------------------
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+@pytest.mark.parametrize("m", [12, 16, 30])
+def test_every_generator_satisfies_parseval(m, side):
+    ob = orthonormal_basis(m, side)
+    assert ob.count == {(12, Side.RIGHT): 39, (16, Side.RIGHT): 69, (30, Side.RIGHT): 241,
+                        (12, Side.LEFT): 46, (16, Side.LEFT): 80, (30, Side.LEFT): 278}[m, side]
+    for n, j in _generators(m):
+        xi = coordinates(delta(n, j), ob)
+        assert abs(xi @ xi - 1 / n) <= 1e-12
+    if side is Side.LEFT:
+        assert "elements" not in vars(ob)  # coordinates built no atom
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 12), st.lists(st.integers(-3, 3), min_size=11, max_size=11),
+       st.integers(2, 5), st.sampled_from([Side.RIGHT, Side.LEFT]))
+def test_coordinates_invariant_under_lifts(n, coefs, r, side):
+    # a combination of the layer-n generators keeps its coordinates when lifted
+    ob = orthonormal_basis(12, side)
+    x = sum(c * e.value for c, e in zip(coefs, generating_layer(n)))
+    xi = coordinates(x, ob)
+    assert np.allclose(coordinates(lift_signal(x, r * n, side), ob), xi, rtol=0.0, atol=1e-12)
+
+
+def test_left_coordinates_raise_outside_the_span():
+    # 1/13 is not a breakpoint of the generators up to 12
+    with pytest.raises(InsufficientBasis):
+        coordinates(delta(13, 1), orthonormal_basis(12, Side.LEFT))
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_elements_are_irreducible_unit_atoms(side):
+    # RIGHT: the element of d(n,j) lies in R^n; LEFT: it is a two-step
+    # function on the Farey neighbours h/k and (j-h)/(n-k) of j/n
+    ob = orthonormal_basis(16, side)
+    for (n, j), e in zip(ob.labels, ob.elements):
+        k = pow(j, -1, n) if n > 1 else 1
+        assert e.size == (n if side is Side.RIGHT or n == 1 else math.lcm(k, n, n - k))
+        assert abs(norm_v(e) - 1.0) <= 1e-12
+        assert reduce_signal(e, side, atol=1e-9)[1] == 1
+        assert e[np.abs(e) > 1e-9][0] > 0

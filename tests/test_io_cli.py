@@ -185,6 +185,23 @@ def test_basis_cli_json(tmp_path):
     assert doc["labels"][:3] == [[1, 1], [2, 1], [3, 1]]
 
 
+@pytest.mark.parametrize("side,count", [("right", 69), ("left", 80)])
+def test_basis_cli_m16(tmp_path, side, count):
+    out = tmp_path / "basis.json"
+    assert main(["basis", "-m", "16", "--side", side, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["count"] == len(doc["elements"]) == len(doc["labels"]) == count
+
+
+def test_basis_cli_refuses_oversized_elements(tmp_path, capsys):
+    # the LEFT elements through m=61 hold 18359183 entries, above 2^24
+    out = tmp_path / "basis.json"
+    assert main(["basis", "-m", "61", "--side", "left", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadShape: the 1162 elements span 18359183 entries")
+    assert not out.exists()
+
+
 def test_gen_random_is_seed_deterministic(tmp_path):
     a1 = tmp_path / "a1.csv"
     a2 = tmp_path / "a2.csv"
