@@ -6,16 +6,18 @@ certification of the restricted isometry property.  Everything here is
 exact at desk scale: subset enumerations are complete (guarded by a
 budget) rather than sampled.
 
-Spark and RIP share one subset kernel.  The Gram matrix G = A^T A is
-formed once; each chunk of lexicographic k-subsets T gathers its k-by-k
-blocks G_T, whose eigenvalues are the squared singular values of the
-column block A_T.  A subset counts as dependent when the singular-value
-test sigma_min <= 1e-9 sigma_max holds for A_T.  That test runs only on
-the subsets a determinant screen flags, det(G_T) <= 1e-12 trace(G_T)^k:
-every subset the test could call dependent is flagged, since then
-det(G_T) <= lambda_min lambda_max^(k-1) <= 1e-18 trace(G_T)^k, six
-orders of magnitude below the screen.  All other subsets are
-independent without an SVD.
+One subset kernel serves spark, RIP and sparse recovery: `_subsets`
+enumerates the lexicographic k-subsets in chunks, and the recovery
+sweep (`pipeline._sweep`) fits its supports from the same chunks.  For
+spark and RIP the Gram matrix G = A^T A is formed once; each chunk of
+k-subsets T gathers its k-by-k blocks G_T, whose eigenvalues are the
+squared singular values of the column block A_T.  A subset counts as
+dependent when the singular-value test sigma_min <= 1e-9 sigma_max
+holds for A_T.  That test runs only on the subsets a determinant
+screen flags, det(G_T) <= 1e-12 trace(G_T)^k: every subset the test
+could call dependent is flagged, since then det(G_T) <= lambda_min
+lambda_max^(k-1) <= 1e-18 trace(G_T)^k, six orders of magnitude below
+the screen.  All other subsets are independent without an SVD.
 
 The class-level variants reduce a matrix to its irreducible Kronecker
 atom first; spark, coherence, and the RIP constant are invariant under
@@ -105,19 +107,24 @@ def welch_bound(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
+def _subsets(n: int, k: int, chunk: int):
+    """Yield the k-subsets of range(n) in lexicographic order, as rows of (<= chunk, k) arrays."""
+    combos = combinations(range(n), k)
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(combos, chunk)), dtype=np.intp)
+        if not idx.size:
+            return
+        yield idx.reshape(-1, k)
+
+
 def _gram_blocks(g: np.ndarray, k: int):
     """Yield (subsets, blocks, suspect) over all k-subsets of the columns of A, chunked.
 
-    g is the Gram matrix A^T A.  Subsets come in lexicographic order as
-    rows of an index array; the blocks are G_T = A_T^T A_T; `suspect`
-    flags every subset that `_singular_values` could find rank-deficient.
+    g is the Gram matrix A^T A.  Subsets come from `_subsets`; the blocks
+    are G_T = A_T^T A_T; `suspect` flags every subset that
+    `_singular_values` could find rank-deficient.
     """
-    combos = combinations(range(g.shape[0]), k)
-    while True:
-        idx = np.fromiter(chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp)
-        if not idx.size:
-            return
-        idx = idx.reshape(-1, k)
+    for idx in _subsets(g.shape[0], k, _CHUNK):
         blocks = g[idx[:, :, None], idx[:, None, :]]  # (chunk, k, k)
         trace = np.trace(blocks, axis1=1, axis2=2)
         yield idx, blocks, np.linalg.det(blocks) <= _SCREEN * trace**k

@@ -10,7 +10,8 @@ Recovery is the l0 oracle: the lifted system splits into s independent
 copies of the atom, one per block of y and of x (`stp.blocks` sets out
 the block layout of both conventions).  One exhaustive sweep over
 supports of at most k indices fits each support once by least squares
-against all s blocks.
+against all s blocks; it enumerates supports with the same chunked
+subset generator as spark and RIP (`metrics._subsets`).
 With spark(atom) > 2k the accepted solution is provably the only
 blockwise-k-sparse one.  The greedy matching-pursuit path batches the
 same way: each step picks and refits for all blocks at once.  A bound
@@ -18,19 +19,44 @@ of k nonzeros on the whole of x (GLOBAL sparsity) is a budget the
 blocks share, decided from the same per-block sweep.  Recovery builds
 no lifted or swap matrix; those stay in `stp` as reference
 constructions.
+
+The sweep fits a support S from its Gram block.  G = A^T A and
+C = A^T Y are formed once per call, and a fit solves the normal
+equations G_S z = C_S, one batched solve over a chunk of supports.
+The screen and the error bound below are stated for the column-
+normalised block N = D^-1 G_S D^-1, D the column norms of A_S: N has
+unit diagonal, and the rounding of the small solve follows N, not the
+column scales.  The residual y - A_S z that accepts or rejects S is
+computed directly, not as ||y||^2 - C_S^T z, which cancels at
+RESIDUAL_TOL.  A block with det N <= tau = 1e-2 (`_SOLVE_SCREEN`) is
+near-singular and is fitted as np.linalg.lstsq fits the unit-norm
+columns A_S D^-1 instead (`_lstsq`): the same singular-value cutoff,
+the SVD factors applied to y one by one, so the residual stays
+backward stable, and the minimum-norm solution in those coordinates,
+which is lstsq's own where the dependent columns have equal norms
+(duplicate and zero columns).  Both branches are invariant under
+column scaling.  Pursuit refits with `_lstsq` directly (see `_omp`).
+
+The bound that fixes tau: trace N = k caps every eigenvalue at k, so
+det N > tau gives lambda_min > tau / k^(k-1) and a condition number
+kappa < k^k / tau.  Rounding G and C (m terms per entry), amplified by
+N^-1, then moves the residual of an exactly fitting support by about
+eps * m * kappa * ||y_b||: below 1e-11 ||y_b|| for k <= 3 and m <= 15,
+far below RESIDUAL_TOL for the O(1)-to-O(100) blocks of the tests and
+benchmarks.  The error can only reject a true support, never accept a
+wrong one: no z gets below the least-squares residual of its support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, islice
 from math import lcm
 
 import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
-from .metrics import DEFAULT_BUDGET, spark
+from .metrics import DEFAULT_BUDGET, _subsets, spark
 from .signal_space import reduce_matrix
 from .stp import Side, as_matrix, as_signal, blocks, mv_stp, unblocks, unlift
 
@@ -57,6 +83,11 @@ _SAME_SOLUTION_ATOL = 1e-6
 # The support sweep fits a chunk of supports at once; a chunk's stacked
 # arrays hold about this many floats, whatever the lift factor.
 _FIT_CHUNK = 1 << 14
+
+# A sweep support is fitted from its normal equations when the
+# determinant of its column-normalised Gram block exceeds this, and by
+# `_lstsq` otherwise; the module docstring derives the bound that fixes it.
+_SOLVE_SCREEN = 1e-2
 
 
 class SparsityMode(Enum):
@@ -85,10 +116,12 @@ class SparsitySpec:
 
 @dataclass(frozen=True)
 class CompressionPlan:
-    """Shape bookkeeping for compressing a p-dimensional signal by an atom.
+    """Shape bookkeeping for compressing a p-dimensional signal by a matrix.
 
-    t = lcm(n0, p) = s*n0 = r*p.  r == 1 is the divisible case; r > 1
-    means the effective unknown is the signal replicated r times.
+    The matrix, n columns, is the atom (n0 columns) lifted n/n0 times,
+    and the product lifts both to t = lcm(n, p) = s*n0 = r*p: y is s
+    copies of the atom applied to the signal replicated r times.  r == 1
+    is the divisible case.
     """
 
     atom: np.ndarray = field(repr=False)
@@ -107,8 +140,8 @@ def plan(a, p: int, side: Side = Side.LEFT) -> CompressionPlan:
     """Reduce `a` to its atom and work out the lift factors for dim-p input."""
     if p < 1:
         raise BadShape("signal dimension must be positive")
-    atom, _ = reduce_matrix(a, side)
-    t = lcm(atom.shape[1], p)
+    atom, lifts = reduce_matrix(a, side)
+    t = lcm(atom.shape[1] * lifts, p)  # a's own columns, as compress lifts them
     return CompressionPlan(atom, side, p, t // atom.shape[1], t // p, t)
 
 
@@ -117,16 +150,50 @@ def compress(a, x, side: Side = Side.LEFT) -> np.ndarray:
     return mv_stp(a, x, side)
 
 
-def _fit(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fits of ys against a stack of column subsets.
+def _lstsq(subs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq's fits of ys against a stack of column subsets.
 
     `subs` is (..., m, size) and `ys` broadcasts against (..., m, cols).
-    Each fit is the pseudo-inverse with np.linalg.lstsq's default cutoff,
-    so a rank-deficient subset gets the minimum-norm solution.  Returns
-    the coefficients (..., size, cols) and the residuals (..., m, cols).
+    The factors of each SVD are applied to y one by one, as lstsq applies
+    them, with its default cutoff, so a rank-deficient subset gets the
+    minimum-norm solution; forming the pseudo-inverse first would move
+    the residual by about eps * cond(subset) * ||y||.  Returns the
+    coefficients (..., size, cols).
     """
-    rcond = np.finfo(float).eps * max(subs.shape[-2:])
-    coef = np.linalg.pinv(subs, rcond=rcond) @ ys
+    u, sv, vt = np.linalg.svd(subs, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(subs.shape[-2:]) * sv[..., :1]
+    proj = np.swapaxes(u, -1, -2) @ ys
+    proj *= np.where(keep, 1.0 / np.where(keep, sv, 1.0), 0.0)[..., None]
+    return np.swapaxes(vt, -1, -2) @ proj
+
+
+def _fit(a: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
+         ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fits of ys against the column subsets a[:, row], one per row of idx.
+
+    `idx` is (..., size), g = a^T a, `rhs` holds A_S^T y as (..., size,
+    cols) and `ys` broadcasts against (..., m, cols).  A support whose
+    column-normalised Gram block passes the determinant screen (module
+    docstring) is solved from its normal equations G_S z = C_S; the
+    others are refitted by `_lstsq` on their unit-norm columns.  Returns
+    the coefficients (..., size, cols) and the residuals y - A_S z
+    (..., m, cols), computed directly.
+    """
+    subs = np.swapaxes(a.T[idx], -1, -2)  # (..., m, size)
+    block = g[idx[..., :, None], idx[..., None, :]]  # G_S, (..., size, size)
+    norms2 = g[idx, idx]  # squared column norms, (..., size)
+    # det of the column-normalised block N = D^-1 G_S D^-1; a zero column
+    # leaves a zero row, so det G_S = 0 and the block fails
+    ok = np.linalg.det(block) > _SOLVE_SCREEN * np.prod(norms2, axis=-1)
+    block[~ok] = np.eye(idx.shape[-1])  # keeps the solve defined; refitted below
+    # solve copies its right side column by column: one column is a division
+    coef = rhs / block if idx.shape[-1] == 1 else np.linalg.solve(block, rhs)
+    if not ok.all():
+        near = ~ok
+        d = np.sqrt(norms2[near])[..., None, :]  # (near, 1, size)
+        d[d == 0.0] = 1.0
+        ys_near = np.broadcast_to(ys, subs.shape[:-1] + ys.shape[-1:])[near]
+        coef[near] = _lstsq(subs[near] / d, ys_near) / np.swapaxes(d, -1, -2)
     return coef, ys - subs @ coef
 
 
@@ -135,14 +202,17 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
 
     Each step scores every column still above the tolerance against the
     atom, picks its most correlated unchosen atom column, and refits all
-    of them together; a column stops once its residual beats the
-    tolerance.  Stopped columns leave the batch, so the supports of the
-    columns still in it always have the same size.  The lowest-index
-    column still above the tolerance after k picks raises NoSolution.
-    Returns (xs, used, alt) as `_sweep` does: `used` is each column's
-    pick count, and `alt` is the scalar k+1, no rival for any column,
-    since pursuit gives no uniqueness certificate; use the oracle when
-    one is needed.
+    of them together by `_lstsq`; a column stops once its residual beats
+    the tolerance.  Stopped columns leave the batch, so the supports of
+    the columns still in it always have the same size.  The refits are
+    lstsq's, not Gram blocks: on integer atoms two scores can tie
+    exactly, the last bits of the residual break the tie, and refits
+    from the normal equations break such ties unlike per-column lstsq.
+    The lowest-index column still above the tolerance after k picks
+    raises NoSolution.  Returns (xs, used, alt) as `_sweep` does: `used`
+    is each column's pick count, and `alt` is the scalar k+1, no rival
+    for any column, since pursuit gives no uniqueness certificate; use
+    the oracle when one is needed.
     """
     norms = np.linalg.norm(a, axis=0)
     norms[norms == 0.0] = 1.0
@@ -158,8 +228,9 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
         np.put_along_axis(scores, support, -1.0, axis=1)
         support = np.column_stack([support, scores.argmax(axis=1)])
         subs = np.moveaxis(a[:, support], 1, 0)  # (live, m, size)
-        coef, resid = _fit(subs, targets[:, :, None])
-        coef, resid = coef[:, :, 0], resid[:, :, 0]
+        coef = _lstsq(subs, targets[:, :, None])
+        resid = targets - (subs @ coef)[:, :, 0]
+        coef = coef[:, :, 0]
         done = np.linalg.norm(resid, axis=1) < residual_tol
         xs[support[done], live[done, None]] = coef[done]
         used[live[done]] = support.shape[1]
@@ -175,16 +246,17 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
 def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     """Sparsest fits x_b with a @ x_b ~= ys[:, b] and the size of a rival, by support search.
 
-    Enumerates supports of size 0..k once for all columns: each support
-    gets one least-squares fit (the pseudo-inverse, stacked over a chunk
-    of supports) against every column, and a column accepts the fits
-    whose residual beats `residual_tol`.  A column's solution is its
-    first accepted fit; a later accepted fit more than
-    _SAME_SOLUTION_ATOL from it is a rival (supersets of the true support
-    refit the same vector and are not).  Returns (xs, used, alt): the
-    n-by-cols solutions, the size of each column's first accepted
-    support (k+1 when none fits), and the smallest size at which a rival
-    was accepted (k+1 when there is none).  The sweep decides nothing;
+    Enumerates supports of size 0..k once for all columns, in chunks from
+    `metrics._subsets` whose stacked arrays stay near _FIT_CHUNK floats:
+    each support gets one least-squares fit (`_fit`, on its Gram block)
+    against every column, and a column accepts the fits whose residual
+    beats `residual_tol`.  A column's solution is its first accepted
+    fit; a later accepted fit more than _SAME_SOLUTION_ATOL from it is a
+    rival (supersets of the true support refit the same vector and are
+    not).  Returns (xs, used, alt): the n-by-cols solutions, the size of
+    each column's first accepted support (k+1 when none fits), and the
+    smallest size at which a rival was accepted (k+1 when there is
+    none).  The sweep decides nothing;
     `recover` weighs both sizes against the sparsity budget.
     """
     m, n = a.shape
@@ -192,13 +264,11 @@ def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     xs = np.zeros((n, cols))
     used = np.where(np.linalg.norm(ys, axis=0) < residual_tol, 0, k + 1)  # the empty support
     alt = np.full(cols, k + 1)
+    g, c = a.T @ a, a.T @ ys
     chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
     for size in range(1, k + 1):
-        combos = combinations(range(n), size)
-        while batch := list(islice(combos, chunk)):
-            idx = np.array(batch)
-            subs = np.moveaxis(a[:, idx], 1, 0)  # (chunk, m, size)
-            coef, resid = _fit(subs, ys)  # (chunk, size, cols), (chunk, m, cols)
+        for idx in _subsets(n, size, chunk):
+            coef, resid = _fit(a, g, idx, c[idx], ys)  # (chunk, size, cols), (chunk, m, cols)
             resid = np.linalg.norm(resid, axis=1)  # (chunk, cols)
             hit_s, hit_b = np.nonzero(resid < residual_tol)  # ordered by support
             rows, fit = idx[hit_s], coef[hit_s, :, hit_b]  # (hits, size) each

@@ -150,6 +150,24 @@ def test_recover_with_signal_dimension_plan(tmp_path):
         assert np.allclose(io.load_signal(rf), x, atol=1e-8)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_compress_then_recover_with_signal_dimension_through_a_lifted_matrix(tmp_path, side):
+    # A = the 7x16 atom lifted twice: compress lifts A itself to lcm(32, p)
+    a = tmp_path / "big.csv"
+    xf = tmp_path / "x.csv"
+    yf = tmp_path / "y.csv"
+    rf = tmp_path / "xhat.csv"
+    big = np.kron(SENSING_7X16, np.eye(2)) if side == "left" else np.kron(np.eye(2), SENSING_7X16)
+    io.save_matrix(a, big)
+    x = np.zeros(24)  # lcm(32, 24) = 96: lift factor 3 on A, replication 4 on x
+    x[5] = 3.0
+    io.save_signal(xf, x)
+    assert main(["compress", "-A", str(a), "-x", str(xf), "--side", side, "-o", str(yf)]) == 0
+    assert main(["recover", "-A", str(a), "-y", str(yf), "--k", "1", "--side", side,
+                 "-p", "24", "-o", str(rf)]) == 0
+    assert np.allclose(io.load_signal(rf), x, atol=1e-8)
+
+
 def test_project_cli(tmp_path):
     xf = tmp_path / "x.csv"
     yf = tmp_path / "y.csv"

@@ -25,6 +25,7 @@ from stpcs import (
 )
 from stpcs.errors import BadShape, NoSolution, NotUnique
 from stpcs.golden import SENSING_7X16
+from stpcs.pipeline import _fit
 from stpcs.stp import blocks, unblocks
 
 SIDES = [Side.LEFT, Side.RIGHT]
@@ -64,8 +65,11 @@ def test_plan_conventional_case():
 
 def test_plan_reduces_to_the_atom():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    pl = plan(np.kron(a, np.eye(3)), 4, Side.LEFT)
-    assert pl.atom.shape == (2, 2) and (pl.s, pl.r) == (2, 1)
+    big = np.kron(a, np.eye(3))
+    pl = plan(big, 4, Side.LEFT)
+    # compress lifts the 6-column matrix and the signal to lcm(6, 4) = 12
+    assert pl.atom.shape == (2, 2) and (pl.s, pl.r, pl.t) == (6, 3, 12)
+    assert pl.output_dim == compress(big, np.arange(4.0), Side.LEFT).size
 
 
 # --- compression ----------------------------------------------------------------
@@ -329,6 +333,26 @@ def test_recover_signal_rejects_unliftable_solution(phi30):
         recover_signal(phi30, y, 45, 1, Side.RIGHT)
 
 
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([16, 24, 32, 40, 48]),
+    st.integers(min_value=0, max_value=47),
+    st.sampled_from([-2.0, 1.0, 3.0]),
+)
+def test_recover_signal_through_a_reducible_matrix(side, lifts, p, pos, value):
+    # a = the atom lifted `lifts` times: compress lifts a, not its atom, to
+    # lcm(columns, p); for these p the r copies of a nonzero land in
+    # distinct blocks, so one nonzero per block is the unique fit
+    a = lift_matrix(SENSING_7X16, lifts, side)
+    x = place_block_sparse(p, [pos % p], [value])
+    y = compress(a, x, side)
+    assert plan(a, p, side).output_dim == y.size
+    for method in ("oracle", "omp"):
+        assert np.allclose(recover_signal(a, y, p, 1, side, method=method), x, atol=1e-8)
+
+
 def test_mv_stp_is_the_compression_map(phi):
     x = np.arange(32.0)
     assert np.array_equal(compress(phi, x, Side.LEFT), mv_stp(phi, x, Side.LEFT))
@@ -520,6 +544,199 @@ def test_global_recovery_allocates_no_lifted_matrix(phi):
     spec = SparsitySpec(16, 1, SparsityMode.GLOBAL)
     assert _traced_peak(lambda: recover(phi, s, y, spec, Side.RIGHT)) < 1_000_000
     assert np.allclose(recover(phi, s, y, spec, Side.RIGHT), x, atol=1e-8)
+
+
+# --- Gram-block fits -------------------------------------------------------------------
+
+_ATOM_KINDS = ("gaussian", "column-scaled", "near-duplicate", "duplicate-column", "zero-column")
+
+
+def _ill_conditioned_atom(rng, kind, m, n):
+    """A Gaussian atom, bent so that some supports fail the determinant screen."""
+    a = rng.standard_normal((m, n))
+    i, j = rng.choice(n, 2, replace=False)
+    if kind == "column-scaled":
+        a *= 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+    elif kind == "near-duplicate":
+        a[:, j] = a[:, i] + 10.0 ** rng.uniform(-14.0, -7.0) * rng.standard_normal(m)
+    elif kind == "duplicate-column":
+        a[:, j] = a[:, i]
+    elif kind == "zero-column":
+        a[:, j] = 0.0
+    return a
+
+
+_LSTSQ = np.linalg.lstsq
+
+
+def _column_normalised_lstsq(a, b, rcond=None):
+    """np.linalg.lstsq on the unit-norm columns of a, coefficients scaled back.
+
+    Plain lstsq moves the residual by about eps * |a| * |z|, so it misjudges
+    supports that mix columns of norm 1e-6 and 1e6; the fit on unit columns
+    is as insensitive to column scale as the Gram fits it checks.
+    """
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0.0] = 1.0
+    coef, *rest = _LSTSQ(a / norms, b, rcond=rcond)
+    return (coef.T / norms).T, *rest
+
+
+def lstsq_reference(a, s, y, spec, side, method):
+    """Recovery from one lstsq per support (or per pursuit step), block by block."""
+    k = spec.per_block_k
+    if spec.mode is SparsityMode.GLOBAL:
+        return kron_global_recover(a, s, y, k, side, method)
+    if method == "oracle":
+        return reference_recover(a, s, y, k, side)
+    return unblocks(reference_omp(a, blocks(y, s, side), k), side)
+
+
+@pytest.mark.parametrize("method", ["oracle", "omp"])
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=19_999))
+def test_gram_fits_match_the_lstsq_reference(method, seed):
+    # Column-scaled atoms keep the normal equations; near-duplicate,
+    # duplicate and zero columns send supports to the SVD.  Blockwise and
+    # global sparsity, and in one case in seven noise below the tolerance.
+    # Each planted nonzero contributes O(1) to y, whatever its column's
+    # scale, with distinct magnitudes so that pursuit scores do not tie.
+    # Pursuit refits by lstsq on the raw columns, whose residual moves by
+    # about eps * |A_S| * |z|: past RESIDUAL_TOL at a column-scale spread of
+    # 1e12, for the reference as for recover, so pursuit skips that kind.
+    kinds = [name for name in _ATOM_KINDS if method == "oracle" or name != "column-scaled"]
+    rng = np.random.default_rng(seed)
+    kind = kinds[seed % len(kinds)]
+    m, n, s = int(rng.integers(2, 7)), int(rng.integers(3, 9)), int(rng.integers(1, 5))
+    a = _ill_conditioned_atom(rng, kind, m, n)
+    k = int(rng.integers(0, 4))
+    side = SIDES[int(rng.integers(2))]
+    mode = SparsityMode.GLOBAL if rng.integers(5) == 0 else SparsityMode.BLOCKWISE
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0.0] = 1.0
+    xs = np.zeros((n, s))
+    for b in range(s):
+        sup = rng.choice(n, size=int(rng.integers(0, min(k, n) + 1)), replace=False)
+        xs[sup, b] = rng.choice([-2.0, -1.0, 1.5, 3.0], size=sup.size, replace=False) / norms[sup]
+    if mode is SparsityMode.GLOBAL:
+        xs[:, 1:] *= rng.integers(2)
+    y = compress(a, unblocks(xs, side), side)
+    if rng.integers(7) == 0:
+        y = y + 1e-10 * rng.standard_normal(y.size)
+    spec = SparsitySpec(n, k, mode)
+
+    def reference(y):
+        with pytest.MonkeyPatch.context() as mp:
+            if kind == "column-scaled":
+                mp.setattr(np.linalg, "lstsq", _column_normalised_lstsq)
+            return _outcome(lstsq_reference, a, s, y, spec, side, method)
+
+    expected = reference(y)
+    got = _outcome(recover, a, s, y, spec, side, method=method)
+    if isinstance(expected, type) or isinstance(got, type):
+        same = got is expected
+    else:
+        weight = unblocks(np.repeat(norms[:, None], s, axis=1), side)
+        # near-duplicate columns fix their coefficients only to about eps / 1e-7
+        same = np.allclose(got * weight, expected * weight, rtol=1e-6, atol=1e-9)
+    if same:
+        return
+    if method == "omp":
+        # two columns parallel up to rounding tie in every pursuit score, and
+        # the batched and the per-column products may break the tie apart
+        cosines = np.abs(a.T @ a) / np.outer(norms, norms)
+        np.fill_diagonal(cosines, 0.0)
+        assert cosines.max() > 1.0 - 1e-12
+        if not isinstance(got, type):
+            resid = blocks(compress(a, got, side) - y, s, side)
+            assert np.linalg.norm(resid, axis=0).max() < 1e-8
+        return
+    # Near-duplicate columns fit a superset of the solution with a coefficient
+    # of about eps / noise along their difference, so whether that fit is a
+    # rival can turn on rounding alone.  Then perturbing y by a few ulps
+    # changes the outcome of the reference or of recover.
+    assert kind == "near-duplicate"
+
+    def shape(outcome):  # an error type, or ndarray for a solution
+        return outcome if isinstance(outcome, type) else np.ndarray
+
+    flipped = False
+    for _ in range(8):
+        yp = y * (1.0 + 4.0 * np.finfo(float).eps * rng.standard_normal(y.size))
+        flipped |= shape(reference(yp)) is not shape(expected)
+        flipped |= shape(_outcome(recover, a, s, yp, spec, side)) is not shape(got)
+    assert flipped
+
+
+def test_rank_deficient_support_gets_the_minimum_norm_fit():
+    # columns 0 and 1 coincide, column 3 doubles them and column 4 is zero:
+    # every support below but (0, 2) is rank one and fails the screen
+    a = np.array([[1.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+                  [1.0, 1.0, 0.0, 2.0, 0.0]])
+    ys = np.array([[2.0, 1.0], [0.0, 3.0], [2.0, 1.0]])
+    idx = np.array([[0, 1], [0, 4], [1, 4], [0, 3], [1, 3], [0, 2]])
+    coef, resid = _fit(a, a.T @ a, idx, (a.T @ ys)[idx], ys)
+    for row, sup in enumerate(idx):
+        cols = a[:, sup]
+        norms = np.linalg.norm(cols, axis=0)
+        norms[norms == 0.0] = 1.0
+        # lstsq's minimum-norm fit on the unit columns, scaled back
+        want = np.linalg.lstsq(cols / norms, ys, rcond=None)[0] / norms[:, None]
+        assert np.allclose(coef[row], want, rtol=0.0, atol=1e-12)
+        assert np.allclose(resid[row], ys - cols @ want, rtol=0.0, atol=1e-12)
+        if row < 3:  # dependent columns of equal norm: lstsq's own fit
+            plain = np.linalg.lstsq(cols, ys, rcond=None)[0]
+            assert np.allclose(coef[row], plain, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise", [1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_near_duplicate_support_is_fitted_from_the_svd(noise, scale):
+    # columns 0 and 1 differ by `noise` and both carry the solution: the
+    # normalised Gram block has det ~ noise**2, below the screen, and the
+    # normal equations would lose about eps / noise**2 of the coefficients.
+    # Scaling the pair by 1e4 leaves that det alone but not det G_S.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 5))
+    a[:, 1] = a[:, 0] + noise * rng.standard_normal(4)
+    x = np.array([3.0, -2.0, 0.0, 1.0, 0.0])
+    a[:, :2] *= scale
+    x[:2] /= scale
+    xh = recover(a, 1, a @ x, SparsitySpec(5, 3), Side.LEFT)
+    assert np.allclose(xh[:2] * scale, x[:2] * scale, rtol=0.0, atol=1e-7)
+    assert np.allclose(xh[2:], x[2:], rtol=0.0, atol=1e-7)
+
+
+def test_near_singular_fit_keeps_a_backward_stable_residual():
+    # columns 0 and 1 differ by 1e-12: a y in their span fits to rounding,
+    # while the pseudo-inverse formed before it meets y would leave about
+    # eps * 1e12 * |y| of residual
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 3))
+    a[:, 1] = a[:, 0] + 1e-12 * rng.standard_normal(4)
+    ys = a[:, :2] @ rng.standard_normal((2, 3))
+    idx = np.array([[0, 1]])
+    _, resid = _fit(a, a.T @ a, idx, (a.T @ ys)[idx], ys)
+    assert np.abs(resid).max() < 1e-12
+
+
+def test_spark_six_design_fits_every_support_without_an_svd(phi30, monkeypatch):
+    # coherence 1/5: every normalised Gram block of at most 2 columns has
+    # determinant >= 1 - 1/25, far above the screen
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support fit fell back to an SVD")
+
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    spec = SparsitySpec(30, 2)
+    for side in SIDES:
+        x = place_block_sparse(90, [3, 17, 40, 88], [2.0, -1.0, 3.0, 1.0])
+        y = compress(phi30, x, side)
+        assert np.allclose(recover(phi30, 3, y, spec, side), x, atol=1e-8)
+    x = place_block_sparse(60, [5, 44], [2.0, -1.0])
+    y = compress(phi30, x, Side.LEFT)
+    global_spec = SparsitySpec(30, 2, SparsityMode.GLOBAL)
+    assert np.allclose(recover(phi30, 2, y, global_spec, Side.LEFT), x, atol=1e-8)
 
 
 # --- uniqueness guarantee -------------------------------------------------------------
