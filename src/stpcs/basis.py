@@ -8,7 +8,8 @@ of [(j-1)/n, j/n) and [(j'-1)/n', j'/n').  `orthonormal_basis` runs an
 in-order Cholesky on that matrix, keeps the generators whose pivots are
 not negligible, and stores the inverse factor: element i is
 sum_k inverse[k, i] * d(labels[k]).  `coordinates` applies the inverse
-factor to closed-form inner products, so no lifted vector is built.
+factor to the inner products <x, d(n, j)> from the one lift-free kernel
+that also gives `inner_v` and `project` (`signal_space._generator_products`).
 
 Under LEFT every generator is kept (rank sum(phi(n)), with phi(1) = 1);
 under RIGHT some are dependent.  `basis_layer` and `basis_up_to` keep the
@@ -35,6 +36,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .errors import BadShape, InsufficientBasis
+from .signal_space import _generator_products
 from .stp import Side, as_signal
 
 __all__ = [
@@ -212,31 +214,16 @@ def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
 def coordinates(x, basis: OrthonormalBasis, residual_tol: float = 1e-9) -> np.ndarray:
     """Coefficients xi[i] = <x, e_i> of x against an orthonormal basis.
 
-    The inner products <x, d(n, j)> with the kept generators come in
-    closed form: under RIGHT from the residue sums of x mod gcd(dim x, n),
-    under LEFT from one cumulative sum of x read at the breakpoints j/n.
-    The inverse factor turns them into xi.  By Parseval ||xi||^2 equals
+    The inner products <x, d(n, j)> with the kept generators come from
+    `signal_space._generator_products`, without a lift, and the inverse
+    factor turns them into xi.  By Parseval ||xi||^2 equals
     ||x||^2 exactly when the basis spans x; if the deficit
     ||x||^2 - ||xi||^2 exceeds `residual_tol` * ||x||^2 (a relative, squared
     quantity) InsufficientBasis is raised.
     """
     x = as_signal(x)
-    p = x.size
-    ns, js = np.array(basis.labels).T
-    if basis.side is Side.RIGHT:
-        g = np.gcd(p, ns)
-        b = np.empty(ns.size)
-        for d in np.unique(g):
-            sel = g == d
-            b[sel] = x.reshape(-1, d).sum(0)[(js[sel] - 1) % d]
-        b /= np.lcm(p, ns)
-    else:
-        # f: p times the integral of x over [0, (j-1)/n) and over [0, j/n)
-        q, r = np.divmod(np.stack([js - 1, js]) * p, ns)
-        f = np.concatenate(([0.0], np.cumsum(x)))[q] + r / ns * np.append(x, 0.0)[q]
-        b = (f[1] - f[0]) / p
-    xi = basis.inverse.T @ b
-    norm2 = float(x @ x) / p
+    xi = basis.inverse.T @ _generator_products(x, *np.array(basis.labels).T, basis.side)
+    norm2 = float(x @ x) / x.size
     deficit = norm2 - float(xi @ xi)
     if deficit > residual_tol * norm2:
         raise InsufficientBasis(

@@ -204,10 +204,10 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     atom, picks its most correlated unchosen atom column, and refits all
     of them together by `_lstsq`; a column stops once its residual beats
     the tolerance.  Stopped columns leave the batch, so the supports of
-    the columns still in it always have the same size.  The refits are
-    lstsq's, not Gram blocks: on integer atoms two scores can tie
-    exactly, the last bits of the residual break the tie, and refits
-    from the normal equations break such ties unlike per-column lstsq.
+    the columns still in it always have the same size.  A pick is the
+    lowest-index column scoring at least max * (1 - 1e-12), so exact ties
+    on integer atoms do not hang on the last bits of the product.  The
+    refits are lstsq's, not Gram blocks, as in per-column pursuit.
     The lowest-index column still above the tolerance after k picks
     raises NoSolution.  Returns (xs, used, alt) as `_sweep` does: `used`
     is each column's pick count, and `alt` is the scalar k+1, no rival
@@ -226,7 +226,8 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
             break
         scores = np.abs(resid @ a) / norms  # (live, n)
         np.put_along_axis(scores, support, -1.0, axis=1)
-        support = np.column_stack([support, scores.argmax(axis=1)])
+        best = scores >= scores.max(axis=1, keepdims=True) * (1 - 1e-12)
+        support = np.column_stack([support, best.argmax(axis=1)])  # the lowest-index best
         subs = np.moveaxis(a[:, support], 1, 0)  # (live, m, size)
         coef = _lstsq(subs, targets[:, :, None])
         resid = targets - (subs @ coef)[:, :, 0]

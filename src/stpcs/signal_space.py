@@ -9,7 +9,8 @@ angle, and a cross-dimensional projection.
 
 The inner product of x in R^m and y in R^n lifts both to t = lcm(m, n)
 and scales by 1/t, which makes it invariant under replacing either
-argument by any lift of itself (same-side lifts).
+argument by any lift of itself (same-side lifts).  `inner_v`, `project`
+and `basis.coordinates` take <x, d(n, j)> from one kernel, `_generator_products`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import BadShape, ZeroVector
-from .stp import Side, as_matrix, as_signal, blocks, lift_matrix, lift_signal, sta, unlift
+from .stp import Side, as_matrix, as_signal, blocks, lift_matrix, sta, unlift
 
 __all__ = [
     "reduce_signal",
@@ -83,29 +84,38 @@ def matrices_equivalent(a, b, side: Side = Side.LEFT, atol: float = REDUCE_ATOL)
     return aa.shape == ab.shape and np.allclose(aa, ab, rtol=0.0, atol=atol)
 
 
+def _generator_products(x: np.ndarray, ns: np.ndarray, js: np.ndarray, side: Side) -> np.ndarray:
+    """<x, d(n, j)> for each pair of the integer arrays ns, js, without lifting x.
+
+    With p = dim x: RIGHT sums x over the residue class j - 1 mod gcd(p, n)
+    and divides by lcm(p, n).  LEFT integrates x's step function over the
+    cell [(j-1)/n, j/n), as (n * sum x[q_lo:q_hi] + r_hi * x[q_hi] - r_lo * x[q_lo]) / (n p)
+    with (q, r) = divmod((j-1)p, n) and divmod(jp, n).  Each segment is summed on
+    its own: a difference of prefix sums would cancel small entries next to large ones.
+    """
+    p = x.size
+    if side is Side.RIGHT:
+        g = np.gcd(p, ns)
+        b = np.empty(ns.shape)
+        for d in set(g.tolist()):
+            b[g == d] = x.reshape(-1, d).sum(0)[(js[g == d] - 1) % d]
+        return b / np.lcm(p, ns)
+    q, r = np.divmod(np.array([js - 1, js]) * p, ns)
+    xz = np.concatenate((x, [0.0]))  # q_hi reaches p at j = n
+    # reduceat sums each segment x[q_lo:q_hi], but reads an empty one as x[q_lo]
+    seg = np.where(q[0] < q[1], np.add.reduceat(xz, q.T.ravel())[::2], 0.0)
+    ends = r * xz[q]
+    return (ns * seg + ends[1] - ends[0]) / (ns * p)
+
+
 def inner_v(x, y, side: Side = Side.LEFT) -> float:
     """Lift-invariant inner product: lift both to lcm dim, dot, divide by dim.
 
-    Computed without the lifts.  With g = gcd of the dims a, b: RIGHT
-    pairs entry i of x with entry j of y once per lcm period exactly when
-    i = j (mod g), so the dot is that of the residue-class sums.  LEFT
-    splits both signals into g groups; within a group the lifts are step
-    functions with a/g and b/g pieces, and the dot sums the pieces of
-    their common refinement weighted by width.
+    Computed without the lifts, as sum_j x[j] <y, d(dim x, j)> (`_generator_products`).
     """
     x, y = as_signal(x), as_signal(y)
-    a, b = x.size, y.size
-    g = gcd(a, b)
-    t = a * b // g
-    if side is Side.RIGHT:
-        return float(x.reshape(-1, g).sum(0) @ y.reshape(-1, g).sum(0)) / t
-    ag, bg = a // g, b // g  # within a group, x pieces are bg wide and y pieces ag wide
-    xg, yg = x.reshape(g, ag), y.reshape(g, bg)
-    if ag == 1 or bg == 1:  # the pieces nest: block sums of the finer signal
-        return float(xg.sum(1) @ yg.sum(1)) / t
-    starts = np.union1d(np.arange(ag) * bg, np.arange(bg) * ag)
-    widths = np.diff(starts, append=ag * bg)
-    return float(np.sum((xg[:, starts // bg] * yg[:, starts // ag]) @ widths)) / t
+    a = x.size
+    return float(x @ _generator_products(y, np.full(a, a), np.arange(1, a + 1), side))
 
 
 def norm_v(x) -> float:
@@ -158,11 +168,12 @@ def projection_matrix(m: int, n: int, side: Side = Side.LEFT) -> np.ndarray:
 def project(x, n: int, side: Side = Side.LEFT) -> np.ndarray:
     """Project a signal onto R^n (closest point in the quotient distance).
 
-    Equals projection_matrix(dim x, n, side) @ x: the mean of the t/n
-    blocks (see `stp.blocks`) of the lcm lift.
+    Equals projection_matrix(dim x, n, side) @ x: entry j is
+    n <x, d(n, j)>, from `_generator_products`, so no lift is built.
     """
     x = as_signal(x)
     if n < 1:
         raise BadShape("projection target dimension must be positive")
-    t = lcm(x.size, n)
-    return blocks(lift_signal(x, t, side), t // n, side).mean(axis=1)
+    if n == x.size:
+        return x.copy()
+    return n * _generator_products(x, np.full(n, n), np.arange(1, n + 1), side)

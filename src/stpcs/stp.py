@@ -13,11 +13,12 @@ s blocks of n entries, the interleaved entries b, b+s, ... (LEFT) or the
 b-th run of n consecutive entries (RIGHT).  A lifted matrix is s copies
 of its atom, copy b acting on block b; a lifted vector has s equal
 blocks.  `blocks` and `unblocks` hold this layout, and every product,
-reduction, projection and recovery goes through them instead of
-building an identity lift: the lifted product is unblocks(A @ blocks(x, s))
-on either side, in memory for the lifted signal, the result and the
-atom only.  `lift_matrix` and `swap_matrix` build the dense matrices
-and serve as reference constructions and test oracles.
+reduction and recovery goes through them instead of building an identity
+lift: the lifted product is unblocks(A @ blocks(x, s)) on either side, in
+memory for the lifted signal, the result and the atom only.  Projection
+and the inner product read `signal_space._generator_products` and lift
+nothing.  `lift_matrix` and `swap_matrix` build the dense matrices and
+serve as reference constructions and test oracles.
 
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent use is safe.

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpcs import (
@@ -396,7 +396,8 @@ def reference_omp(a, ys, k, residual_tol=1e-8):
                 break
             scores = np.abs(a.T @ resid) / norms
             scores[support] = -1.0
-            support.append(int(np.argmax(scores)))
+            # the lowest-index score within rounding of the best, as in `_omp`
+            support.append(int(np.argmax(scores >= scores.max() * (1 - 1e-12))))
             coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=None)
             resid = y - a[:, support] @ coef
         if float(np.linalg.norm(resid)) >= residual_tol:
@@ -470,6 +471,7 @@ def kron_global_recover(a, s, y, k, side, method):
 @pytest.mark.parametrize("method", ["oracle", "omp"])
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
+@example(31217)  # an exact score tie with a unique solution
 def test_global_recovery_matches_the_kron_path(method, seed):
     # Gaussian, integer, spark-2 (a scaled copy) and spark-3 (a column sum)
     # atoms, up to k+1 nonzeros anywhere in x, and in one case in five a y
@@ -502,9 +504,10 @@ def test_global_recovery_matches_the_kron_path(method, seed):
     else:
         same = np.allclose(got, expected, rtol=0.0, atol=1e-9)
     if method == "omp" and not same:
-        # an exact score tie on an integer atom, broken differently by the
-        # batched and the lifted products: picks, and so outcomes, may
-        # differ only where distinct k-sparse solutions exist
+        # both paths take the lowest index among scores within 1e-12 of the
+        # best, but rounding can still put a score on different sides of
+        # that band in the batched and the lifted products: picks, and so
+        # outcomes, may differ only where distinct k-sparse solutions exist
         assert _outcome(kron_global_recover, a, s, y, k, side, "oracle") is NotUnique
         if not isinstance(got, type):
             assert np.count_nonzero(np.abs(got) > 1e-9) <= k

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,16 +22,26 @@ from stpcs import (
     sta,
 )
 from stpcs.errors import ZeroVector
+from stpcs.signal_space import _generator_products
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
 ints = st.integers(min_value=-4, max_value=4)
 int_signals = st.lists(ints, min_size=1, max_size=6).map(lambda v: np.array(v, dtype=float))
 mults = st.integers(min_value=1, max_value=3)
+float_signals = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False), min_size=1, max_size=9
+).map(np.array)
 
 
 def lift(x, r, side):
     return lift_signal(x, len(np.atleast_1d(x)) * r, side)
+
+
+def ones_lift(v, t, side):
+    """The lift of v to dimension t as a numpy Kronecker product: the test oracle."""
+    ones = np.ones(t // v.size)
+    return np.kron(v, ones) if side is Side.LEFT else np.kron(ones, v)
 
 
 # --- reduction --------------------------------------------------------------
@@ -157,12 +168,7 @@ def test_inner_is_lift_invariant(side, x, y, a, b):
 @example(np.arange(4.0), np.arange(6.0))  # coprime parts 2 and 3
 def test_inner_matches_explicit_lcm_dot(side, x, y):
     t = math.lcm(x.size, y.size)
-
-    def ones_lift(v):
-        ones = np.ones(t // v.size)
-        return np.kron(v, ones) if side is Side.LEFT else np.kron(ones, v)
-
-    expected = float(ones_lift(x) @ ones_lift(y)) / t
+    expected = float(ones_lift(x, t, side) @ ones_lift(y, t, side)) / t
     assert inner_v(x, y, side) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
@@ -232,6 +238,57 @@ def test_projection_matrix_2_to_3():
 
 def test_projection_matrix_to_scalar_is_mean():
     assert np.allclose(projection_matrix(4, 1), np.full((1, 4), 0.25), atol=1e-15)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(float_signals, float_signals, st.lists(st.tuples(st.integers(1, 12), st.integers(0, 11)),
+                                              min_size=1))
+@example(np.arange(6.0), np.arange(3.0), [(3, 0), (3, 2), (2, 1)])  # divisible dims
+@example(np.arange(5.0), np.arange(7.0), [(7, 0), (7, 6), (3, 1)])  # coprime dims
+@example(np.arange(4.0), np.arange(6.0), [(6, 1), (6, 4), (10, 9)])  # non-divisible dims
+def test_kernel_project_and_inner_v_match_the_lcm_lift(side, x, y, pairs):
+    ns = np.array([n for n, _ in pairs])
+    js = np.array([j % n + 1 for n, j in pairs])
+    want = []
+    for n, j in zip(ns, js):
+        t = math.lcm(x.size, n)
+        want.append(ones_lift(x, t, side) @ ones_lift(np.eye(n)[j - 1], t, side) / t)
+    scale = np.abs(x).max()
+    assert np.allclose(_generator_products(x, ns, js, side), want, rtol=1e-12, atol=1e-12 * scale)
+    n = int(ns[0])
+    assert np.allclose(project(x, n, side), projection_matrix(x.size, n, side) @ x,
+                       rtol=1e-12, atol=1e-12 * scale)
+    t = math.lcm(x.size, y.size)
+    want = ones_lift(x, t, side) @ ones_lift(y, t, side) / t
+    tol = 1e-12 * scale * np.abs(y).max()
+    assert inner_v(x, y, side) == pytest.approx(want, rel=1e-12, abs=tol)
+
+
+def test_project_keeps_small_entries_next_to_a_large_one():
+    # a difference of prefix sums would read the second and third cells as 0
+    got = project([1e17, 1.0, 1.0, 1.0, 1.0, 1.0], 3)
+    assert np.allclose(got, [5e16, 1.0, 1.0], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_project_onto_its_own_dimension_is_an_exact_copy(side, v):
+    x = np.array(v)
+    got = project(x, x.size, side)
+    assert got.tobytes() == x.tobytes() and not np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_project_builds_no_lift(side):
+    # the lcm lift of a dim-1009 signal to 1013 holds 1022117 floats, 7.8 MiB
+    x = np.ones(1009)
+    tracemalloc.start()
+    try:
+        project(x, 1013, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_project_identity_and_pair_means():
