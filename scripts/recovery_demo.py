@@ -5,8 +5,11 @@ Builds the 7x16 reference sensing matrix, plants blockwise-sparse
 signals, compresses them through both lift conventions, and recovers
 them exactly with the support-search solver.  Also runs one
 non-divisible case where the signal dimension does not divide the lift,
-and a global-sparsity round trip at lift factor 64.
-Exits with status 1 when any round trip is not exact.
+a global-sparsity round trip at lift factor 64, and round trips through
+the paper's design with its embedding columns scaled from 1e-5 to 1e5,
+by the oracle and by matching pursuit.
+Exits with status 1 when any round trip is not exact, or when the
+scaled design loses the uniqueness certificate of the unscaled one.
 """
 
 import sys
@@ -21,6 +24,7 @@ from stpcs import (
     compress,
     horizontal_expand,
     incidence_matrix,
+    make_embedding,
     max_sparsity,
     plan,
     recover,
@@ -29,6 +33,7 @@ from stpcs import (
     vertical_expand,
     vertical_expand_star,
 )
+from stpcs.golden import EMBED_SIGNS_3X4, VERTICAL_ALPHA4
 from stpcs.stp import unblocks
 
 
@@ -87,6 +92,27 @@ def main():
         exact.append(np.allclose(xh, x, atol=1e-8))
         print(f"global k=2 s={s} side={side.value:<5} dim {x.size} -> {y.size}: "
               f"exact={exact[-1]}")
+
+    # column scale: the 7x16 design with a diagonal embedding, so column
+    # norms span 1e-5..1e5; each planted value adds O(1) to y
+    scaled = horizontal_expand(VERTICAL_ALPHA4,
+                               make_embedding(EMBED_SIGNS_3X4, [1e-5, 1.0, 10.0, 1e5]))
+    s, n = 3, scaled.shape[1]
+    norms = np.linalg.norm(scaled, axis=0)
+    exact.append(uniqueness_guarantee(scaled, 1))
+    print(f"diagonal embedding: column norms {norms.min():.1e}..{norms.max():.1e}, "
+          f"uniqueness k=1: {exact[-1]}")
+    xs = np.zeros((n, s))
+    for b, j in enumerate(rng.choice(n, size=s, replace=False)):
+        xs[j, b] = rng.choice([-2.0, 1.0, 2.0]) / norms[j]
+    for side in (Side.LEFT, Side.RIGHT):
+        x = unblocks(xs, side)
+        weight = unblocks(np.repeat(norms[:, None], s, axis=1), side)
+        y = compress(scaled, x, side)
+        for method in ("oracle", "omp"):
+            xh = recover(scaled, s, y, SparsitySpec(n, 1), side, method=method)
+            exact.append(np.allclose(xh * weight, x * weight, atol=1e-8))
+            print(f"  scaled k=1 s={s} side={side.value:<5} {method:<6}: exact={exact[-1]}")
     return 0 if all(exact) else 1
 
 

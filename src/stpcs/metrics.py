@@ -6,16 +6,20 @@ certification of the restricted isometry property.  Everything here is
 exact at desk scale: subset enumerations are complete (guarded by a
 budget) rather than sampled.
 
+Column scale changes neither dependence nor recoverability, so
+coherence, spark, `rip_check(normalize=True)` and the recovery of
+`pipeline` work on the unit-norm columns of one helper, `_unit_columns`.
+
 One subset kernel serves spark, RIP and sparse recovery: `_subsets`
 enumerates the lexicographic k-subsets in chunks, and the recovery
 sweep (`pipeline._sweep`) fits its supports from the same chunks.  For
 spark and RIP the Gram matrix G = A^T A is formed once; each chunk of
 k-subsets T gathers its k-by-k blocks G_T, whose eigenvalues are the
-squared singular values of the column block A_T.  A subset counts as
-dependent when the singular-value test sigma_min <= 1e-9 sigma_max
-holds for A_T.  That test runs only on the subsets a determinant
-screen flags, det(G_T) <= 1e-12 trace(G_T)^k: every subset the test
-could call dependent is flagged, since then det(G_T) <= lambda_min
+squared singular values of the column block A_T.  Spark calls a subset
+dependent when sigma_min <= 1e-9 sigma_max holds for its unit-norm
+columns.  That test runs only on the subsets a determinant screen
+flags, det(G_T) <= 1e-12 trace(G_T)^k: every subset the test could call
+dependent is flagged, since then det(G_T) <= lambda_min
 lambda_max^(k-1) <= 1e-18 trace(G_T)^k, six orders of magnitude below
 the screen.  All other subsets are independent without an SVD.
 
@@ -69,15 +73,21 @@ _CHUNK = 4096
 _RIP_MARGIN = 1e-12
 
 
+def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a with every nonzero column scaled to unit norm, zero columns left zero, and the norms."""
+    norms = np.linalg.norm(a, axis=0)
+    return a / np.where(norms == 0.0, 1.0, norms), norms
+
+
 def _column_cosines(a: np.ndarray) -> np.ndarray:
     """Matrix of pairwise column cosines; raises on zero columns."""
     a = as_matrix(a)
     if a.shape[1] < 2:
         raise BadShape("column correlations need at least two columns")
-    norms = np.linalg.norm(a, axis=0)
+    u, norms = _unit_columns(a)
     if np.any(norms == 0.0):
         raise ZeroColumn("matrix has a zero column")
-    return (a.T @ a) / np.outer(norms, norms)
+    return u.T @ u
 
 
 def _pair_cosines(a) -> np.ndarray:
@@ -148,12 +158,13 @@ def spark(a, budget: int = DEFAULT_BUDGET):
 
     Returns math.inf when the columns are independent (full column rank),
     rather than a numeric stand-in.  Enumeration runs in increasing subset
-    size, so the first hit is the spark.  A subset is dependent when its
-    smallest singular value is at most 1e-9 of its largest; that test runs
-    only on the subsets the Gram determinant screen flags (see the module
-    docstring), all others being independent.
+    size, so the first hit is the spark.  A subset is dependent when the
+    smallest singular value of its unit-norm columns is at most 1e-9 of
+    their largest, so column scale does not change the spark; that test
+    runs only on the subsets the Gram determinant screen flags (see the
+    module docstring), all others being independent.
     """
-    a = as_matrix(a)
+    a, _ = _unit_columns(as_matrix(a))
     m, n = a.shape
     g = a.T @ a
     for k in range(1, min(m, n) + 1):
@@ -169,21 +180,19 @@ def spark(a, budget: int = DEFAULT_BUDGET):
 
 
 def max_sparsity(a) -> int:
-    """Largest k with k < (1 + 1/coherence)/2, the lossless-recovery bound."""
+    """Largest k <= columns with k < (1 + 1/coherence)/2, the lossless-recovery bound."""
     return _sparsity_bound(coherence(a), as_matrix(a).shape[1])
 
 
 def _sparsity_bound(mu: float, n: int) -> int:
-    """`max_sparsity` of an n-column matrix of coherence mu."""
+    """`max_sparsity` of an n-column matrix of coherence mu, at most n."""
     if mu == 0.0:
-        # only possible with orthogonal columns (cols <= rows); every
-        # sparsity up to the column count is then recoverable
         return n
     v = 0.5 * (1.0 + 1.0 / mu)
     nearest = round(v)
-    if abs(v - nearest) < 1e-9:
-        return int(nearest) - 1  # strict inequality at an integer boundary
-    return math.floor(v)
+    # strict inequality at an integer boundary
+    k = int(nearest) - 1 if abs(v - nearest) < 1e-9 else math.floor(v)
+    return min(k, n)  # orthogonal unit-norm columns read a few ulps, not 0
 
 
 class RipResult(NamedTuple):
@@ -197,7 +206,7 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     delta is the largest deviation max(sigma_max^2 - 1, 1 - sigma_min^2)
     over every k-column submatrix; the property holds when delta < 1.
     The certificate is scale-sensitive, so columns should be unit-norm;
-    pass normalize=True to rescale them first.
+    pass normalize=True to rescale them first (`_unit_columns`).
 
     The squared singular values of a submatrix are the eigenvalues of its
     Gram block, so delta comes from `eigvalsh` of the blocks.  Blocks the
@@ -211,10 +220,9 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     if not 1 <= k <= n:
         raise BadShape(f"sparsity k={k} out of range for {n} columns")
     if normalize:
-        norms = np.linalg.norm(a, axis=0)
+        a, norms = _unit_columns(a)
         if np.any(norms == 0.0):
             raise ZeroColumn("cannot normalize a zero column")
-        a = a / norms
     _check_budget(n, k, budget, "rip_check")
     delta = 0.0
     for idx, blocks, suspect in _gram_blocks(a.T @ a, k):

@@ -9,42 +9,32 @@ replicated signal, so that case reduces to the divisible one.
 Recovery is the l0 oracle: the lifted system splits into s independent
 copies of the atom, one per block of y and of x (`stp.blocks` sets out
 the block layout of both conventions).  One exhaustive sweep over
-supports of at most k indices fits each support once by least squares
-against all s blocks; it enumerates supports with the same chunked
-subset generator as spark and RIP (`metrics._subsets`).
-With spark(atom) > 2k the accepted solution is provably the only
-blockwise-k-sparse one.  The greedy matching-pursuit path batches the
-same way: each step picks and refits for all blocks at once.  A bound
-of k nonzeros on the whole of x (GLOBAL sparsity) is a budget the
-blocks share, decided from the same per-block sweep.  Recovery builds
-no lifted or swap matrix; those stay in `stp` as reference
-constructions.
+supports of at most k indices, from the chunked subset generator of
+spark and RIP (`metrics._subsets`), fits each support once by least
+squares against all s blocks.  With spark(atom) > 2k the accepted
+solution is provably the only blockwise-k-sparse one.  Matching pursuit
+batches the same way: each step picks and refits for all blocks at
+once.  GLOBAL sparsity, k nonzeros in all of x, is a budget the blocks
+share, decided from the same per-block sweep.  Recovery builds no
+lifted or swap matrix; those stay in `stp` as reference constructions.
 
-The sweep fits a support S from its Gram block.  G = A^T A and
-C = A^T Y are formed once per call, and a fit solves the normal
-equations G_S z = C_S, one batched solve over a chunk of supports.
-The screen and the error bound below are stated for the column-
-normalised block N = D^-1 G_S D^-1, D the column norms of A_S: N has
-unit diagonal, and the rounding of the small solve follows N, not the
-column scales.  The residual y - A_S z that accepts or rejects S is
+Sweep and pursuit fit the unit-norm columns of the atom
+(`metrics._unit_columns`) and scale the coefficients back, so column
+scale sways no decision.  The sweep fits support S from its Gram block:
+G = A^T A and C = A^T Y are formed once per call, and one batched solve
+of G_S z = C_S fits a chunk of supports.  The residual y - A_S z is
 computed directly, not as ||y||^2 - C_S^T z, which cancels at
-RESIDUAL_TOL.  A block with det N <= tau = 1e-2 (`_SOLVE_SCREEN`) is
-near-singular and is fitted as np.linalg.lstsq fits the unit-norm
-columns A_S D^-1 instead (`_lstsq`): the same singular-value cutoff,
-the SVD factors applied to y one by one, so the residual stays
-backward stable, and the minimum-norm solution in those coordinates,
-which is lstsq's own where the dependent columns have equal norms
-(duplicate and zero columns).  Both branches are invariant under
-column scaling.  Pursuit refits with `_lstsq` directly (see `_omp`).
+RESIDUAL_TOL.  A block with det G_S <= tau = 1e-2 (`_SOLVE_SCREEN`) is
+near-singular and refitted by `_lstsq`, as pursuit refits.
 
-The bound that fixes tau: trace N = k caps every eigenvalue at k, so
-det N > tau gives lambda_min > tau / k^(k-1) and a condition number
-kappa < k^k / tau.  Rounding G and C (m terms per entry), amplified by
-N^-1, then moves the residual of an exactly fitting support by about
+The bound that fixes tau: G_S has unit diagonal, so trace G_S = k caps
+every eigenvalue at k, det G_S > tau gives lambda_min > tau / k^(k-1),
+and kappa < k^k / tau.  Rounding G and C (m terms per entry), amplified
+by G_S^-1, moves the residual of an exactly fitting support by about
 eps * m * kappa * ||y_b||: below 1e-11 ||y_b|| for k <= 3 and m <= 15,
 far below RESIDUAL_TOL for the O(1)-to-O(100) blocks of the tests and
-benchmarks.  The error can only reject a true support, never accept a
-wrong one: no z gets below the least-squares residual of its support.
+benchmarks.  It can only reject a true support, never accept a wrong
+one: no z gets below the least-squares residual of its support.
 """
 
 from __future__ import annotations
@@ -56,7 +46,7 @@ from math import lcm
 import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
-from .metrics import DEFAULT_BUDGET, _subsets, spark
+from .metrics import DEFAULT_BUDGET, _subsets, _unit_columns, spark
 from .signal_space import reduce_matrix
 from .stp import Side, as_matrix, as_signal, blocks, mv_stp, unblocks, unlift
 
@@ -85,7 +75,7 @@ _SAME_SOLUTION_ATOL = 1e-6
 _FIT_CHUNK = 1 << 14
 
 # A sweep support is fitted from its normal equations when the
-# determinant of its column-normalised Gram block exceeds this, and by
+# determinant of its unit-diagonal Gram block exceeds this, and by
 # `_lstsq` otherwise; the module docstring derives the bound that fixes it.
 _SOLVE_SCREEN = 1e-2
 
@@ -108,10 +98,12 @@ class SparsitySpec:
     mode: SparsityMode = SparsityMode.BLOCKWISE
 
     def __post_init__(self):
-        if not 0 <= self.per_block_k <= self.block_len:
-            raise BadShape(
-                f"per-block sparsity {self.per_block_k} out of range for block {self.block_len}"
-            )
+        k = self.per_block_k
+        if self.mode is SparsityMode.GLOBAL:
+            if k < 0:
+                raise BadShape(f"sparsity {k} must be non-negative")
+        elif not 0 <= k <= self.block_len:
+            raise BadShape(f"per-block sparsity {k} out of range for block {self.block_len}")
 
 
 @dataclass(frozen=True)
@@ -171,29 +163,24 @@ def _fit(a: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
          ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fits of ys against the column subsets a[:, row], one per row of idx.
 
-    `idx` is (..., size), g = a^T a, `rhs` holds A_S^T y as (..., size,
-    cols) and `ys` broadcasts against (..., m, cols).  A support whose
-    column-normalised Gram block passes the determinant screen (module
-    docstring) is solved from its normal equations G_S z = C_S; the
-    others are refitted by `_lstsq` on their unit-norm columns.  Returns
+    The columns of `a` have unit norm (or are zero), `idx` is (...,
+    size), g = a^T a, `rhs` holds A_S^T y as (..., size, cols) and `ys`
+    broadcasts against (..., m, cols).  A support whose Gram block passes
+    the determinant screen (module docstring) is solved from its normal
+    equations G_S z = C_S; the others are refitted by `_lstsq`.  Returns
     the coefficients (..., size, cols) and the residuals y - A_S z
     (..., m, cols), computed directly.
     """
     subs = np.swapaxes(a.T[idx], -1, -2)  # (..., m, size)
     block = g[idx[..., :, None], idx[..., None, :]]  # G_S, (..., size, size)
-    norms2 = g[idx, idx]  # squared column norms, (..., size)
-    # det of the column-normalised block N = D^-1 G_S D^-1; a zero column
-    # leaves a zero row, so det G_S = 0 and the block fails
-    ok = np.linalg.det(block) > _SOLVE_SCREEN * np.prod(norms2, axis=-1)
-    block[~ok] = np.eye(idx.shape[-1])  # keeps the solve defined; refitted below
+    # a zero column leaves a zero row, so det G_S = 0 and the block fails
+    near = np.linalg.det(block) <= _SOLVE_SCREEN
+    block[near] = np.eye(idx.shape[-1])  # keeps the solve defined; refitted below
     # solve copies its right side column by column: one column is a division
     coef = rhs / block if idx.shape[-1] == 1 else np.linalg.solve(block, rhs)
-    if not ok.all():
-        near = ~ok
-        d = np.sqrt(norms2[near])[..., None, :]  # (near, 1, size)
-        d[d == 0.0] = 1.0
+    if near.any():
         ys_near = np.broadcast_to(ys, subs.shape[:-1] + ys.shape[-1:])[near]
-        coef[near] = _lstsq(subs[near] / d, ys_near) / np.swapaxes(d, -1, -2)
+        coef[near] = _lstsq(subs[near], ys_near)
     return coef, ys - subs @ coef
 
 
@@ -201,39 +188,38 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
     Each step scores every column still above the tolerance against the
-    atom, picks its most correlated unchosen atom column, and refits all
-    of them together by `_lstsq`; a column stops once its residual beats
-    the tolerance.  Stopped columns leave the batch, so the supports of
-    the columns still in it always have the same size.  A pick is the
-    lowest-index column scoring at least max * (1 - 1e-12), so exact ties
-    on integer atoms do not hang on the last bits of the product.  The
-    refits are lstsq's, not Gram blocks, as in per-column pursuit.
-    The lowest-index column still above the tolerance after k picks
-    raises NoSolution.  Returns (xs, used, alt) as `_sweep` does: `used`
-    is each column's pick count, and `alt` is the scalar k+1, no rival
-    for any column, since pursuit gives no uniqueness certificate; use
-    the oracle when one is needed.
+    unit-norm atom columns, picks its most correlated unchosen one, and
+    refits all of them together by `_lstsq`; a column stops once its
+    residual beats the tolerance.  Stopped columns leave the batch, so
+    the supports of the columns still in it always have the same size.
+    A pick is the lowest-index column scoring at least max * (1 - 1e-12),
+    so exact ties on integer atoms do not hang on the last bits of the
+    product.  The lowest-index column still above the tolerance after k
+    picks raises NoSolution.  Returns (xs, used, alt) as `_sweep` does:
+    `used` is each column's pick count, and `alt` is the scalar k+1, no
+    rival for any column, since pursuit gives no uniqueness certificate;
+    use the oracle when one is needed.
     """
-    norms = np.linalg.norm(a, axis=0)
-    norms[norms == 0.0] = 1.0
+    u, norms = _unit_columns(a)
+    norms[norms == 0.0] = 1.0  # a zero column's coefficient is 0 either way
     xs = np.zeros((a.shape[1], ys.shape[1]))
     used = np.zeros(ys.shape[1], dtype=np.intp)
     live = np.flatnonzero(np.linalg.norm(ys, axis=0) >= residual_tol)
     support = np.zeros((live.size, 0), dtype=np.intp)
     targets = resid = ys[:, live].T  # (live, m)
-    for _ in range(k):
+    for _ in range(min(k, a.shape[1])):
         if not live.size:
             break
-        scores = np.abs(resid @ a) / norms  # (live, n)
+        scores = np.abs(resid @ u)  # (live, n)
         np.put_along_axis(scores, support, -1.0, axis=1)
         best = scores >= scores.max(axis=1, keepdims=True) * (1 - 1e-12)
         support = np.column_stack([support, best.argmax(axis=1)])  # the lowest-index best
-        subs = np.moveaxis(a[:, support], 1, 0)  # (live, m, size)
+        subs = np.moveaxis(u[:, support], 1, 0)  # (live, m, size)
         coef = _lstsq(subs, targets[:, :, None])
         resid = targets - (subs @ coef)[:, :, 0]
         coef = coef[:, :, 0]
         done = np.linalg.norm(resid, axis=1) < residual_tol
-        xs[support[done], live[done, None]] = coef[done]
+        xs[support[done], live[done, None]] = coef[done] / norms[support[done]]
         used[live[done]] = support.shape[1]
         keep = ~done
         live, support, targets, resid = live[keep], support[keep], targets[keep], resid[keep]
@@ -249,30 +235,33 @@ def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
 
     Enumerates supports of size 0..k once for all columns, in chunks from
     `metrics._subsets` whose stacked arrays stay near _FIT_CHUNK floats:
-    each support gets one least-squares fit (`_fit`, on its Gram block)
-    against every column, and a column accepts the fits whose residual
-    beats `residual_tol`.  A column's solution is its first accepted
-    fit; a later accepted fit more than _SAME_SOLUTION_ATOL from it is a
-    rival (supersets of the true support refit the same vector and are
-    not).  Returns (xs, used, alt): the n-by-cols solutions, the size of
-    each column's first accepted support (k+1 when none fits), and the
-    smallest size at which a rival was accepted (k+1 when there is
-    none).  The sweep decides nothing;
-    `recover` weighs both sizes against the sparsity budget.
+    each support gets one least-squares fit (`_fit`, on unit-norm
+    columns) against every column, and a column accepts the fits whose
+    residual beats `residual_tol`.  A column's solution is its first
+    accepted fit; a later accepted fit more than _SAME_SOLUTION_ATOL from
+    it, both in the coefficients of `a`, is a rival (supersets of the
+    true support refit the same vector and are not).  Returns (xs, used,
+    alt): the n-by-cols solutions, the size of each column's first
+    accepted support (k+1 when none fits), and the smallest size at which
+    a rival was accepted (k+1 when there is none).  The sweep decides
+    nothing; `recover` weighs both sizes against the sparsity budget.
     """
     m, n = a.shape
     cols = ys.shape[1]
+    u, norms = _unit_columns(a)
+    norms[norms == 0.0] = 1.0  # a zero column's coefficient is 0 either way
     xs = np.zeros((n, cols))
     used = np.where(np.linalg.norm(ys, axis=0) < residual_tol, 0, k + 1)  # the empty support
     alt = np.full(cols, k + 1)
-    g, c = a.T @ a, a.T @ ys
+    g, c = u.T @ u, u.T @ ys
     chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
-    for size in range(1, k + 1):
+    for size in range(1, min(k, n) + 1):
         for idx in _subsets(n, size, chunk):
-            coef, resid = _fit(a, g, idx, c[idx], ys)  # (chunk, size, cols), (chunk, m, cols)
+            coef, resid = _fit(u, g, idx, c[idx], ys)  # (chunk, size, cols), (chunk, m, cols)
             resid = np.linalg.norm(resid, axis=1)  # (chunk, cols)
             hit_s, hit_b = np.nonzero(resid < residual_tol)  # ordered by support
-            rows, fit = idx[hit_s], coef[hit_s, :, hit_b]  # (hits, size) each
+            rows = idx[hit_s]  # (hits, size)
+            fit = coef[hit_s, :, hit_b] / norms[rows]
             new_b, first = np.unique(hit_b, return_index=True)
             fresh = used[new_b] > k
             xs[rows[first[fresh]], new_b[fresh, None]] = fit[first[fresh]]

@@ -12,21 +12,30 @@ from stpcs import (
     class_metrics,
     coherence,
     component_metrics,
+    horizontal_expand,
     lift_matrix,
+    make_embedding,
     max_sparsity,
     rip_check,
     signed_coherence,
     spark,
+    uniqueness_guarantee,
     vertical_expand_star,
     welch_bound,
 )
 from stpcs.errors import BadShape, BudgetExceeded, ZeroColumn
-from stpcs.golden import EMBED_SIGNS_3X4
+from stpcs.golden import EMBED_SIGNS_3X4, SENSING_7X16, VERTICAL_ALPHA4
 
 
 def spark_oracle(a):
-    """Brute-force reference: smallest dependent column subset by rank tests."""
+    """Brute-force reference: smallest dependent column subset by rank tests.
+
+    The rank tests run on the unit-norm columns (zero columns stay zero):
+    scaling a column changes no dependence, and must not change the spark.
+    """
     a = np.asarray(a, dtype=float)
+    norms = np.linalg.norm(a, axis=0)
+    a = a / np.where(norms == 0.0, 1.0, norms)
     m, n = a.shape
     for k in range(1, n + 1):
         for sub in combinations(range(n), k):
@@ -220,6 +229,22 @@ def test_spark_finds_a_dependent_subset_past_the_first_chunk():
     assert spark(a) == spark_oracle(a) == 4
 
 
+def test_spark_ignores_column_scale():
+    # unit columns scaled by 1e-6 and 1e6: the raw singular values differ
+    # by 1e12, but the columns are independent
+    assert spark(np.diag([1e-6, 1e6])) == math.inf
+
+
+def test_diagonal_embedding_keeps_the_spark_of_the_sign_design():
+    # the paper's 7x16 design with its embedding columns scaled by a
+    # positive, pairwise-distinct diagonal: scaling columns changes no
+    # dependence, so spark, coherence and uniqueness are those of SENSING_7X16
+    phi = horizontal_expand(VERTICAL_ALPHA4, make_embedding(EMBED_SIGNS_3X4, [1e-5, 1, 10, 1e5]))
+    assert spark(phi) == spark(SENSING_7X16) == 4
+    assert coherence(phi) == pytest.approx(1 / 3, abs=1e-15)
+    assert uniqueness_guarantee(phi, 1)
+
+
 def test_spark_budget_guard():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 12))
@@ -237,6 +262,8 @@ def test_max_sparsity_examples():
 
 def test_max_sparsity_orthogonal_matrix():
     assert max_sparsity(np.eye(3)) == 3
+    # orthogonal columns whose unit-norm cosine reads about 1e-17, not 0
+    assert max_sparsity(np.array([[1.0, 3.0], [3.0, -1.0]])) == 2
 
 
 # --- RIP --------------------------------------------------------------------------

@@ -539,6 +539,28 @@ def test_global_budget_is_what_the_other_blocks_leave():
         recover(a, 2, y, SparsitySpec(3, 3, SparsityMode.GLOBAL), Side.RIGHT)
 
 
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("method", ["oracle", "omp"])
+def test_global_sparsity_may_exceed_the_block_length(side, method):
+    # four nonzeros over four blocks of three: k bounds the whole vector
+    xs = np.zeros((3, 4))
+    xs[[0, 2, 1, 0], [0, 1, 2, 3]] = [1.0, -2.0, 3.0, 0.5]
+    x = unblocks(xs, side)
+    y = compress(np.eye(3), x, side)
+    spec = SparsitySpec(3, 4, SparsityMode.GLOBAL)
+    assert np.array_equal(recover(np.eye(3), 4, y, spec, side, method=method), x)
+    with pytest.raises(NoSolution):
+        recover(np.eye(3), 4, y, SparsitySpec(3, 3, SparsityMode.GLOBAL), side, method=method)
+
+
+def test_sparsity_spec_bounds_depend_on_the_mode():
+    with pytest.raises(BadShape, match="per-block sparsity 4"):
+        SparsitySpec(3, 4)
+    with pytest.raises(BadShape) as exc:
+        SparsitySpec(3, -1, SparsityMode.GLOBAL)
+    assert "per-block" not in str(exc.value)
+
+
 def test_global_recovery_allocates_no_lifted_matrix(phi):
     # I_256 (x) A is 1792 x 4096 floats, about 59 MB
     s = 256
@@ -598,18 +620,15 @@ def lstsq_reference(a, s, y, spec, side, method):
 @pytest.mark.parametrize("method", ["oracle", "omp"])
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=19_999))
+@example(1476)  # column-scaled: pursuit refits on raw columns disagree with the reference
 def test_gram_fits_match_the_lstsq_reference(method, seed):
     # Column-scaled atoms keep the normal equations; near-duplicate,
     # duplicate and zero columns send supports to the SVD.  Blockwise and
     # global sparsity, and in one case in seven noise below the tolerance.
     # Each planted nonzero contributes O(1) to y, whatever its column's
     # scale, with distinct magnitudes so that pursuit scores do not tie.
-    # Pursuit refits by lstsq on the raw columns, whose residual moves by
-    # about eps * |A_S| * |z|: past RESIDUAL_TOL at a column-scale spread of
-    # 1e12, for the reference as for recover, so pursuit skips that kind.
-    kinds = [name for name in _ATOM_KINDS if method == "oracle" or name != "column-scaled"]
     rng = np.random.default_rng(seed)
-    kind = kinds[seed % len(kinds)]
+    kind = _ATOM_KINDS[seed % len(_ATOM_KINDS)]
     m, n, s = int(rng.integers(2, 7)), int(rng.integers(3, 9)), int(rng.integers(1, 5))
     a = _ill_conditioned_atom(rng, kind, m, n)
     k = int(rng.integers(0, 4))
@@ -671,25 +690,71 @@ def test_gram_fits_match_the_lstsq_reference(method, seed):
     assert flipped
 
 
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("method", ["oracle", "omp"])
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(132)  # columns scaled 1e-6..3e5: a refit on raw columns misses the tolerance
+def test_recovery_ignores_column_scale(side, method, seed):
+    # recover(A D, y) = D^-1 recover(A, y), or both raise the same error,
+    # for D positive diagonal in 1e-6..1e6.  Gaussian atoms, one column in
+    # four cases zero, blockwise and global sparsity, y exactly k-sparse in
+    # A or (one case in four) random, so solutions, NoSolution and
+    # NotUnique all occur.  Noise-free: with noise, superset fits differ by
+    # noise / D in the coordinates of A D, which `_SAME_SOLUTION_ATOL` reads
+    # absolutely.
+    rng = np.random.default_rng(seed)
+    m, n, s = int(rng.integers(2, 6)), int(rng.integers(3, 8)), int(rng.integers(1, 4))
+    a = rng.standard_normal((m, n))
+    if rng.integers(4) == 0:
+        a[:, rng.integers(n)] = 0.0
+    d = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    k = int(rng.integers(0, 4))
+    mode = SparsityMode.GLOBAL if rng.integers(3) == 0 else SparsityMode.BLOCKWISE
+    xs = np.zeros((n, s))
+    for b in range(s):
+        sup = rng.choice(n, size=int(rng.integers(0, min(k, n) + 1)), replace=False)
+        xs[sup, b] = rng.choice([-2.0, -1.0, 1.5, 3.0], size=sup.size, replace=False)
+    y = compress(a, unblocks(xs, side), side)
+    if rng.integers(4) == 0:
+        y = rng.standard_normal(y.size)
+    spec = SparsitySpec(n, k, mode)
+    weight = unblocks(np.repeat(d[:, None], s, axis=1), side)
+
+    def outcome(atom):
+        try:
+            return recover(atom, s, y, spec, side, method=method)
+        except (NoSolution, NotUnique) as exc:
+            return type(exc), str(exc)
+
+    expected, got = outcome(a), outcome(a * d)
+    solved = not isinstance(expected, tuple)
+    assert solved is not isinstance(got, tuple)
+    if solved:
+        assert np.allclose(got * weight, expected, rtol=1e-9, atol=1e-9)
+    else:
+        assert got == expected
+
+
+def _unit(a):
+    """The columns of a scaled to unit norm, zero columns left zero, as `_fit` takes them."""
+    norms = np.linalg.norm(a, axis=0)
+    return a / np.where(norms == 0.0, 1.0, norms)
+
+
 def test_rank_deficient_support_gets_the_minimum_norm_fit():
     # columns 0 and 1 coincide, column 3 doubles them and column 4 is zero:
     # every support below but (0, 2) is rank one and fails the screen
-    a = np.array([[1.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
-                  [1.0, 1.0, 0.0, 2.0, 0.0]])
+    a = _unit(np.array([[1.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+                        [1.0, 1.0, 0.0, 2.0, 0.0]]))
     ys = np.array([[2.0, 1.0], [0.0, 3.0], [2.0, 1.0]])
     idx = np.array([[0, 1], [0, 4], [1, 4], [0, 3], [1, 3], [0, 2]])
     coef, resid = _fit(a, a.T @ a, idx, (a.T @ ys)[idx], ys)
     for row, sup in enumerate(idx):
         cols = a[:, sup]
-        norms = np.linalg.norm(cols, axis=0)
-        norms[norms == 0.0] = 1.0
-        # lstsq's minimum-norm fit on the unit columns, scaled back
-        want = np.linalg.lstsq(cols / norms, ys, rcond=None)[0] / norms[:, None]
+        want = np.linalg.lstsq(cols, ys, rcond=None)[0]  # the minimum-norm fit
         assert np.allclose(coef[row], want, rtol=0.0, atol=1e-12)
         assert np.allclose(resid[row], ys - cols @ want, rtol=0.0, atol=1e-12)
-        if row < 3:  # dependent columns of equal norm: lstsq's own fit
-            plain = np.linalg.lstsq(cols, ys, rcond=None)[0]
-            assert np.allclose(coef[row], plain, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("noise", [1e-7, 1e-6, 1e-5])
@@ -717,6 +782,7 @@ def test_near_singular_fit_keeps_a_backward_stable_residual():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 3))
     a[:, 1] = a[:, 0] + 1e-12 * rng.standard_normal(4)
+    a = _unit(a)
     ys = a[:, :2] @ rng.standard_normal((2, 3))
     idx = np.array([[0, 1]])
     _, resid = _fit(a, a.T @ a, idx, (a.T @ ys)[idx], ys)
