@@ -5,11 +5,13 @@ Builds the 7x16 reference sensing matrix, plants blockwise-sparse
 signals, compresses them through both lift conventions, and recovers
 them exactly with the support-search solver.  Also runs one
 non-divisible case where the signal dimension does not divide the lift,
-a global-sparsity round trip at lift factor 64, and round trips through
+a global-sparsity round trip at lift factor 64, round trips through
 the paper's design with its embedding columns scaled from 1e-5 to 1e5,
-by the oracle and by matching pursuit.
-Exits with status 1 when any round trip is not exact, or when the
-scaled design loses the uniqueness certificate of the unscaled one.
+and two-sparse round trips on the 15x30 star design, whose coherence
+1/5 certifies k = 2, each by the oracle and by matching pursuit.
+Exits with status 1 when any round trip is not exact, when the scaled
+design loses the uniqueness certificate of the unscaled one, or when
+the 15x30 design is not certified at k = 2.
 """
 
 import sys
@@ -113,6 +115,23 @@ def main():
             xh = recover(scaled, s, y, SparsitySpec(n, 1), side, method=method)
             exact.append(np.allclose(xh * weight, x * weight, atol=1e-8))
             print(f"  scaled k=1 s={s} side={side.value:<5} {method:<6}: exact={exact[-1]}")
+
+    # certified pursuit: coherence 1/5 certifies k = 2 on the 15x30 design,
+    # so the oracle answers by pursuit there; two nonzeros in every block
+    exact.append(uniqueness_guarantee(phi6, 2))
+    print(f"15x30 star design: uniqueness k=2: {exact[-1]}")
+    n = phi6.shape[1]
+    for s in (1, 2, 3):
+        xs = np.zeros((n, s))
+        for b in range(s):
+            xs[rng.choice(n, size=2, replace=False), b] = rng.choice([-2.0, -1.0, 1.0, 3.0], size=2)
+        for side in (Side.LEFT, Side.RIGHT):
+            x = unblocks(xs, side)
+            y = compress(phi6, x, side)
+            for method in ("oracle", "omp"):
+                xh = recover(phi6, s, y, SparsitySpec(n, 2), side, method=method)
+                exact.append(np.allclose(xh, x, atol=1e-8))
+                print(f"  k=2 s={s} side={side.value:<5} {method:<6}: exact={exact[-1]}")
     return 0 if all(exact) else 1
 
 

@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     lift.add_argument("-p", type=int, default=None,
                       help="original signal dimension (enables the non-divisible case)")
     r.add_argument("--method", choices=["oracle", "omp"], default="oracle",
-                   help="exhaustive search with uniqueness detection, or greedy pursuit")
+                   help="oracle: the unique sparse solution, by pursuit where the "
+                        "coherence certifies k and by the support sweep elsewhere; "
+                        "omp: uncertified greedy pursuit")
     r.add_argument("-o", "--output")
     r.set_defaults(func=_cmd_recover)
 

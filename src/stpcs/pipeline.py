@@ -6,26 +6,31 @@ the familiar identity-lifted product; otherwise both the matrix and the
 signal are lifted to t = lcm(n0, p) and the effective unknown is the
 replicated signal, so that case reduces to the divisible one.
 
-Recovery is the l0 oracle: the lifted system splits into s independent
-copies of the atom, one per block of y and of x (`stp.blocks` sets out
-the block layout of both conventions).  One exhaustive sweep over
-supports of at most k indices, from the chunked subset generator of
-spark and RIP (`metrics._subsets`), fits each support once by least
-squares against all s blocks.  With spark(atom) > 2k the accepted
-solution is provably the only blockwise-k-sparse one.  Matching pursuit
-batches the same way: each step picks and refits for all blocks at
-once.  GLOBAL sparsity, k nonzeros in all of x, is a budget the blocks
-share, decided from the same per-block sweep.  Recovery builds no
-lifted or swap matrix; those stay in `stp` as reference constructions.
+Recovery splits the lifted system into s independent copies of the
+atom, one per block of y and of x (`stp.blocks` sets out the block
+layout of both conventions), and solves all blocks at once.  The l0
+oracle (the default) answers by certified pursuit inside the coherence
+bound and by the support sweep outside it.  The sweep tries every
+support of at most k indices, from the chunked subset generator of
+spark and RIP (`metrics._subsets`), and fits each once by least squares
+against all s blocks; with spark(atom) > 2k the accepted solution is
+provably the only blockwise-k-sparse one.  Matching pursuit batches the
+same way: each step picks and refits for all blocks at once.
+``method="omp"`` is the uncertified greedy override: pursuit alone,
+whatever the coherence.  GLOBAL sparsity, k nonzeros in all of x, is a
+budget the blocks share, decided from the same per-block fits as
+BLOCKWISE.  Recovery builds no lifted or swap matrix; those stay in
+`stp` as reference constructions.
 
-Sweep and pursuit fit the unit-norm columns of the atom
+Sweep and pursuit fit the unit-norm columns U of the atom
 (`metrics._unit_columns`) and scale the coefficients back, so column
-scale sways no decision.  The sweep fits support S from its Gram block:
-G = A^T A and C = A^T Y are formed once per call, and one batched solve
-of G_S z = C_S fits a chunk of supports.  The residual y - A_S z is
-computed directly, not as ||y||^2 - C_S^T z, which cancels at
-RESIDUAL_TOL.  A block with det G_S <= tau = 1e-2 (`_SOLVE_SCREEN`) is
-near-singular and refitted by `_lstsq`, as pursuit refits.
+scale sways no decision.  Both fit a support S from its Gram block
+(`_fit`): G = U^T U and C = U^T Y are formed once per call, and one
+batched solve of G_S z = C_S fits a chunk of supports, or a step of
+pursuit.  The residual y - U_S z is computed directly, not as
+||y||^2 - C_S^T z, which cancels at RESIDUAL_TOL.  A block with
+det G_S <= tau = 1e-2 (`_SOLVE_SCREEN`) is near-singular and refitted by
+`_lstsq`.
 
 The bound that fixes tau: G_S has unit diagonal, so trace G_S = k caps
 every eigenvalue at k, det G_S > tau gives lambda_min > tau / k^(k-1),
@@ -35,18 +40,48 @@ eps * m * kappa * ||y_b||: below 1e-11 ||y_b|| for k <= 3 and m <= 15,
 far below RESIDUAL_TOL for the O(1)-to-O(100) blocks of the tests and
 benchmarks.  It can only reject a true support, never accept a wrong
 one: no z gets below the least-squares residual of its support.
+
+The certificate (`_certified`).  Let mu be the coherence of U.  When no
+column is zero and k < (1 + 1/mu)/2 (`metrics._sparsity_bound`), every
+2k columns are independent, so a k-sparse solution is unique (Donoho &
+Elad 2003, PNAS), and pursuit finds it in k picks (Tropp 2004, "Greed
+is good").  The sweep, though, accepts every fit whose residual beats
+the tolerance, and calls two accepted fits rivals when they differ by
+more than _SAME_SOLUTION_ATOL in the caller's coordinates.  So the
+certificate also asks for the rival guard
+
+    2 tol / (sigma min_j ||a_j||) <= _SAME_SOLUTION_ATOL,
+    sigma^2 = 1 - (min(2k, n) - 1) mu.
+
+Proof that the oracle then answers as the sweep would.  Two accepted
+fits z, z' of one block, in unit coordinates, differ by d = z - z' with
+at most min(2k, n) nonzeros and ||U d|| <= ||y - U z|| + ||y - U z'|| <
+2 tol.  The Gram block of the columns d uses has unit diagonal and
+off-diagonal entries of at most mu, so by Gershgorin its eigenvalues
+are at least sigma^2 and ||d|| < 2 tol / sigma.  Entry j of d in the
+caller's coordinates is d_j / ||a_j||, at most 2 tol / (sigma min_j
+||a_j||): the guard leaves the sweep no rival.  When pursuit fits every
+block within the tolerance, the sweep, which tries pursuit's support
+with the same kernel, fits every block with a support no larger, so it
+also meets any GLOBAL budget pursuit meets, and its solution is within
+that distance of pursuit's.  When pursuit stops short, or its fits
+exceed the GLOBAL budget, the sweep runs and decides, so every error
+comes from the sweep.  The guard is the price of the absolute rival
+rule: it turns the certificate down for atoms with columns so short
+that noise within the tolerance moves their coefficients by more than
+_SAME_SOLUTION_ATOL, and those go to the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import lcm
+from math import lcm, sqrt
 
 import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
-from .metrics import DEFAULT_BUDGET, _subsets, _unit_columns, spark
+from .metrics import DEFAULT_BUDGET, _sparsity_bound, _subsets, _unit_columns, spark
 from .signal_space import reduce_matrix
 from .stp import Side, as_matrix, as_signal, blocks, mv_stp, unblocks, unlift
 
@@ -184,45 +219,48 @@ def _fit(a: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
     return coef, ys - subs @ coef
 
 
-def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
+def _omp(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
-    Each step scores every column still above the tolerance against the
-    unit-norm atom columns, picks its most correlated unchosen one, and
-    refits all of them together by `_lstsq`; a column stops once its
-    residual beats the tolerance.  Stopped columns leave the batch, so
-    the supports of the columns still in it always have the same size.
-    A pick is the lowest-index column scoring at least max * (1 - 1e-12),
-    so exact ties on integer atoms do not hang on the last bits of the
-    product.  The lowest-index column still above the tolerance after k
-    picks raises NoSolution.  Returns (xs, used, alt) as `_sweep` does:
-    `used` is each column's pick count, and `alt` is the scalar k+1, no
-    rival for any column, since pursuit gives no uniqueness certificate;
-    use the oracle when one is needed.
+    `u` and `norms` are the unit-norm columns U of the atom and their
+    norms (`metrics._unit_columns`).  Each step scores every column still
+    above the tolerance against U, picks its most correlated unchosen
+    one, and refits all of them together by `_fit` from G = U^T U and
+    C = Y^T U, both formed once; a column stops once its residual beats
+    the tolerance.  Stopped columns leave the batch, so the supports of
+    the columns still in it always have the same size.  A pick is the
+    lowest-index column scoring at least max * (1 - 1e-12), so exact ties
+    on integer atoms do not hang on the last bits of the product.  The
+    lowest-index column still above the tolerance after k picks raises
+    NoSolution.  Returns (xs, used, alt) as `_sweep` does: `used` is each
+    column's pick count, and `alt` is the scalar k+1, no rival for any
+    column.  Pursuit alone certifies no uniqueness; `recover` runs it as
+    the oracle only where the coherence does (module docstring).
     """
-    u, norms = _unit_columns(a)
-    norms[norms == 0.0] = 1.0  # a zero column's coefficient is 0 either way
-    xs = np.zeros((a.shape[1], ys.shape[1]))
+    scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
+    xs = np.zeros((u.shape[1], ys.shape[1]))
     used = np.zeros(ys.shape[1], dtype=np.intp)
     live = np.flatnonzero(np.linalg.norm(ys, axis=0) >= residual_tol)
     support = np.zeros((live.size, 0), dtype=np.intp)
-    targets = resid = ys[:, live].T  # (live, m)
-    for _ in range(min(k, a.shape[1])):
+    resid = ys[:, live].T  # (live, m)
+    targets = resid[:, :, None]  # (live, m, 1), as `_fit` takes them
+    g, c = u.T @ u, resid @ u  # (n, n), (live, n)
+    for _ in range(min(k, u.shape[1])):
         if not live.size:
             break
         scores = np.abs(resid @ u)  # (live, n)
         np.put_along_axis(scores, support, -1.0, axis=1)
         best = scores >= scores.max(axis=1, keepdims=True) * (1 - 1e-12)
         support = np.column_stack([support, best.argmax(axis=1)])  # the lowest-index best
-        subs = np.moveaxis(u[:, support], 1, 0)  # (live, m, size)
-        coef = _lstsq(subs, targets[:, :, None])
-        resid = targets - (subs @ coef)[:, :, 0]
-        coef = coef[:, :, 0]
+        rhs = np.take_along_axis(c, support, axis=1)[:, :, None]  # (live, size, 1)
+        coef, resid = _fit(u, g, support, rhs, targets)
+        coef, resid = coef[:, :, 0], resid[:, :, 0]
         done = np.linalg.norm(resid, axis=1) < residual_tol
-        xs[support[done], live[done, None]] = coef[done] / norms[support[done]]
+        xs[support[done], live[done, None]] = coef[done] / scale[support[done]]
         used[live[done]] = support.shape[1]
         keep = ~done
-        live, support, targets, resid = live[keep], support[keep], targets[keep], resid[keep]
+        live, support, targets, c, resid = (
+            live[keep], support[keep], targets[keep], c[keep], resid[keep])
     if live.size:
         raise NoSolution(
             f"matching pursuit residual stayed above {residual_tol:.1e} in block {live[0]}"
@@ -230,14 +268,15 @@ def _omp(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     return xs, used, k + 1
 
 
-def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
+def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     """Sparsest fits x_b with a @ x_b ~= ys[:, b] and the size of a rival, by support search.
 
-    Enumerates supports of size 0..k once for all columns, in chunks from
-    `metrics._subsets` whose stacked arrays stay near _FIT_CHUNK floats:
-    each support gets one least-squares fit (`_fit`, on unit-norm
-    columns) against every column, and a column accepts the fits whose
-    residual beats `residual_tol`.  A column's solution is its first
+    `u` and `norms` are the unit-norm columns of the atom a and their
+    norms (`metrics._unit_columns`).  Enumerates supports of size 0..k
+    once for all columns, in chunks from `metrics._subsets` whose stacked
+    arrays stay near _FIT_CHUNK floats: each support gets one
+    least-squares fit (`_fit`) against every column, and a column accepts
+    the fits whose residual beats `residual_tol`.  A column's solution is its first
     accepted fit; a later accepted fit more than _SAME_SOLUTION_ATOL from
     it, both in the coefficients of `a`, is a rival (supersets of the
     true support refit the same vector and are not).  Returns (xs, used,
@@ -246,10 +285,9 @@ def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     a rival was accepted (k+1 when there is none).  The sweep decides
     nothing; `recover` weighs both sizes against the sparsity budget.
     """
-    m, n = a.shape
+    m, n = u.shape
     cols = ys.shape[1]
-    u, norms = _unit_columns(a)
-    norms[norms == 0.0] = 1.0  # a zero column's coefficient is 0 either way
+    scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
     xs = np.zeros((n, cols))
     used = np.where(np.linalg.norm(ys, axis=0) < residual_tol, 0, k + 1)  # the empty support
     alt = np.full(cols, k + 1)
@@ -261,7 +299,7 @@ def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
             resid = np.linalg.norm(resid, axis=1)  # (chunk, cols)
             hit_s, hit_b = np.nonzero(resid < residual_tol)  # ordered by support
             rows = idx[hit_s]  # (hits, size)
-            fit = coef[hit_s, :, hit_b] / norms[rows]
+            fit = coef[hit_s, :, hit_b] / scale[rows]
             new_b, first = np.unique(hit_b, return_index=True)
             fresh = used[new_b] > k
             xs[rows[first[fresh]], new_b[fresh, None]] = fit[first[fresh]]
@@ -276,6 +314,49 @@ def _sweep(a: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
     return xs, used, alt
 
 
+def _certified(u: np.ndarray, norms: np.ndarray, k: int, residual_tol: float) -> bool:
+    """True when the coherence of the unit-norm columns u certifies pursuit at sparsity k.
+
+    `u` and `norms` are as `metrics._unit_columns` returns them.  The
+    certificate and its rival guard are set out in the module docstring.
+    With residual_tol = 0 the guard is void and this is the uniqueness
+    certificate spark >= 1 + 1/mu > 2k.
+    """
+    n = u.shape[1]
+    if n < 2 or not norms.all():
+        return False
+    mu = float(np.abs(u.T @ u - np.eye(n)).max())  # the unit diagonal cancels to ulps
+    if k > _sparsity_bound(mu, n):
+        return False
+    sigma = sqrt(1.0 - (min(2 * k, n) - 1) * mu)
+    return bool(2.0 * residual_tol <= _SAME_SOLUTION_ATOL * sigma * norms.min())
+
+
+def _budget(used: np.ndarray, spec: SparsitySpec):
+    """Nonzeros each block may spend: k, or under GLOBAL what the other blocks' fits leave."""
+    k = spec.per_block_k
+    if spec.mode is SparsityMode.GLOBAL:
+        return np.maximum(k - (used.sum() - used), 0)
+    return k
+
+
+def _certified_pursuit(u: np.ndarray, norms: np.ndarray, ys: np.ndarray,
+                       spec: SparsitySpec, residual_tol: float):
+    """Pursuit's (xs, used, alt) where it decides for the oracle, else None.
+
+    That is where the coherence certifies k and pursuit fits every block
+    within its budget; anywhere else the sweep decides (module docstring).
+    """
+    k = spec.per_block_k
+    if not _certified(u, norms, k, residual_tol):
+        return None
+    try:
+        xs, used, alt = _omp(u, norms, ys, k, residual_tol)
+    except NoSolution:
+        return None
+    return (xs, used, alt) if (used <= _budget(used, spec)).all() else None
+
+
 def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
             residual_tol: float = RESIDUAL_TOL, method: str = "oracle") -> np.ndarray:
     """Exact sparse recovery from y = lift_s(a) @ x.
@@ -286,19 +367,24 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     x = unblocks(X, side).  The sparsity bound k applies to each column
     of X under BLOCKWISE and to all of x under GLOBAL.
 
-    ``method="oracle"`` (default) is the exhaustive support search with
-    uniqueness detection; ``method="omp"`` is greedy orthogonal matching
-    pursuit, one pick and one stacked refit per step for all blocks still
-    above the tolerance, exact under the coherence bound but without a
-    uniqueness certificate.  Either reports, per block, the size of its
-    sparsest fit and of its smallest rival (a distinct fit), and the
-    decision is made here for both modes.  Block b's budget is k under
-    BLOCKWISE and, under GLOBAL, what the other blocks' sparsest fits
-    leave of k.  That is exact: a GLOBAL solution restricts to a fit in
-    every block, and no block can spend more than its budget.  The
-    lowest block whose sparsest fit exceeds its budget raises
-    NoSolution, or whose rival fits within it NotUnique.  In both modes
-    each block's residual must beat `residual_tol`.
+    ``method="oracle"`` (default) returns the unique sparse solution or
+    raises: inside the coherence bound k < (1 + 1/mu)/2, under the rival
+    guard of the module docstring, it answers by batched orthogonal
+    matching pursuit, which is exact there, and outside it, or where
+    pursuit does not fit, by the exhaustive support sweep with
+    uniqueness detection.  ``method="omp"``
+    is the uncertified greedy override: pursuit, one pick and one
+    stacked refit per step for all blocks still above the tolerance,
+    whatever the coherence, and without a uniqueness check.  Either
+    reports, per block, the size of its sparsest fit and of its smallest
+    rival (a distinct fit), and the decision is made here for both
+    modes.  Block b's budget is k under BLOCKWISE and, under GLOBAL, what
+    the other blocks' sparsest fits leave of k.  That is exact: a GLOBAL
+    solution restricts to a fit in every block, and no block can spend
+    more than its budget.  The lowest block whose sparsest fit exceeds
+    its budget raises NoSolution, or whose rival fits within it
+    NotUnique.  In both modes each block's residual must beat
+    `residual_tol`.
     """
     a = as_matrix(a)
     y = as_signal(y)
@@ -309,12 +395,17 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
         raise BadShape(f"measurement dim {y.size} != rows*s = {m * s}")
     if method not in ("oracle", "omp"):
         raise BadShape(f"unknown recovery method {method!r}")
-    solve = _sweep if method == "oracle" else _omp
     k = spec.per_block_k
-    xs, used, alt = solve(a, blocks(y, s, side), k, residual_tol)
-    budget = k  # nonzeros block b may spend
-    if spec.mode is SparsityMode.GLOBAL:  # what the other blocks' sparsest fits leave
-        budget = np.maximum(k - (used.sum() - used), 0)
+    ys = blocks(y, s, side)
+    u, norms = _unit_columns(a)
+    if method == "omp":
+        found = _omp(u, norms, ys, k, residual_tol)
+    else:
+        found = _certified_pursuit(u, norms, ys, spec, residual_tol)
+        if found is None:
+            found = _sweep(u, norms, ys, k, residual_tol)
+    xs, used, alt = found
+    budget = _budget(used, spec)
     short = used > budget
     bad = short | (alt <= budget)
     if bad.any():
@@ -351,8 +442,11 @@ def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
 def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff spark(atom) > 2k, certifying per-block uniqueness for every lift.
 
-    Spark is invariant under both identity lifts, so the matrix is reduced
-    on both sides and the smaller atom is enumerated.
+    Spark and coherence are invariant under both identity lifts, so the
+    matrix is reduced on both sides and the smaller atom is used.  When
+    its coherence certifies k (k <= `metrics.max_sparsity`, so spark >=
+    1 + 1/mu > 2k) the answer is True without enumerating; otherwise,
+    and for an atom with a zero column, spark is enumerated.
     """
     atom = min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
-    return spark(atom, budget=budget) > 2 * k
+    return _certified(*_unit_columns(atom), k, 0.0) or spark(atom, budget=budget) > 2 * k

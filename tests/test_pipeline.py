@@ -14,6 +14,7 @@ from stpcs import (
     compress,
     equivalent,
     horizontal_expand,
+    incidence_matrix,
     lift_matrix,
     mv_stp,
     plan,
@@ -21,11 +22,14 @@ from stpcs import (
     recover_signal,
     swap_matrix,
     uniqueness_guarantee,
+    vertical_expand,
     vertical_expand_star,
 )
-from stpcs.errors import BadShape, NoSolution, NotUnique
+from stpcs import pipeline
+from stpcs.errors import BadShape, BudgetExceeded, NoSolution, NotUnique
 from stpcs.golden import SENSING_7X16
-from stpcs.pipeline import _fit
+from stpcs.metrics import _unit_columns
+from stpcs.pipeline import _SAME_SOLUTION_ATOL, _certified, _fit
 from stpcs.stp import blocks, unblocks
 
 SIDES = [Side.LEFT, Side.RIGHT]
@@ -789,9 +793,11 @@ def test_near_singular_fit_keeps_a_backward_stable_residual():
     assert np.abs(resid).max() < 1e-12
 
 
-def test_spark_six_design_fits_every_support_without_an_svd(phi30, monkeypatch):
+@pytest.mark.parametrize("method", ["oracle", "omp"])
+def test_spark_six_design_fits_every_support_without_an_svd(phi30, monkeypatch, method):
     # coherence 1/5: every normalised Gram block of at most 2 columns has
-    # determinant >= 1 - 1/25, far above the screen
+    # determinant >= 1 - 1/25, far above the screen; pursuit refits its
+    # picks from the same Gram blocks
     def refuse(*args, **kwargs):
         raise AssertionError("a support fit fell back to an SVD")
 
@@ -801,11 +807,141 @@ def test_spark_six_design_fits_every_support_without_an_svd(phi30, monkeypatch):
     for side in SIDES:
         x = place_block_sparse(90, [3, 17, 40, 88], [2.0, -1.0, 3.0, 1.0])
         y = compress(phi30, x, side)
-        assert np.allclose(recover(phi30, 3, y, spec, side), x, atol=1e-8)
+        assert np.allclose(recover(phi30, 3, y, spec, side, method=method), x, atol=1e-8)
     x = place_block_sparse(60, [5, 44], [2.0, -1.0])
     y = compress(phi30, x, Side.LEFT)
     global_spec = SparsitySpec(30, 2, SparsityMode.GLOBAL)
-    assert np.allclose(recover(phi30, 2, y, global_spec, Side.LEFT), x, atol=1e-8)
+    assert np.allclose(recover(phi30, 2, y, global_spec, Side.LEFT, method=method), x, atol=1e-8)
+
+
+# --- certified pursuit ------------------------------------------------------------------
+
+def test_certified_oracle_enumerates_no_support(phi30, monkeypatch):
+    # coherence 1/5 certifies k = 2, so the oracle answers by pursuit on
+    # both sides and under GLOBAL; k = 3 is outside the bound and sweeps
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle enumerated supports")
+
+    monkeypatch.setattr(pipeline, "_subsets", refuse)
+    x = place_block_sparse(90, [3, 17, 40, 88], [2.0, -1.0, 3.0, 1.0])
+    for side in SIDES:
+        y = compress(phi30, x, side)
+        assert np.allclose(recover(phi30, 3, y, SparsitySpec(30, 2), side), x, atol=1e-8)
+        with pytest.raises(AssertionError, match="enumerated"):
+            recover(phi30, 3, y, SparsitySpec(30, 3), side)
+    x = place_block_sparse(60, [5, 44], [2.0, -1.0])
+    y = compress(phi30, x, Side.RIGHT)
+    global_spec = SparsitySpec(30, 2, SparsityMode.GLOBAL)
+    assert np.allclose(recover(phi30, 2, y, global_spec, Side.RIGHT), x, atol=1e-8)
+
+
+def test_rival_guard_holds_up_to_its_tolerance_edge():
+    # aocm(7): coherence 1/7 and column norms sqrt(7).  At k = 3 the
+    # difference of two fits has up to 6 nonzeros, sigma^2 = 1 - 5/7, and
+    # the guard holds for tolerances up to ATOL * sigma * sqrt(7) / 2
+    u, norms = _unit_columns(aocm(7))
+    edge = _SAME_SOLUTION_ATOL * np.sqrt(2.0 / 7.0) * np.sqrt(7.0) / 2.0
+    assert _certified(u, norms, 3, 0.99 * edge)
+    assert not _certified(u, norms, 3, 1.01 * edge)
+    assert not _certified(u, norms, 4, 0.0)  # outside the coherence bound
+
+
+def test_certified_pursuit_over_the_global_budget_defers_to_the_sweep():
+    # block 0 is a measurement at the scale of the tolerance: a pair of
+    # columns fits it, but pursuit's greedy pair does not, and it takes a
+    # third pick.  With block 1's nonzero pursuit spends 4 > k = 3, so the
+    # sweep decides, and its sparsest fits, 2 + 1, meet the budget
+    a = aocm(7)
+    y0 = np.array([-1.24601326e-08, -6.51355041e-09, 1.69554696e-09, -5.10240389e-09,
+                   3.98257010e-10, 6.87245056e-09, 6.08520821e-09])
+    x1 = np.zeros(8)
+    x1[5] = 2.0
+    y = np.concatenate([y0, a @ x1])  # RIGHT: block b is the b-th run of rows
+    spec = SparsitySpec(8, 3, SparsityMode.GLOBAL)
+    xh = recover(a, 2, y, spec, Side.RIGHT)
+    assert np.count_nonzero(xh[:8]) == 2 and np.allclose(xh[8:], x1, rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(a @ xh[:8] - y0) < 1e-8
+    with pytest.raises(NoSolution, match="size <= 2 fits block 0"):
+        recover(a, 2, y, spec, Side.RIGHT, method="omp")
+
+
+_PURSUIT_KINDS = _ATOM_KINDS + ("integer", "spark-2", "spark-3", "design")
+
+
+def _pursuit_case(seed):
+    """A recovery problem on one of the atom kinds, certified or not.
+
+    The kinds of `_ill_conditioned_atom`; integer atoms, with a scaled
+    copy (spark 2) or a column sum (spark 3) in two of them; and the 7x8
+    design aocm(7), coherence 1/7, with its columns permuted and signed,
+    which certifies k up to 3.  Up to k nonzeros per block (or in all
+    under GLOBAL), each adding O(1) to y; in one case in eight 1e-10 of
+    noise, and in another a random y.
+    """
+    rng = np.random.default_rng(seed)
+    kind = _PURSUIT_KINDS[seed % len(_PURSUIT_KINDS)]
+    m, n, s = int(rng.integers(2, 7)), int(rng.integers(3, 9)), int(rng.integers(1, 5))
+    if kind in _ATOM_KINDS:
+        a = _ill_conditioned_atom(rng, kind, m, n)
+    elif kind == "design":
+        m, n = 7, 8
+        a = aocm(7)[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+    else:
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        i, j, l = rng.choice(n, 3, replace=False)
+        if kind == "spark-2":
+            a[:, j] = rng.choice([-2.0, 1.0, 2.0]) * a[:, i]
+        elif kind == "spark-3":
+            a[:, l] = a[:, i] + a[:, j]
+    k = int(rng.integers(0, 4))
+    side = SIDES[int(rng.integers(2))]
+    mode = SparsityMode.GLOBAL if rng.integers(3) == 0 else SparsityMode.BLOCKWISE
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0.0] = 1.0
+    xs = np.zeros((n, s))
+    if mode is SparsityMode.GLOBAL:
+        for _ in range(int(rng.integers(0, k + 1))):
+            j = rng.integers(n)
+            xs[j, rng.integers(s)] = rng.choice([-2.0, -1.0, 1.5, 3.0]) / norms[j]
+    else:
+        for b in range(s):
+            sup = rng.choice(n, size=int(rng.integers(0, min(k, n) + 1)), replace=False)
+            xs[sup, b] = rng.choice([-2.0, -1.0, 1.5, 3.0], size=sup.size, replace=False) / norms[sup]
+    y = compress(a, unblocks(xs, side), side)
+    case = int(rng.integers(8))
+    if case == 0:
+        y = y + 1e-10 * rng.standard_normal(y.size)
+    elif case == 1:
+        y = rng.standard_normal(y.size)
+    return a, s, y, SparsitySpec(n, k, mode), side
+
+
+def _decision(a, s, y, spec, side):
+    """The solution, or the type and message of the recovery error raised."""
+    try:
+        return recover(a, s, y, spec, side)
+    except (NoSolution, NotUnique) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(3511)  # column-scaled, noise alone in block 0: the guard hands NotUnique to the sweep
+def test_certified_oracle_answers_as_the_sweep(seed):
+    # the oracle with its certificate forced off is the sweep alone; both
+    # raise the same error with the same message, or agree in the
+    # coordinates of the unit-norm columns
+    a, s, y, spec, side = _pursuit_case(seed)
+    got = _decision(a, s, y, spec, side)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_certified", lambda *args: False)
+        expected = _decision(a, s, y, spec, side)
+    if isinstance(expected, tuple) or isinstance(got, tuple):
+        assert got == expected
+    else:
+        norms = np.linalg.norm(a, axis=0)
+        weight = unblocks(np.repeat(norms[:, None], s, axis=1), side)
+        assert np.allclose(got * weight, expected * weight, rtol=0.0, atol=1e-9)
 
 
 # --- uniqueness guarantee -------------------------------------------------------------
@@ -824,3 +960,13 @@ def test_uniqueness_guarantee_uses_the_atom():
     # itself would exceed the subset budget
     assert uniqueness_guarantee(np.kron(SENSING_7X16, np.eye(8)), 1)
     assert uniqueness_guarantee(np.kron(np.eye(8), SENSING_7X16), 1)
+
+
+def test_uniqueness_guarantee_decides_from_coherence_first():
+    # the 43x64 alpha=8 design has coherence 1/7, which certifies k = 3
+    # without enumerating a subset; k = 4 is outside the bound, and its
+    # spark enumeration exceeds a budget of one subset
+    a = horizontal_expand(vertical_expand(incidence_matrix(8)), aocm(7))
+    assert uniqueness_guarantee(a, 3, budget=1)
+    with pytest.raises(BudgetExceeded):
+        uniqueness_guarantee(a, 4, budget=1)
