@@ -7,6 +7,13 @@ This module reduces signals/matrices to atoms, tests equivalence, and
 equips the quotient with a lift-invariant inner product, norm, distance,
 angle, and a cross-dimensional projection.
 
+Reduction is the quotient map, and it builds no lift: `reduce_signal`
+prunes the candidate multiplicities in one pass before testing the rest
+block by block, and `reduce_matrix` reads the diagonal blocks of a
+reshaped view of its input.  Entries count as equal within REDUCE_RTOL
+times the largest |entry|, so a reduction gives the same answer when the
+input is scaled.
+
 The inner product of x in R^m and y in R^n lifts both to t = lcm(m, n)
 and scales by 1/t, which makes it invariant under replacing either
 argument by any lift of itself (same-side lifts).  `inner_v`, `project`
@@ -15,12 +22,12 @@ and `basis.coordinates` take <x, d(n, j)> from one kernel, `_generator_products`
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from .errors import BadShape, ZeroVector
-from .stp import Side, as_matrix, as_signal, blocks, lift_matrix, sta, unlift
+from .stp import Side, as_matrix, as_signal, sta, unlift
 
 __all__ = [
     "reduce_signal",
@@ -35,53 +42,106 @@ __all__ = [
     "project",
 ]
 
-# Absolute tolerance for the block-constancy test during reduction.  For
-# integer-valued data the comparison is effectively exact.
-REDUCE_ATOL = 1e-12
+# Relative tolerance of the block-constancy test during reduction: two
+# entries agree when they differ by at most REDUCE_RTOL * max|input|, so a
+# reduction answers the same at every scale.  For integer-valued data the
+# comparison is effectively exact.
+REDUCE_RTOL = 1e-12
 
 
 def _divisors_desc(n: int) -> list[int]:
-    return [d for d in range(n, 0, -1) if n % d == 0]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)}, reverse=True)
 
 
-def reduce_signal(x, side: Side = Side.LEFT, atol: float = REDUCE_ATOL):
+def _scale(a: np.ndarray) -> float:
+    """max|a| without building |a|."""
+    return float(max(a.max(), -a.min()))
+
+
+def _beyond(a: np.ndarray, tol: float) -> int:
+    """How many entries of `a` lie farther than `tol` from zero, without building |a|."""
+    return np.count_nonzero(a > tol) + np.count_nonzero(a < -tol)
+
+
+def reduce_signal(x, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     """Return (atom, multiplicity) with x == lift(atom, multiplicity).
 
-    The atom is the unique irreducible representative of x's class; the
-    search tries multiplicities in decreasing order, so the first match
-    is maximal and the returned atom is irreducible.
+    Entries count as equal within rtol * max|x|.  The atom is the unique
+    irreducible representative of x's class; multiplicities are tried in
+    decreasing order, so the first match is maximal and the returned atom
+    is irreducible.  One O(p) pass first drops every multiplicity s that
+    fails a necessary part of the block test: on LEFT, block 0 of an s-fold
+    lift starts with the run x[:s] of equal entries, so s cannot pass the
+    first entry that differs from x[0]; on RIGHT, block 1 starts at x[p/s],
+    which must equal x[0].  Only the survivors get the full test
+    (`stp.unlift`), so an irreducible x usually costs the one pass.
     """
     x = as_signal(x)
-    for s in _divisors_desc(x.size)[:-1]:
-        atom = unlift(x, s, side, atol)
+    p = x.size
+    divs = _divisors_desc(p)[:-1]
+    if not divs:
+        return x.copy(), 1
+    tol = rtol * _scale(x)
+    if side is Side.LEFT:
+        far = np.abs(x - x[0]) > tol
+        first = int(far.argmax()) or p  # far[0] is False: argmax 0 means none is far
+        divs = [s for s in divs if s <= first]
+    else:
+        near = np.abs(x[p // np.array(divs)] - x[0]) <= tol
+        divs = [s for s, ok in zip(divs, near) if ok]
+    for s in divs:
+        atom = unlift(x, s, side, tol)
         if atom is not None:
             return atom, s
     return x.copy(), 1
 
 
-def reduce_matrix(a, side: Side = Side.LEFT, atol: float = REDUCE_ATOL):
-    """Return (atom, multiplicity) with a == atom (x) I_s (LEFT) or I_s (x) atom."""
+def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
+    """Return (atom, multiplicity) with a == atom (x) I_s (LEFT) or I_s (x) atom.
+
+    Entries count as equal within rtol * max|a|, and multiplicities s (the
+    divisors of gcd(rows, cols)) are tried in decreasing order.  Each test
+    is made in block form, without building the candidate lift: viewed as
+    (m0, s, n0, s) on LEFT or (s, m0, s, n0) on RIGHT, an s-fold lift has
+    the atom in each of its s diagonal blocks and zeros elsewhere.  The
+    diagonal view is compared with the atom, and the off-diagonal blocks
+    are zero exactly when the whole matrix has no more entries beyond the
+    tolerance than the diagonal view; the whole-matrix count is taken once.
+    The test holds O(mn / s) floats, and bool masks of the input.
+    """
     a = as_matrix(a)
-    for s in _divisors_desc(gcd(*a.shape))[:-1]:
-        # the rows, then the columns, of block 0
-        atom = blocks(blocks(a, s, side)[:, 0].T, s, side)[:, 0].T
-        if np.allclose(a, lift_matrix(atom, s, side), rtol=0.0, atol=atol):
+    m, n = a.shape
+    tol = rtol * _scale(a)
+    beyond = None
+    for s in _divisors_desc(gcd(m, n))[:-1]:
+        if side is Side.LEFT:
+            v = a.reshape(m // s, s, n // s, s)
+            atom, diag = v[:, 0, :, 0], np.diagonal(v, axis1=1, axis2=3)
+        else:
+            v = a.reshape(s, m // s, s, n // s)
+            atom, diag = v[0, :, 0, :], np.diagonal(v, axis1=0, axis2=2)
+        if np.abs(diag - atom[:, :, None]).max() > tol:
+            continue
+        if beyond is None:
+            beyond = _beyond(a, tol)
+        if _beyond(diag, tol) == beyond:
             return atom.copy(), s
     return a.copy(), 1
 
 
-def equivalent(x, y, side: Side = Side.LEFT, atol: float = REDUCE_ATOL) -> bool:
-    """True iff x and y reduce to the same atom."""
-    ax, _ = reduce_signal(x, side, atol)
-    ay, _ = reduce_signal(y, side, atol)
-    return ax.size == ay.size and np.allclose(ax, ay, rtol=0.0, atol=atol)
+def equivalent(x, y, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL) -> bool:
+    """True iff x and y reduce to the same atom, within rtol times the larger max|atom|."""
+    ax, _ = reduce_signal(x, side, rtol)
+    ay, _ = reduce_signal(y, side, rtol)
+    return ax.size == ay.size and np.abs(ax - ay).max() <= rtol * max(_scale(ax), _scale(ay))
 
 
-def matrices_equivalent(a, b, side: Side = Side.LEFT, atol: float = REDUCE_ATOL) -> bool:
-    """True iff a and b reduce to the same matrix atom."""
-    aa, _ = reduce_matrix(a, side, atol)
-    ab, _ = reduce_matrix(b, side, atol)
-    return aa.shape == ab.shape and np.allclose(aa, ab, rtol=0.0, atol=atol)
+def matrices_equivalent(a, b, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL) -> bool:
+    """True iff a and b reduce to the same matrix atom, within rtol times the larger max|atom|."""
+    aa, _ = reduce_matrix(a, side, rtol)
+    ab, _ = reduce_matrix(b, side, rtol)
+    return aa.shape == ab.shape and np.abs(aa - ab).max() <= rtol * max(_scale(aa), _scale(ab))
 
 
 def _generator_products(x: np.ndarray, ns: np.ndarray, js: np.ndarray, side: Side) -> np.ndarray:

@@ -15,10 +15,12 @@ of its atom, copy b acting on block b; a lifted vector has s equal
 blocks.  `blocks` and `unblocks` hold this layout, and every product,
 reduction and recovery goes through them instead of building an identity
 lift: the lifted product is unblocks(A @ blocks(x, s)) on either side, in
-memory for the lifted signal, the result and the atom only.  Projection
-and the inner product read `signal_space._generator_products` and lift
-nothing.  `lift_matrix` and `swap_matrix` build the dense matrices and
-serve as reference constructions and test oracles.
+memory for the lifted signal, the result and the atom only.  `unlift`
+tests a signal for s equal blocks by one max-abs comparison.  Projection
+and the inner product read `signal_space._generator_products`, and
+reduction compares block views of its input, so neither lifts anything.
+`lift_matrix` and `swap_matrix` build the dense matrices and serve as
+reference constructions and test oracles; no other function builds them.
 
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent use is safe.
@@ -70,7 +72,7 @@ def as_matrix(a) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise BadShape(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -80,7 +82,7 @@ def as_signal(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.size < 1:
         raise BadShape("expected a nonempty vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("signal entries must be finite")
     return arr
 
@@ -108,7 +110,11 @@ def lift_signal(x, t: int, side: Side = Side.LEFT) -> np.ndarray:
     LEFT repeats each entry t/dim times in place; RIGHT repeats the whole
     vector t/dim times.
     """
-    x = as_signal(x)
+    return _lift(as_signal(x), t, side)
+
+
+def _lift(x: np.ndarray, t: int, side: Side) -> np.ndarray:
+    """`lift_signal` of an already validated signal."""
     r, rem = divmod(t, x.size)
     if rem:
         raise BadShape(f"cannot lift dim {x.size} to non-multiple {t}")
@@ -150,10 +156,16 @@ def unlift(x, r: int, side: Side = Side.LEFT, atol: float = 0.0):
     """Return y with x == lift_signal(y, x.size, side) within `atol`, or None.
 
     `x` is a 1-D array and `r` divides its size; y is a copy of block 0.
+    The input is not validated: equal infinities count as equal, and a NaN
+    entry refuses the lift.
     """
     g = blocks(x, r, side)
     y = g[:, 0]
-    return y.copy() if np.allclose(g, y[:, None], rtol=0.0, atol=atol) else None
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, settled below
+        gap = np.abs(g - y[:, None]).max()
+    if gap != gap:  # NaN: equal infinities or a NaN entry, which allclose tells apart
+        return y.copy() if np.allclose(g, y[:, None], rtol=0.0, atol=atol) else None
+    return y.copy() if gap <= atol else None
 
 
 def mm_stp(a, b, side: Side = Side.LEFT) -> np.ndarray:
@@ -190,7 +202,7 @@ def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
     a, x = as_matrix(a), as_signal(x)
     n = a.shape[1]
     s = lcm(n, x.size)
-    xl = lift_signal(x, s, side)
+    xl = _lift(x, s, side)
     return unblocks(a @ blocks(xl, s // n, side), side)
 
 

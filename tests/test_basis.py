@@ -329,5 +329,5 @@ def test_elements_are_irreducible_unit_atoms(side):
         k = pow(j, -1, n) if n > 1 else 1
         assert e.size == (n if side is Side.RIGHT or n == 1 else math.lcm(k, n, n - k))
         assert abs(norm_v(e) - 1.0) <= 1e-12
-        assert reduce_signal(e, side, atol=1e-9)[1] == 1
+        assert reduce_signal(e, side, rtol=1e-9)[1] == 1
         assert e[np.abs(e) > 1e-9][0] > 0

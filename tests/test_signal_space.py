@@ -12,6 +12,7 @@ from stpcs import (
     dist_v,
     equivalent,
     inner_v,
+    lift_matrix,
     lift_signal,
     matrices_equivalent,
     norm_v,
@@ -22,7 +23,8 @@ from stpcs import (
     sta,
 )
 from stpcs.errors import ZeroVector
-from stpcs.signal_space import _generator_products
+from stpcs.golden import SENSING_7X16
+from stpcs.signal_space import REDUCE_RTOL, _generator_products
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -108,6 +110,147 @@ def test_reduce_matrix_irreducible_input():
 def test_reduce_matrix_identity_is_maximally_reducible():
     atom, mult = reduce_matrix(np.eye(4), Side.LEFT)
     assert mult == 4 and np.array_equal(atom, [[1.0]])
+
+
+def divisors_desc(n):
+    return [d for d in range(n, 0, -1) if n % d == 0]
+
+
+def reduce_signal_oracle(x, side, rtol=REDUCE_RTOL):
+    """Every divisor in turn against the np.kron lift of block 0: the test oracle."""
+    x = np.asarray(x, dtype=float)
+    tol = rtol * np.abs(x).max()
+    for s in divisors_desc(x.size)[:-1]:
+        atom = x[::s] if side is Side.LEFT else x[:x.size // s]
+        if np.allclose(x, ones_lift(atom, x.size, side), rtol=0.0, atol=tol):
+            return atom.copy(), s
+    return x.copy(), 1
+
+
+def reduce_matrix_oracle(a, side, rtol=REDUCE_RTOL):
+    """Every divisor of gcd(m, n) in turn against the dense np.kron lift: the test oracle."""
+    a = np.asarray(a, dtype=float)
+    (m, n), tol = a.shape, rtol * np.abs(a).max()
+    for s in divisors_desc(math.gcd(m, n))[:-1]:
+        atom = a[::s, ::s] if side is Side.LEFT else a[:m // s, :n // s]
+        eye = np.eye(s)
+        lifted = np.kron(atom, eye) if side is Side.LEFT else np.kron(eye, atom)
+        if np.allclose(a, lifted, rtol=0.0, atol=tol):
+            return atom.copy(), s
+    return a.copy(), 1
+
+
+scales = st.integers(-12, 12).map(lambda e: 10.0 ** e)
+# a lift as drawn, one entry moved by 0.5x or 2x the tolerance, or a constant or zero input
+KINDS = st.sampled_from(["lift", "near", "far", "constant", "zero"])
+
+
+def _perturbed(draw, v, kind):
+    """`v` after the change that `kind` names, at a drawn flat position."""
+    v = v.copy()
+    flat = v.reshape(-1)
+    if kind == "constant":
+        flat[:] = flat[0]
+    elif kind == "zero":
+        flat[:] = 0.0
+    elif kind in ("near", "far"):
+        tol = REDUCE_RTOL * np.abs(flat).max()
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        flat[draw(st.integers(0, flat.size - 1))] += sign * (0.5 if kind == "near" else 2.0) * tol
+    return v
+
+
+@st.composite
+def signal_cases(draw):
+    atom = np.array(draw(st.lists(st.integers(-9, 9) | st.floats(-1, 1), min_size=1, max_size=6)))
+    r = draw(st.integers(1, 4))
+    side = draw(st.sampled_from(SIDES))
+    x = ones_lift(atom * draw(scales), atom.size * r, side)
+    return _perturbed(draw, x, draw(KINDS)), side
+
+
+@st.composite
+def matrix_cases(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    atom = np.array(draw(st.lists(st.integers(-3, 3) | st.floats(-1, 1),
+                                  min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])))
+    s = draw(st.integers(1, 4))
+    side = draw(st.sampled_from(SIDES))
+    a = lift_matrix(atom.reshape(shape) * draw(scales), s, side)
+    return _perturbed(draw, a, draw(KINDS)), side
+
+
+@settings(max_examples=300)
+@given(signal_cases())
+@example((np.full(6, 7.0), Side.RIGHT))
+@example((np.array([1.0, 1.0, 2.0, 2.0]) * 1e-13, Side.LEFT))
+def test_reduce_signal_matches_the_divisor_oracle(case):
+    x, side = case
+    atom, mult = reduce_signal(x, side)
+    want, wmult = reduce_signal_oracle(x, side)
+    assert mult == wmult and atom.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300)
+@given(matrix_cases())
+@example((np.eye(4), Side.LEFT))
+@example((np.kron(np.eye(2), [[1.0, 2.0], [3.0, 4.0]]) * 1e12, Side.RIGHT))
+def test_reduce_matrix_matches_the_kron_oracle(case):
+    a, side = case
+    atom, mult = reduce_matrix(a, side)
+    want, wmult = reduce_matrix_oracle(a, side)
+    assert mult == wmult and atom.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_reduce_matrix_builds_no_lift(side):
+    # the candidate lift, like the input, is a 448x1024 matrix of 3.5 MiB
+    a = lift_matrix(SENSING_7X16, 64, side)
+    tracemalloc.start()
+    try:
+        atom, mult = reduce_matrix(a, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mult == 64 and atom.tobytes() == SENSING_7X16.tobytes()
+    assert peak < a.nbytes
+
+
+# --- the tolerance is relative to the data ------------------------------------
+
+@pytest.mark.parametrize("side", SIDES)
+def test_reduce_signal_tells_small_entries_apart(side):
+    # an absolute 1e-12 tolerance read all four entries as one
+    atom, mult = reduce_signal(np.array([1.0, 2.0, 3.0, 4.0]) * 1e-13, side)
+    assert mult == 1 and np.array_equal(atom, np.array([1.0, 2.0, 3.0, 4.0]) * 1e-13)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_reduce_signal_ignores_rounding_at_large_scale(side):
+    # one ulp at 1e9 is 1.2e-7, beyond an absolute 1e-12 tolerance
+    x = lift_signal([1e9, 2e9], 6, side)
+    x[1] = np.nextafter(x[1], np.inf)
+    assert reduce_signal(x, side)[1] == 3
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_reduce_matrix_tells_small_entries_apart(side):
+    a = np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e-13
+    atom, mult = reduce_matrix(a, side)
+    assert mult == 1 and np.array_equal(atom, a)
+    assert not matrices_equivalent(a, [[5e-13]], side)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_reduction_answers_the_same_at_every_scale(side, scale):
+    x = np.array([1.0, -2.0, 0.5]) * scale
+    assert reduce_signal(lift_signal(x, 12, side), side)[1] == 4
+    assert equivalent(x, lift_signal(x, 6, side), side)
+    assert not equivalent(x, x * (1 + 1e-9), side)
+    a = np.array([[1.0, 0.0], [2.0, -1.0]]) * scale
+    assert reduce_matrix(lift_matrix(a, 3, side), side)[1] == 3
+    assert matrices_equivalent(a, lift_matrix(a, 2, side), side)
 
 
 # --- equivalence ------------------------------------------------------------

@@ -266,6 +266,18 @@ def test_unlift_inverts_lift_and_refuses_a_bumped_lift(side, x, r, data):
 
 
 @pytest.mark.parametrize("side", SIDES)
+def test_unlift_reads_equal_infinities_as_equal(side):
+    # unlift does not validate: inf - inf is NaN, yet equal infinities match
+    inf = np.inf
+    assert np.array_equal(unlift(np.array([inf, inf]), 2, side), [inf])
+    assert np.array_equal(unlift(np.array([-inf, -inf]), 2, side), [-inf])
+    assert unlift(np.array([inf, -inf]), 2, side) is None
+    assert unlift(np.array([inf, 1.0]), 2, side) is None
+    assert unlift(np.array([np.nan, np.nan]), 2, side) is None
+    assert unlift(np.array([1.0, inf]), 2, side, atol=1.0) is None
+
+
+@pytest.mark.parametrize("side", SIDES)
 def test_outputs_never_share_memory_with_inputs(side):
     x = np.array([1.0, -2.0, 3.0, 1.0, -2.0, 3.0])
     outs = [(lift_signal(x, 6, side), x), (lift_signal(x, 12, side), x),
