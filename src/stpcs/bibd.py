@@ -25,6 +25,7 @@ from .errors import (
     NotExpandable,
     Unsupported,
 )
+from .io import _validate_kind
 from .stp import as_matrix
 
 __all__ = [
@@ -42,20 +43,6 @@ __all__ = [
     "sign_matrix_check",
     "canonical_sign_form",
 ]
-
-
-def _as_boolean(a) -> np.ndarray:
-    a = as_matrix(a)
-    if not np.all(np.isin(a, (0.0, 1.0))):
-        raise BadShape("expected a 0/1 matrix")
-    return a
-
-
-def _as_sign(a) -> np.ndarray:
-    a = as_matrix(a)
-    if not np.all(np.isin(a, (-1.0, 1.0))):
-        raise BadShape("expected a +-1 matrix")
-    return a
 
 
 @dataclass(frozen=True)
@@ -90,7 +77,7 @@ def bibd_check(h) -> BibdParams:
     constant column degree k with 2 <= k < alpha, and constant pairwise
     row co-occurrence lambda.  Raises NotBibd naming the first violation.
     """
-    h = _as_boolean(h)
+    h = _validate_kind(as_matrix(h), "boolean")
     alpha, b = h.shape
     row_deg = h.sum(axis=1)
     if not np.all(row_deg == row_deg[0]):
@@ -120,52 +107,41 @@ def vertical_expand(h) -> np.ndarray:
     1/(alpha-1).  Raises NotExpandable if a one cannot be placed inside
     that row budget, which signals an input outside the family.
     """
-    h = _as_boolean(h)
+    h = _validate_kind(as_matrix(h), "boolean")
     alpha = h.shape[1]
     m = alpha * alpha - 3 * alpha + 3
     if m < h.shape[0]:
         raise NotExpandable(f"row budget {m} below input rows {h.shape[0]}")
     out = np.zeros((m, alpha))
-    overlap = np.zeros((alpha, alpha), dtype=int)
     for j in range(alpha):
+        shared = np.zeros(j, dtype=bool)  # earlier columns sharing a row with column j
         prev = -1
         for r0 in np.flatnonzero(h[:, j]):
             r = max(int(r0), prev + 1)
-            while True:
-                if r >= m:
-                    raise NotExpandable(
-                        f"column {j} cannot be placed within {m} rows"
-                    )
-                clash = [jj for jj in range(j) if out[r, jj] == 1.0 and overlap[j, jj] >= 1]
-                if not clash:
-                    break
+            while r < m and np.any(shared & (out[r, :j] == 1.0)):
                 r += 1
+            if r >= m:
+                raise NotExpandable(f"column {j} cannot be placed within {m} rows")
             out[r, j] = 1.0
-            for jj in range(j):
-                if out[r, jj] == 1.0:
-                    overlap[j, jj] += 1
-                    overlap[jj, j] += 1
+            shared |= out[r, :j] == 1.0
             prev = r
     return out
 
 
 def vertical_expand_star(alpha: int) -> np.ndarray:
-    """Pair-enumeration expansion: one row per pair of columns.
+    """Pair-incidence expansion: one row per pair of columns.
 
-    Stacks blocks [0 .. 0, 1-column, I] of shrinking size, so the output
-    has alpha*(alpha-1)/2 rows, row degree 2, column degree alpha-1, and
-    coherence exactly 1/(alpha-1).
+    Row r holds ones in the columns of the r-th pair in lexicographic
+    order, so the output has alpha*(alpha-1)/2 rows, row degree 2, column
+    degree alpha-1, and coherence exactly 1/(alpha-1).
     """
     if alpha < 3:
         raise BadShape("star expansion needs alpha >= 3")
-    blocks = []
-    for i in range(1, alpha):
-        w = alpha - i
-        blk = np.zeros((w, alpha))
-        blk[:, i - 1] = 1.0
-        blk[:, i:] = np.eye(w)
-        blocks.append(blk)
-    return np.vstack(blocks)
+    i, j = np.triu_indices(alpha, 1)
+    out = np.zeros((i.size, alpha))
+    rows = np.arange(i.size)
+    out[rows, i] = out[rows, j] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -177,7 +153,7 @@ class EmbeddingMatrix:
 
     @property
     def value(self) -> np.ndarray:
-        return self.signs @ np.diag(self.diag)
+        return self.signs * self.diag
 
     @property
     def rows(self) -> int:
@@ -186,7 +162,7 @@ class EmbeddingMatrix:
 
 def make_embedding(signs, diag) -> EmbeddingMatrix:
     """Build an embedding matrix; scaling columns leaves coherence unchanged."""
-    signs = _as_sign(signs)
+    signs = _validate_kind(as_matrix(signs), "sign")
     diag = np.asarray(diag, dtype=float).reshape(-1)
     if diag.size != signs.shape[1]:
         raise BadDiag(f"need {signs.shape[1]} diagonal entries, got {diag.size}")
@@ -194,6 +170,8 @@ def make_embedding(signs, diag) -> EmbeddingMatrix:
         raise BadDiag("diagonal entries must be positive")
     if len(np.unique(diag)) != diag.size:
         raise BadDiag("diagonal entries must be pairwise distinct")
+    if not np.all(np.isfinite(diag)):
+        raise BadDiag("diagonal entries must be finite")
     return EmbeddingMatrix(signs, diag)
 
 
@@ -206,7 +184,7 @@ def horizontal_expand(hv, b) -> np.ndarray:
     two factors' coherences.  Every skeleton column degree must equal the
     embedding's row count.
     """
-    hv = _as_boolean(hv)
+    hv = _validate_kind(as_matrix(hv), "boolean")
     bm = b.value if isinstance(b, EmbeddingMatrix) else as_matrix(b)
     rows, cols = hv.shape
     deg = hv.sum(axis=0).astype(int)
@@ -291,7 +269,7 @@ def sign_matrix_check(a, alpha_minus_1: int) -> SignKind:
     (needs an odd row count).  Matrices with a single column classify by
     row parity alone.
     """
-    a = _as_sign(a)
+    a = _validate_kind(as_matrix(a), "sign")
     if a.shape[0] != alpha_minus_1:
         raise BadShape(f"expected {alpha_minus_1} rows, got {a.shape[0]}")
     if a.shape[1] < 2:
@@ -313,7 +291,7 @@ def canonical_sign_form(a) -> np.ndarray:
     (top row most significant, +1 before -1).  Two sign matrices related
     by those operations canonicalize identically.
     """
-    a = _as_sign(a).copy()
+    a = _validate_kind(as_matrix(a), "sign").copy()
     a *= np.where(a[0] < 0, -1.0, 1.0)[None, :]
     a *= np.where(a[:, 0] < 0, -1.0, 1.0)[:, None]
     order = np.lexsort(-a[::-1])

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bibd, golden, io, metrics
 from .basis import basis_layer, basis_up_to, orthonormal_basis
-from .errors import BadShape, StpcsError
+from .errors import StpcsError
 from .pipeline import SparsitySpec, compress, recover, recover_signal
 from .signal_space import project
 from .stp import Side
@@ -103,16 +103,6 @@ def _cmd_expand(args) -> int:
     if args.what == "vertical":
         h, _ = io.load_matrix(args.input)
         out = bibd.vertical_expand(h)
-        kind = "boolean"
-    elif args.what == "star":
-        if args.alpha is not None:
-            alpha = args.alpha
-        elif args.input:
-            h, _ = io.load_matrix(args.input)
-            alpha = h.shape[1]
-        else:
-            raise BadShape("star expansion needs --alpha or -i")
-        out = bibd.vertical_expand_star(alpha)
         kind = "boolean"
     else:  # horizontal
         hv, _ = io.load_matrix(args.input)
@@ -260,18 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_gen)
 
-    e = sub.add_parser("expand", help="vertical/star/horizontal expansions")
+    e = sub.add_parser("expand", help="vertical/horizontal expansions")
     es = e.add_subparsers(dest="what", required=True)
     ev = es.add_parser("vertical")
     ev.add_argument("-i", "--input", required=True)
-    et = es.add_parser("star")
-    et.add_argument("-i", "--input")
-    et.add_argument("--alpha", type=int)
     eh = es.add_parser("horizontal")
     eh.add_argument("-i", "--input", required=True)
     eh.add_argument("--embed", required=True, help="sign/embedding matrix file")
     eh.add_argument("--diag", help="comma-separated diagonal to scale the embedding")
-    for sp in (ev, et, eh):
+    for sp in (ev, eh):
         sp.add_argument("-o", "--output")
     e.set_defaults(func=_cmd_expand)
 

@@ -33,13 +33,15 @@ __all__ = [
 KINDS = ("real", "sign", "boolean")
 
 
-def _validate_kind(a: np.ndarray, kind: str) -> None:
+def _validate_kind(a: np.ndarray, kind: str) -> np.ndarray:
+    """Return a unchanged if its entries fit kind; raise BadShape otherwise."""
     if kind not in KINDS:
         raise BadShape(f"unknown kind {kind!r}; expected one of {KINDS}")
     if kind == "boolean" and not np.all(np.isin(a, (0.0, 1.0))):
         raise BadShape("boolean matrix must contain only 0 and 1")
     if kind == "sign" and not np.all(np.isin(a, (-1.0, 1.0))):
         raise BadShape("sign matrix must contain only -1 and +1")
+    return a
 
 
 def format_row(row, kind: str = "real") -> str:
@@ -80,6 +82,10 @@ def load_matrix(path):
     path = Path(path)
     if path.suffix.lower() == ".json":
         doc = json.loads(path.read_text())
+        missing = [f for f in ("rows", "cols", "entries")
+                   if not isinstance(doc, dict) or f not in doc]
+        if missing:
+            raise BadShape(f"{path}: JSON matrix lacks field(s) {', '.join(missing)}")
         a = as_matrix(doc["entries"])
         meta = {
             "rows": int(doc["rows"]),

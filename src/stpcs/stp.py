@@ -20,7 +20,9 @@ tests a signal for s equal blocks by one max-abs comparison.  Projection
 and the inner product read `signal_space._generator_products`, and
 reduction compares block views of its input, so neither lifts anything.
 `lift_matrix` and `swap_matrix` build the dense matrices and serve as
-reference constructions and test oracles; no other function builds them.
+reference constructions and test oracles.  The one other dense lift is
+`mm_stp`'s right factor, B (x) I_{t/p} or I_{t/p} (x) B, which it
+broadcasts in place; its operands are small atoms.
 
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent use is safe.

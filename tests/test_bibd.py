@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,66 @@ def test_vertical_expand_rejects_oversized_columns():
         vertical_expand(np.ones((4, 4)))
 
 
+def vertical_expand_oracle(h):
+    """The nested-loop construction with a symmetric overlap counter."""
+    h = np.asarray(h, dtype=float)
+    alpha = h.shape[1]
+    m = alpha * alpha - 3 * alpha + 3
+    if m < h.shape[0]:
+        raise NotExpandable(f"row budget {m} below input rows {h.shape[0]}")
+    out = np.zeros((m, alpha))
+    overlap = np.zeros((alpha, alpha), dtype=int)
+    for j in range(alpha):
+        prev = -1
+        for r0 in np.flatnonzero(h[:, j]):
+            r = max(int(r0), prev + 1)
+            while True:
+                if r >= m:
+                    raise NotExpandable(
+                        f"column {j} cannot be placed within {m} rows"
+                    )
+                clash = [jj for jj in range(j) if out[r, jj] == 1.0 and overlap[j, jj] >= 1]
+                if not clash:
+                    break
+                r += 1
+            out[r, j] = 1.0
+            for jj in range(j):
+                if out[r, jj] == 1.0:
+                    overlap[j, jj] += 1
+                    overlap[jj, j] += 1
+            prev = r
+    return out
+
+
+@st.composite
+def zero_one_matrices(draw):
+    # up to one row past the budget alpha^2 - 3 alpha + 3, sparse to dense
+    alpha = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.integers(min_value=1, max_value=alpha * alpha - 3 * alpha + 4))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return (rng.random((rows, alpha)) < density).astype(float)
+
+
+def _outcome(f, h):
+    try:
+        return f(h)
+    except NotExpandable as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_one_matrices())
+def test_vertical_expand_matches_the_nested_loop_oracle(h):
+    got, want = _outcome(vertical_expand, h), _outcome(vertical_expand_oracle, h)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # --- star expansion --------------------------------------------------------------
 
 def test_star_alpha4_golden():
@@ -104,6 +166,16 @@ def test_star_rows_enumerate_column_pairs(alpha):
     hs = vertical_expand_star(alpha)
     pairs = {tuple(np.flatnonzero(row)) for row in hs}
     assert len(pairs) == hs.shape[0]  # every pair of columns exactly once
+
+
+@pytest.mark.parametrize("alpha", range(3, 13))
+def test_star_rows_are_the_pairs_in_lexicographic_order(alpha):
+    pairs = list(combinations(range(alpha), 2))
+    want = np.zeros((len(pairs), alpha))
+    for r, pair in enumerate(pairs):
+        want[r, list(pair)] = 1.0
+    got = vertical_expand_star(alpha)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # --- embeddings -------------------------------------------------------------------
@@ -130,6 +202,23 @@ def test_embedding_rejects_repeated_or_nonpositive_diag():
         make_embedding(EMBED_SIGNS_3X4, [1.0, -2.0, 3.0, 4.0])
     with pytest.raises(BadDiag):
         make_embedding(EMBED_SIGNS_3X4, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_embedding_rejects_non_finite_diag(bad):
+    with pytest.raises(BadDiag, match="finite"):
+        make_embedding(EMBED_SIGNS_3X4, [1.0, bad, 2.0, 3.0])
+
+
+@settings(max_examples=50)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_embedding_value_equals_the_diagonal_product(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 8, size=2)
+    signs = rng.choice([-1.0, 1.0], size=(rows, cols))
+    emb = make_embedding(signs, rng.permutation(cols) + rng.random(cols) + 1e-3)
+    want = signs @ np.diag(emb.diag)
+    assert emb.value.dtype == want.dtype and np.array_equal(emb.value, want)
 
 
 # --- horizontal expansion -----------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from stpcs import io
 from stpcs.cli import main
 from stpcs.errors import BadShape
-from stpcs.golden import SENSING_7X16, STAR_ALPHA4
+from stpcs.golden import EMBED_SIGNS_3X4, SENSING_7X16, STAR_ALPHA4, VERTICAL_ALPHA4
 
 
 # --- file formats ---------------------------------------------------------------
@@ -57,6 +57,16 @@ def test_json_round_trip_with_provenance(tmp_path):
     assert meta["name"] == "star4" and meta["provenance"] == {"alpha": 4}
 
 
+@pytest.mark.parametrize("doc", [[1, 2], {"entries": [[1, 2], [3, 4]]}])
+def test_json_without_matrix_fields_is_a_bad_shape(tmp_path, capsys, doc):
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BadShape, match="l.json.*rows, cols"):
+        io.load_matrix(path)
+    assert main(["metrics", "-i", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: BadShape:")
+
+
 def test_signal_round_trip(tmp_path):
     path = tmp_path / "x.csv"
     x = np.array([1.5, -2.0, 0.25])
@@ -94,6 +104,19 @@ def test_gen_and_expand_pipeline_reproduces_sensing_matrix(tmp_path):
                  "-o", str(phi)]) == 0
     got, _ = io.load_matrix(phi)
     assert np.array_equal(got, SENSING_7X16)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_expand_horizontal_cli_rejects_non_finite_diag(tmp_path, capsys, bad):
+    hv, b, phi = tmp_path / "Hv.csv", tmp_path / "B.csv", tmp_path / "Phi.csv"
+    io.save_matrix(hv, VERTICAL_ALPHA4, kind="boolean")
+    io.save_matrix(b, EMBED_SIGNS_3X4, kind="sign")
+    for out in ([], ["-o", str(phi)]):
+        assert main(["expand", "horizontal", "-i", str(hv), "--embed", str(b),
+                     "--diag", f"1,{bad},2,3", *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: BadDiag:") and captured.out == ""
+    assert not phi.exists()
 
 
 def test_metrics_report_json(tmp_path, capsys):
@@ -239,6 +262,13 @@ def test_domain_error_exits_one(capsys):
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "bibd"])  # missing --alpha
+    assert exc.value.code == 2
+
+
+def test_expand_star_is_gone():
+    # `gen bibd --expansion star` builds the pair-incidence design
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "star", "--alpha", "4"])
     assert exc.value.code == 2
 
 
