@@ -4,17 +4,40 @@ The generating family is the scalar 1 (written d(1, 1)) and every
 standard basis vector d(n, j) of R^n with j coprime to n.  Its Gram
 matrix has closed forms: under RIGHT <d(n, j), d(n', j')> is
 [j = j' mod gcd(n, n')] / lcm(n, n'); under LEFT it is the overlap length
-of [(j-1)/n, j/n) and [(j'-1)/n', j'/n').  `orthonormal_basis` runs an
-in-order Cholesky on that matrix, keeps the generators whose pivots are
-not negligible, and stores the inverse factor: element i is
+of [(j-1)/n, j/n) and [(j'-1)/n', j'/n').  `orthonormal_basis` keeps, in
+ascending (n, j) order, the generators independent of all before them,
+which are known in closed form (below), factors their Gram matrix once,
+G = L L^T, and stores the inverse factor inv(L^T): element i is
 sum_k inverse[k, i] * d(labels[k]).  `coordinates` applies the inverse
 factor to the inner products <x, d(n, j)> from the one lift-free kernel
 that also gives `inner_v` and `project` (`signal_space._generator_products`).
 
-Under LEFT every generator is kept (rank sum(phi(n)), with phi(1) = 1);
-under RIGHT some are dependent.  `basis_layer` and `basis_up_to` keep the
-paper's printed rule instead: a layer n = s^2*q with s > 1 maximal keeps
-the indices j <= (s-1)*s*q.  The two selections differ (see README).
+LEFT keeps every generator (rank sum(phi(n)), with phi(1) = 1): d(n, j)
+is the indicator of [(j-1)/n, j/n), and every generator before it is
+continuous at the reduced fraction j/n.
+
+RIGHT keeps, in layer n = s^2*q with s maximal, the j <= phi(s)*s*q
+(27, 39 and 69 elements through m = 10, 12 and 16).  `basis_layer` and
+`basis_up_to` keep the paper's printed rule instead, with s - 1 in place
+of phi(s); the two agree exactly when s is 1 or a prime, so they first
+differ at n = 16 (see README).  Proof: under RIGHT a vector of R^n is a
+function on Z/n, and the characters u -> exp(2 pi i r u / n) stay
+orthonormal across dimensions.  Let V_d hold those of exact order d.  The
+part of d(n, j) in V_d, for d | n, is 1/n times column j mod d of the unit
+Fourier matrix F_d = [exp(-2 pi i r u / d)] over units r, u mod d.  By
+induction the layers below n span the sum of the column spaces of F_d,
+d < n, so d(n, j) is kept iff column j of F_n, v_n(j), is independent of
+the v_n(j') with j' < j.  Write j = t + M*c with M = s*q.  Every prime of
+n divides M, so j is a unit iff t is, and entry r of v_n(t + M*c) is
+exp(-2 pi i r t / n) * exp(-2 pi i r c / s) with r a unit mod s: in c the
+sequence lies in the span of the phi(s) primitive characters of Z/s.
+Their values at c = 0 .. phi(s)-1 form an invertible Vandermonde matrix,
+so each v_n(t + M*c) with c >= phi(s) is a combination of those with
+c < phi(s): every j > phi(s)*M depends on smaller indices.  The units
+j <= phi(s)*M number phi(n)*phi(s)/s = rank F_n, as many as are kept, so
+all of them are kept.  (By CRT F_n is a tensor product over the prime
+powers p^e of n; for e >= 2 the kernel of F_{p^e} is the vectors
+invariant under u -> u + p^(e-1), of dimension phi(p^e)/p.)
 
 Elements are built on first access, each in its atom dimension.  RIGHT:
 the element of d(n, j) lies in R^n, because averaging over residues mod n
@@ -160,16 +183,20 @@ def basis_up_to(m: int) -> list[BasisElement]:
     return out
 
 
-# A generator is dependent on its predecessors when its Cholesky pivot
-# falls below this fraction of its squared norm 1/n.  Through m = 40 the
-# fractions of kept generators are at least 1/m (LEFT) and 1/8 (RIGHT),
-# and those of dependent ones at most 1e-15.
-_PIVOT_TOL = 1e-10
-
-
 # Elements are for inspection and export: 2^24 entries is 128 MiB of
 # float64.  LEFT reaches it at m = 61; m = 30 needs 517487 entries.
 _MAX_ENTRIES = 1 << 24
+
+
+def _kept_layer(n: int, side: Side) -> list[int]:
+    """The indices j of the layer-n generators independent of all before them.
+
+    LEFT keeps every one; RIGHT keeps j <= phi(s)*s*q, where n = s^2*q
+    with s maximal (see the module docstring).
+    """
+    s = largest_square_divisor(n)
+    cutoff = n if side is Side.LEFT else len(generating_layer(s)) * n // s  # phi(s) * s * q
+    return [e.j for e in generating_layer(n) if e.j <= cutoff]
 
 
 def _atom(n: int, j: int, side: Side) -> tuple[int, np.ndarray]:
@@ -191,16 +218,9 @@ def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
     """
     if m < 1:
         raise BadShape("bound must be positive")
-    ns, js = np.array([(e.n, e.j) for n in range(1, m + 1) for e in generating_layer(n)]).T
-    g = _gram(ns[:, None], js[:, None], ns, js, side)  # becomes the Schur complement
-    factor = np.zeros_like(g)  # row i stays zero when generator i is dependent
-    for i in range(ns.size):
-        if g[i, i] > _PIVOT_TOL / ns[i]:
-            factor[i, i:] = g[i, i:] / np.sqrt(g[i, i])
-            g[i:, i:] -= np.outer(factor[i, i:], factor[i, i:])
-    kept = np.flatnonzero(np.diag(factor))
-    inverse = np.linalg.inv(factor[np.ix_(kept, kept)])
-    labels = [(int(ns[i]), int(js[i])) for i in kept]
+    labels = [(n, j) for n in range(1, m + 1) for j in _kept_layer(n, side)]
+    ns, js = np.array(labels).T
+    inverse = np.linalg.inv(np.linalg.cholesky(_gram(ns[:, None], js[:, None], ns, js, side)).T)
     basis = OrthonormalBasis(labels, side, inverse)
     if side is Side.RIGHT:  # a LEFT element leads with its positive step on [h/k, j/n)
         for i, e in enumerate(basis.elements):

@@ -77,6 +77,14 @@ def save_matrix(path, a, kind: str = "real", name: str | None = None,
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_field(path, doc: dict, name: str, parse):
+    """parse(doc[name]), with a value of the wrong type reported as BadShape."""
+    try:
+        return parse(doc[name])
+    except TypeError as exc:
+        raise BadShape(f"{path}: JSON field {name!r} is malformed: {exc}") from None
+
+
 def load_matrix(path):
     """Read a matrix (CSV or JSON); returns (array, metadata dict)."""
     path = Path(path)
@@ -86,10 +94,10 @@ def load_matrix(path):
                    if not isinstance(doc, dict) or f not in doc]
         if missing:
             raise BadShape(f"{path}: JSON matrix lacks field(s) {', '.join(missing)}")
-        a = as_matrix(doc["entries"])
+        a = _json_field(path, doc, "entries", as_matrix)
         meta = {
-            "rows": int(doc["rows"]),
-            "cols": int(doc["cols"]),
+            "rows": _json_field(path, doc, "rows", int),
+            "cols": _json_field(path, doc, "cols", int),
             "kind": doc.get("kind", "real"),
             "name": doc.get("name"),
             "provenance": doc.get("provenance"),

@@ -23,7 +23,7 @@ from stpcs import (
     sta,
 )
 from stpcs.basis import _gram as closed_form_gram
-from stpcs.basis import largest_square_divisor
+from stpcs.basis import _kept_layer, largest_square_divisor
 from stpcs.errors import InsufficientBasis
 from stpcs.golden import BASIS_LAYER_12, BASIS_LAYER_27, BASIS_LAYER_4, BASIS_ORDER_M10, ORTHONORMAL_FIRST9
 
@@ -275,9 +275,42 @@ def _exact_kept(m, side):
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
-@pytest.mark.parametrize("m", [5, 10, 12, 16])
+@pytest.mark.parametrize("m", [5, 10, 12, 16, 20])
 def test_selection_matches_exact_ldl(m, side):
     assert orthonormal_basis(m, side).labels == _exact_kept(m, side)
+
+
+def _pivoted_factor(m, side):
+    """Labels and inverse factor by an in-order float Cholesky of the whole
+    generating family that skips a generator when its pivot falls below
+    1e-10 of its squared norm 1/n."""
+    ns, js = np.array(_generators(m)).T
+    g = closed_form_gram(ns[:, None], js[:, None], ns, js, side)  # becomes the Schur complement
+    factor = np.zeros_like(g)  # row i stays zero when generator i is dependent
+    for i in range(ns.size):
+        if g[i, i] > 1e-10 / ns[i]:
+            factor[i, i:] = g[i, i:] / np.sqrt(g[i, i])
+            g[i:, i:] -= np.outer(factor[i, i:], factor[i, i:])
+    kept = np.flatnonzero(np.diag(factor))
+    return [(int(ns[i]), int(js[i])) for i in kept], np.linalg.inv(factor[np.ix_(kept, kept)])
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_closed_form_selection_matches_the_pivoted_cholesky(side):
+    for m in range(1, 41):
+        labels, inverse = _pivoted_factor(m, side)
+        ob = orthonormal_basis(m, side)
+        assert ob.labels == labels, m
+        # the oracle's inverse has a positive diagonal; RIGHT flips some element signs
+        got = ob.inverse * np.sign(np.diag(ob.inverse))
+        assert np.abs(got - inverse).max() <= 1e-9 * np.abs(inverse).max()
+
+
+def test_paper_rule_is_the_exact_right_selection_iff_s_is_one_or_prime():
+    for n in range(1, 201):
+        s = largest_square_divisor(n)
+        same = [e.j for e in basis_layer(n)] == _kept_layer(n, Side.RIGHT)
+        assert same == (s == 1 or sympy.isprime(s)), n
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])

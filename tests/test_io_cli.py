@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stpcs import io
+from stpcs import io, ocm, sign_matrix_check
+from stpcs.bibd import SignKind
 from stpcs.cli import main
 from stpcs.errors import BadShape
 from stpcs.golden import EMBED_SIGNS_3X4, SENSING_7X16, STAR_ALPHA4, VERTICAL_ALPHA4
@@ -67,6 +68,18 @@ def test_json_without_matrix_fields_is_a_bad_shape(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: BadShape:")
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"rows": 1, "cols": 1, "entries": [[{}]]}, "entries"),
+    ({"rows": None, "cols": 1, "entries": [[1]]}, "rows"),
+])
+def test_json_field_of_the_wrong_type_is_a_bad_shape(tmp_path, capsys, doc, field):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert main(["metrics", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadShape:") and f"t.json: JSON field '{field}'" in err
+
+
 def test_signal_round_trip(tmp_path):
     path = tmp_path / "x.csv"
     x = np.array([1.5, -2.0, 0.25])
@@ -117,6 +130,16 @@ def test_expand_horizontal_cli_rejects_non_finite_diag(tmp_path, capsys, bad):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: BadDiag:") and captured.out == ""
     assert not phi.exists()
+
+
+def test_expand_horizontal_cli_scales_the_embedding_by_diag(tmp_path):
+    hv, b, phi = tmp_path / "Hv.csv", tmp_path / "B.csv", tmp_path / "Phi.csv"
+    io.save_matrix(hv, VERTICAL_ALPHA4, kind="boolean")
+    io.save_matrix(b, EMBED_SIGNS_3X4, kind="sign")
+    assert main(["expand", "horizontal", "-i", str(hv), "--embed", str(b),
+                 "--diag", "1,2,3,4", "-o", str(phi)]) == 0
+    got, _ = io.load_matrix(phi)
+    assert np.array_equal(got, SENSING_7X16 * np.tile([1.0, 2.0, 3.0, 4.0], 4))
 
 
 def test_metrics_report_json(tmp_path, capsys):
@@ -252,6 +275,37 @@ def test_gen_random_is_seed_deterministic(tmp_path):
     m1, _ = io.load_matrix(a1)
     m2, _ = io.load_matrix(a2)
     assert np.array_equal(m1, m2)
+
+
+def test_gen_ocm_writes_an_orthogonal_sign_matrix(tmp_path):
+    out = tmp_path / "U.csv"
+    assert main(["gen", "ocm", "-t", "4", "-o", str(out)]) == 0
+    u, meta = io.load_matrix(out)
+    assert meta["kind"] == "sign" and np.array_equal(u, ocm(4))
+    assert sign_matrix_check(u, 4) is SignKind.OCM
+
+
+@pytest.mark.parametrize("kind,values", [("sign", {-1.0, 1.0}), ("boolean", {0.0, 1.0})])
+def test_gen_random_of_a_kind(tmp_path, kind, values):
+    out = tmp_path / "a.csv"
+    assert main(["gen", "random", "--rows", "5", "--cols", "6", "--kind", kind,
+                 "-o", str(out)]) == 0
+    a, meta = io.load_matrix(out)
+    assert meta["kind"] == kind and a.shape == (5, 6) and set(a.ravel()) <= values
+
+
+def test_gen_bibd_vertical_writes_the_expanded_design(tmp_path):
+    out = tmp_path / "Hv.csv"
+    assert main(["gen", "bibd", "--alpha", "4", "--expansion", "vertical", "-o", str(out)]) == 0
+    h, meta = io.load_matrix(out)
+    assert meta["kind"] == "boolean" and np.array_equal(h, VERTICAL_ALPHA4)
+
+
+def test_unparsable_csv_header_exits_one(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    path.write_text("# a,1,real\n1\n")
+    assert main(["metrics", "-i", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError:")
 
 
 def test_domain_error_exits_one(capsys):
