@@ -231,22 +231,27 @@ def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
     return basis
 
 
-def coordinates(x, basis: OrthonormalBasis, residual_tol: float = 1e-9) -> np.ndarray:
+# `coordinates` raises when the Parseval deficit ||x||^2 - ||xi||^2
+# exceeds this fraction of ||x||^2.
+_PARSEVAL_TOL = 1e-9
+
+
+def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
     """Coefficients xi[i] = <x, e_i> of x against an orthonormal basis.
 
     The inner products <x, d(n, j)> with the kept generators come from
     `signal_space._generator_products`, without a lift, and the inverse
-    factor turns them into xi.  By Parseval ||xi||^2 equals
-    ||x||^2 exactly when the basis spans x; if the deficit
-    ||x||^2 - ||xi||^2 exceeds `residual_tol` * ||x||^2 (a relative, squared
-    quantity) InsufficientBasis is raised.
+    factor turns them into xi.  By Parseval ||xi||^2 equals ||x||^2
+    exactly when the basis spans x; if the deficit ||x||^2 - ||xi||^2
+    exceeds _PARSEVAL_TOL * ||x||^2 (a relative, squared quantity)
+    InsufficientBasis is raised.
     """
     x = as_signal(x)
     xi = basis.inverse.T @ _generator_products(x, *np.array(basis.labels).T, basis.side)
     norm2 = float(x @ x) / x.size
     deficit = norm2 - float(xi @ xi)
-    if deficit > residual_tol * norm2:
+    if deficit > _PARSEVAL_TOL * norm2:
         raise InsufficientBasis(
-            f"relative squared residual {deficit / norm2:.3e} exceeds {residual_tol:.1e}"
+            f"relative squared residual {deficit / norm2:.3e} exceeds {_PARSEVAL_TOL:.1e}"
         )
     return xi

@@ -85,6 +85,13 @@ def _json_field(path, doc: dict, name: str, parse):
         raise BadShape(f"{path}: JSON field {name!r} is malformed: {exc}") from None
 
 
+def _json_int(v) -> int:
+    """v itself when it is a JSON integer; a float, bool or string is refused."""
+    if type(v) is not int:  # bool is a subclass of int
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def load_matrix(path):
     """Read a matrix (CSV or JSON); returns (array, metadata dict)."""
     path = Path(path)
@@ -96,8 +103,8 @@ def load_matrix(path):
             raise BadShape(f"{path}: JSON matrix lacks field(s) {', '.join(missing)}")
         a = _json_field(path, doc, "entries", as_matrix)
         meta = {
-            "rows": _json_field(path, doc, "rows", int),
-            "cols": _json_field(path, doc, "cols", int),
+            "rows": _json_field(path, doc, "rows", _json_int),
+            "cols": _json_field(path, doc, "cols", _json_int),
             "kind": doc.get("kind", "real"),
             "name": doc.get("name"),
             "provenance": doc.get("provenance"),

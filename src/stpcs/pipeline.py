@@ -28,9 +28,9 @@ scale sways no decision.  Both fit a support S from its Gram block
 (`_fit`): G = U^T U and C = U^T Y are formed once per call, and one
 batched solve of G_S z = C_S fits a chunk of supports, or a step of
 pursuit.  The residual y - U_S z is computed directly, not as
-||y||^2 - C_S^T z, which cancels at RESIDUAL_TOL.  A block with
+||y||^2 - C_S^T z, which cancels at RESIDUAL_TOL.  A support with
 det G_S <= tau = 1e-2 (`_SOLVE_SCREEN`) is near-singular and refitted by
-`_lstsq`.
+numpy's lstsq, one call per support with all of its blocks as columns.
 
 The bound that fixes tau: G_S has unit diagonal, so trace G_S = k caps
 every eigenvalue at k, det G_S > tau gives lambda_min > tau / k^(k-1),
@@ -109,9 +109,9 @@ _SAME_SOLUTION_ATOL = 1e-6
 # arrays hold about this many floats, whatever the lift factor.
 _FIT_CHUNK = 1 << 14
 
-# A sweep support is fitted from its normal equations when the
-# determinant of its unit-diagonal Gram block exceeds this, and by
-# `_lstsq` otherwise; the module docstring derives the bound that fixes it.
+# A support is fitted from its normal equations when the determinant of
+# its unit-diagonal Gram block exceeds this, and by np.linalg.lstsq
+# otherwise; the module docstring derives the bound that fixes it.
 _SOLVE_SCREEN = 1e-2
 
 
@@ -177,49 +177,34 @@ def compress(a, x, side: Side = Side.LEFT) -> np.ndarray:
     return mv_stp(a, x, side)
 
 
-def _lstsq(subs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """np.linalg.lstsq's fits of ys against a stack of column subsets.
-
-    `subs` is (..., m, size) and `ys` broadcasts against (..., m, cols).
-    The factors of each SVD are applied to y one by one, as lstsq applies
-    them, with its default cutoff, so a rank-deficient subset gets the
-    minimum-norm solution; forming the pseudo-inverse first would move
-    the residual by about eps * cond(subset) * ||y||.  Returns the
-    coefficients (..., size, cols).
-    """
-    u, sv, vt = np.linalg.svd(subs, full_matrices=False)
-    keep = sv > np.finfo(float).eps * max(subs.shape[-2:]) * sv[..., :1]
-    proj = np.swapaxes(u, -1, -2) @ ys
-    proj *= np.where(keep, 1.0 / np.where(keep, sv, 1.0), 0.0)[..., None]
-    return np.swapaxes(vt, -1, -2) @ proj
-
-
 def _fit(a: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
          ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fits of ys against the column subsets a[:, row], one per row of idx.
 
-    The columns of `a` have unit norm (or are zero), `idx` is (...,
-    size), g = a^T a, `rhs` holds A_S^T y as (..., size, cols) and `ys`
-    broadcasts against (..., m, cols).  A support whose Gram block passes
-    the determinant screen (module docstring) is solved from its normal
-    equations G_S z = C_S; the others are refitted by `_lstsq`.  Returns
-    the coefficients (..., size, cols) and the residuals y - A_S z
-    (..., m, cols), computed directly.
+    The columns of `a` have unit norm (or are zero), `idx` is (supports,
+    size), g = a^T a, `rhs` holds A_S^T y as (supports, size, cols) and
+    `ys` broadcasts against (supports, m, cols).  A support whose Gram
+    block passes the determinant screen (module docstring) is solved from
+    its normal equations G_S z = C_S; the others are refitted by
+    np.linalg.lstsq, whose default cutoff gives a rank-deficient support
+    its minimum-norm fit, with a backward-stable residual.  Returns the
+    coefficients (supports, size, cols) and the residuals y - A_S z
+    (supports, m, cols), computed directly.
     """
-    subs = np.swapaxes(a.T[idx], -1, -2)  # (..., m, size)
-    block = g[idx[..., :, None], idx[..., None, :]]  # G_S, (..., size, size)
+    subs = np.swapaxes(a.T[idx], -1, -2)  # (supports, m, size)
+    block = g[idx[:, :, None], idx[:, None, :]]  # G_S, (supports, size, size)
     # a zero column leaves a zero row, so det G_S = 0 and the block fails
     near = np.linalg.det(block) <= _SOLVE_SCREEN
     block[near] = np.eye(idx.shape[-1])  # keeps the solve defined; refitted below
     # solve copies its right side column by column: one column is a division
     coef = rhs / block if idx.shape[-1] == 1 else np.linalg.solve(block, rhs)
-    if near.any():
-        ys_near = np.broadcast_to(ys, subs.shape[:-1] + ys.shape[-1:])[near]
-        coef[near] = _lstsq(subs[near], ys_near)
+    for i in np.flatnonzero(near):  # one support, all of its blocks as columns
+        yb = np.broadcast_to(ys, subs.shape[:-1] + ys.shape[-1:])[i]
+        coef[i] = np.linalg.lstsq(subs[i], yb, rcond=None)[0]
     return coef, ys - subs @ coef
 
 
-def _omp(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
+def _omp(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
     `u` and `norms` are the unit-norm columns U of the atom and their
@@ -240,7 +225,7 @@ def _omp(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_tol:
     scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
     xs = np.zeros((u.shape[1], ys.shape[1]))
     used = np.zeros(ys.shape[1], dtype=np.intp)
-    live = np.flatnonzero(np.linalg.norm(ys, axis=0) >= residual_tol)
+    live = np.flatnonzero(np.linalg.norm(ys, axis=0) >= RESIDUAL_TOL)
     support = np.zeros((live.size, 0), dtype=np.intp)
     resid = ys[:, live].T  # (live, m)
     targets = resid[:, :, None]  # (live, m, 1), as `_fit` takes them
@@ -255,7 +240,7 @@ def _omp(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_tol:
         rhs = np.take_along_axis(c, support, axis=1)[:, :, None]  # (live, size, 1)
         coef, resid = _fit(u, g, support, rhs, targets)
         coef, resid = coef[:, :, 0], resid[:, :, 0]
-        done = np.linalg.norm(resid, axis=1) < residual_tol
+        done = np.linalg.norm(resid, axis=1) < RESIDUAL_TOL
         xs[support[done], live[done, None]] = coef[done] / scale[support[done]]
         used[live[done]] = support.shape[1]
         keep = ~done
@@ -263,12 +248,12 @@ def _omp(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_tol:
             live[keep], support[keep], targets[keep], c[keep], resid[keep])
     if live.size:
         raise NoSolution(
-            f"matching pursuit residual stayed above {residual_tol:.1e} in block {live[0]}"
+            f"matching pursuit residual stayed above {RESIDUAL_TOL:.1e} in block {live[0]}"
         )
     return xs, used, k + 1
 
 
-def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_tol: float):
+def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int):
     """Sparsest fits x_b with a @ x_b ~= ys[:, b] and the size of a rival, by support search.
 
     `u` and `norms` are the unit-norm columns of the atom a and their
@@ -276,20 +261,21 @@ def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_to
     once for all columns, in chunks from `metrics._subsets` whose stacked
     arrays stay near _FIT_CHUNK floats: each support gets one
     least-squares fit (`_fit`) against every column, and a column accepts
-    the fits whose residual beats `residual_tol`.  A column's solution is its first
-    accepted fit; a later accepted fit more than _SAME_SOLUTION_ATOL from
-    it, both in the coefficients of `a`, is a rival (supersets of the
-    true support refit the same vector and are not).  Returns (xs, used,
-    alt): the n-by-cols solutions, the size of each column's first
-    accepted support (k+1 when none fits), and the smallest size at which
-    a rival was accepted (k+1 when there is none).  The sweep decides
-    nothing; `recover` weighs both sizes against the sparsity budget.
+    the fits whose residual beats RESIDUAL_TOL.  A column's solution is
+    its first accepted fit; a later accepted fit more than
+    _SAME_SOLUTION_ATOL from it, both in the coefficients of `a`, is a
+    rival (supersets of the true support refit the same vector and are
+    not).  Returns (xs, used, alt): the n-by-cols solutions, the size of
+    each column's first accepted support (k+1 when none fits), and the
+    smallest size at which a rival was accepted (k+1 when there is none).
+    The sweep decides nothing; `recover` weighs both sizes against the
+    sparsity budget.
     """
     m, n = u.shape
     cols = ys.shape[1]
     scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
     xs = np.zeros((n, cols))
-    used = np.where(np.linalg.norm(ys, axis=0) < residual_tol, 0, k + 1)  # the empty support
+    used = np.where(np.linalg.norm(ys, axis=0) < RESIDUAL_TOL, 0, k + 1)  # the empty support
     alt = np.full(cols, k + 1)
     g, c = u.T @ u, u.T @ ys
     chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
@@ -297,7 +283,7 @@ def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int, residual_to
         for idx in _subsets(n, size, chunk):
             coef, resid = _fit(u, g, idx, c[idx], ys)  # (chunk, size, cols), (chunk, m, cols)
             resid = np.linalg.norm(resid, axis=1)  # (chunk, cols)
-            hit_s, hit_b = np.nonzero(resid < residual_tol)  # ordered by support
+            hit_s, hit_b = np.nonzero(resid < RESIDUAL_TOL)  # ordered by support
             rows = idx[hit_s]  # (hits, size)
             fit = coef[hit_s, :, hit_b] / scale[rows]
             new_b, first = np.unique(hit_b, return_index=True)
@@ -340,25 +326,24 @@ def _budget(used: np.ndarray, spec: SparsitySpec):
     return k
 
 
-def _certified_pursuit(u: np.ndarray, norms: np.ndarray, ys: np.ndarray,
-                       spec: SparsitySpec, residual_tol: float):
+def _certified_pursuit(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, spec: SparsitySpec):
     """Pursuit's (xs, used, alt) where it decides for the oracle, else None.
 
     That is where the coherence certifies k and pursuit fits every block
     within its budget; anywhere else the sweep decides (module docstring).
     """
     k = spec.per_block_k
-    if not _certified(u, norms, k, residual_tol):
+    if not _certified(u, norms, k, RESIDUAL_TOL):
         return None
     try:
-        xs, used, alt = _omp(u, norms, ys, k, residual_tol)
+        xs, used, alt = _omp(u, norms, ys, k)
     except NoSolution:
         return None
     return (xs, used, alt) if (used <= _budget(used, spec)).all() else None
 
 
 def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
-            residual_tol: float = RESIDUAL_TOL, method: str = "oracle") -> np.ndarray:
+            method: str = "oracle") -> np.ndarray:
     """Exact sparse recovery from y = lift_s(a) @ x.
 
     The lifted system is s copies of the atom, Y = A X, where the columns
@@ -384,7 +369,7 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     more than its budget.  The lowest block whose sparsest fit exceeds
     its budget raises NoSolution, or whose rival fits within it
     NotUnique.  In both modes each block's residual must beat
-    `residual_tol`.
+    `RESIDUAL_TOL`.
     """
     a = as_matrix(a)
     y = as_signal(y)
@@ -399,11 +384,11 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     ys = blocks(y, s, side)
     u, norms = _unit_columns(a)
     if method == "omp":
-        found = _omp(u, norms, ys, k, residual_tol)
+        found = _omp(u, norms, ys, k)
     else:
-        found = _certified_pursuit(u, norms, ys, spec, residual_tol)
+        found = _certified_pursuit(u, norms, ys, spec)
         if found is None:
-            found = _sweep(u, norms, ys, k, residual_tol)
+            found = _sweep(u, norms, ys, k)
     xs, used, alt = found
     budget = _budget(used, spec)
     short = used > budget
@@ -418,20 +403,21 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
 
 
 def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
-                   residual_tol: float = RESIDUAL_TOL, method: str = "oracle") -> np.ndarray:
+                   method: str = "oracle") -> np.ndarray:
     """Recover the original p-dimensional signal behind y = a * x.
 
     Plans the lift, recovers the (possibly replicated) unknown, and in
     the non-divisible case strips the replication: the lifted solution
-    must be an r-fold lift (`stp.unlift`), otherwise it does not
-    correspond to any p-dimensional signal and NoSolution is raised.
+    must be an r-fold lift within RESIDUAL_TOL (`stp.unlift`), otherwise
+    it does not correspond to any p-dimensional signal and NoSolution is
+    raised.
     """
     pl = plan(a, p, side)
     spec = SparsitySpec(int(pl.atom.shape[1]), k)
-    xt = recover(pl.atom, pl.s, y, spec, side, residual_tol, method)
+    xt = recover(pl.atom, pl.s, y, spec, side, method)
     if pl.r == 1:
         return xt
-    x = unlift(xt, pl.r, side, residual_tol)
+    x = unlift(xt, pl.r, side, RESIDUAL_TOL)
     if x is None:
         raise NoSolution(
             f"lifted solution is not {pl.r}-fold replicated; no dim-{p} signal matches"

@@ -80,6 +80,16 @@ def test_json_field_of_the_wrong_type_is_a_bad_shape(tmp_path, capsys, doc, fiel
     assert err.startswith("error: BadShape:") and f"t.json: JSON field '{field}'" in err
 
 
+@pytest.mark.parametrize("field,value", [("rows", 1.9), ("rows", True), ("cols", "2")])
+def test_json_shape_must_be_an_integer(tmp_path, capsys, field, value):
+    # int() would read each of these as the shape of [[1, 2]]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [[1, 2]], field: value}))
+    assert main(["metrics", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadShape:") and f"t.json: JSON field '{field}'" in err
+
+
 def test_signal_round_trip(tmp_path):
     path = tmp_path / "x.csv"
     x = np.array([1.5, -2.0, 0.25])

@@ -575,6 +575,22 @@ def test_global_recovery_allocates_no_lifted_matrix(phi):
     assert np.allclose(recover(phi, s, y, spec, Side.RIGHT), x, atol=1e-8)
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_support_sweep_memory_is_bounded_by_the_fit_chunk(phi, side):
+    # k = 2 is above the atom's coherence bound, so the oracle sweeps all
+    # 136 supports against the 256 blocks; fitting them in one stack would
+    # hold about 4.7 MB, and _FIT_CHUNK keeps each chunk near 0.13 MB
+    s = 256
+    assert not _certified(*_unit_columns(phi), 2, pipeline.RESIDUAL_TOL)
+    xs = np.zeros((16, s))
+    xs[np.arange(s) % 16, np.arange(s)] = 2.0
+    x = unblocks(xs, side)
+    y = compress(phi, x, side)
+    spec = SparsitySpec(16, 2)
+    assert _traced_peak(lambda: recover(phi, s, y, spec, side)) < 1_000_000
+    assert np.array_equal(recover(phi, s, y, spec, side), x)
+
+
 # --- Gram-block fits -------------------------------------------------------------------
 
 _ATOM_KINDS = ("gaussian", "column-scaled", "near-duplicate", "duplicate-column", "zero-column")
@@ -794,6 +810,59 @@ def test_near_singular_fit_keeps_a_backward_stable_residual():
 
 
 @pytest.mark.parametrize("method", ["oracle", "omp"])
+@pytest.mark.parametrize("kind", ["duplicate-column", "near-duplicate", "zero-column"])
+def test_near_singular_fits_over_many_blocks_match_the_lstsq_reference(kind, method):
+    # Column 4 bends column 1: a copy, a copy plus 0.05 v, or zero.  v is
+    # orthogonal to every other column, so for 3 a_1 - 2 a_4 pursuit picks
+    # column 1, is left a residual along v and picks column 4 next, whose
+    # Gram block with column 1 has determinant about 1e-3.  The sweep meets
+    # a copy or a zero column in every support holding it.  With 32 blocks
+    # each such sweep support is refitted once with 32 right-hand sides.
+    rng = np.random.default_rng(0)
+    m, n, s, k, i, j = 8, 7, 32, 2, 1, 4
+    a = rng.standard_normal((m, n))
+    if kind == "duplicate-column":
+        a[:, j] = a[:, i]
+    elif kind == "near-duplicate":
+        a[:, j] = a[:, i] + 0.05 * np.linalg.svd(np.delete(a, j, axis=1))[0][:, -1]
+    else:
+        a[:, j] = 0.0
+    # a copy would make every fit on columns 1 or 4 a rival
+    free = np.arange(n) if kind == "near-duplicate" else np.setdiff1d(np.arange(n), [i, j])
+    xs = np.zeros((n, s))
+    for b in range(s):
+        if kind == "near-duplicate" and b % 3 == 1:
+            xs[[i, j], b] = 3.0, -2.0
+        else:
+            sup = rng.choice(free, size=b % 3, replace=False)
+            xs[sup, b] = [3.0, -1.0][:sup.size]
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0.0] = 1.0
+    spec = SparsitySpec(n, k)
+    fallbacks = []
+
+    def counted_lstsq(*args, **kwargs):
+        fallbacks.append(args[1].shape)
+        return _LSTSQ(*args, **kwargs)
+
+    for side in SIDES:
+        x = unblocks(xs, side)
+        y = compress(a, x, side)
+        fallbacks.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", counted_lstsq)
+            got = recover(a, s, y, spec, side, method=method)
+        if method == "oracle":  # one refit per support, every block a column
+            assert fallbacks and all(shape == (m, s) for shape in fallbacks)
+        elif kind == "near-duplicate":  # one refit per block that picks the pair
+            assert len(fallbacks) == len(range(1, s, 3))
+        expected = lstsq_reference(a, s, y, spec, side, method)
+        weight = unblocks(np.repeat(norms[:, None], s, axis=1), side)
+        assert np.allclose(got * weight, expected * weight, rtol=0.0, atol=1e-9)
+        assert np.allclose(got, x, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("method", ["oracle", "omp"])
 def test_spark_six_design_fits_every_support_without_an_svd(phi30, monkeypatch, method):
     # coherence 1/5: every normalised Gram block of at most 2 columns has
     # determinant >= 1 - 1/25, far above the screen; pursuit refits its
@@ -803,6 +872,7 @@ def test_spark_six_design_fits_every_support_without_an_svd(phi30, monkeypatch, 
 
     monkeypatch.setattr(np.linalg, "pinv", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
     spec = SparsitySpec(30, 2)
     for side in SIDES:
         x = place_block_sparse(90, [3, 17, 40, 88], [2.0, -1.0, 3.0, 1.0])
