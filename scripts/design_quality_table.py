@@ -4,7 +4,9 @@
 For each number of points alpha, compares the two vertical expansions
 (row counts drive the compression ratio), the embedded sensing matrix
 built from the matching sign design, its coherence against the Welch
-bound, and the per-block sparsity that coherence certifies.
+bound, the per-block sparsity that coherence certifies, and its spark
+(`budget` where the gap between spark's bounds is too wide to enumerate
+within the default budget).
 """
 
 import numpy as np
@@ -15,17 +17,18 @@ from stpcs import (
     horizontal_expand,
     incidence_matrix,
     max_sparsity,
+    spark,
     vertical_expand,
     vertical_expand_star,
     welch_bound,
 )
-from stpcs.errors import Unsupported
+from stpcs.errors import BudgetExceeded, Unsupported
 
 
 def main():
     header = (
         f"{'alpha':>5} {'rows(v)':>8} {'rows(*)':>8} {'cols':>5} "
-        f"{'mu':>8} {'welch':>8} {'max k':>6} {'ratio':>6}"
+        f"{'mu':>8} {'welch':>8} {'max k':>6} {'spark':>6} {'ratio':>6}"
     )
     print(header)
     print("-" * len(header))
@@ -44,9 +47,13 @@ def main():
         # with n <= m the design expands instead of compressing and the
         # Welch bound does not apply (alpha = 7: aocm(6) has 2 columns)
         welch = f"{welch_bound(m, n):>8.4f}" if n > m else f"{'expands':>8}"
+        try:
+            spk = spark(phi)
+        except BudgetExceeded:
+            spk = "budget"
         print(
             f"{alpha:>5} {hv.shape[0]:>8} {hs.shape[0]:>8} {n:>5} "
-            f"{mu:>8.4f} {welch} {max_sparsity(phi):>6} {n / m:>6.2f}"
+            f"{mu:>8.4f} {welch} {max_sparsity(phi):>6} {spk:>6} {n / m:>6.2f}"
         )
     print()
     print("mu = 1/(alpha-1) throughout; the star expansion needs fewer rows,")

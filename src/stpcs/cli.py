@@ -14,7 +14,8 @@ regenerated from its parameters:
 
 Exit codes: 0 success, 1 domain error (the error class name is echoed),
 2 usage error.  The environment variable STPCS_BUDGET overrides the
-subset-enumeration budget used by spark/RIP computations.
+subset-enumeration budget used by spark/RIP computations; spark applies
+it only to the subset sizes its bounds leave open.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Sensing-matrix quality metrics.
 
-Coherence, the Welch lower bound, spark by exhaustive subset search,
-the coherence-based recoverable-sparsity bound, and brute-force
-certification of the restricted isometry property.  Everything here is
-exact at desk scale: subset enumerations are complete (guarded by a
-budget) rather than sampled.
+Coherence, the Welch lower bound, spark, the coherence-based
+recoverable-sparsity bound, and certification of the restricted
+isometry property.  Everything here is exact at desk scale: spark and
+the RIP constant are settled by the bounds proved below wherever those
+meet, and subsets are enumerated (guarded by a budget, never sampled)
+only in the gap the bounds leave.
 
 Column scale changes neither dependence nor recoverability, so
 coherence, spark, `rip_check(normalize=True)` and the recovery of
-`pipeline` work on the unit-norm columns of one helper, `_unit_columns`.
+`pipeline` work on the unit-norm columns of one helper, `_unit_columns`,
+whose norms neither overflow nor underflow at any finite scale.
 
 One subset kernel serves spark, RIP and sparse recovery: `_subsets`
 enumerates the lexicographic k-subsets in chunks, and the recovery
@@ -22,6 +24,36 @@ flags, det(G_T) <= 1e-12 trace(G_T)^k: every subset the test could call
 dependent is flagged, since then det(G_T) <= lambda_min
 lambda_max^(k-1) <= 1e-18 trace(G_T)^k, six orders of magnitude below
 the screen.  All other subsets are independent without an SVD.
+
+Spark from bounds.  Let U be the m-by-n matrix of unit columns,
+G = U^T U, and mu the largest |G_ij|, i != j.
+- Rank.  If sigma_min(U) > 1e-9 sigma_max(U) with n <= m, spark is
+  infinite: by interlacing, a column subset T has sigma_max(U_T) <=
+  sigma_max(U) and sigma_min(U_T) >= sigma_min(U), so every subset
+  passes the test as independent.
+- Lower bound L.  By Gershgorin a k-subset has lambda_min(G_T) >=
+  min_j G_jj - (k-1) mu.  Where that exceeds 1e-6, sigma_min(U_T)^2 is
+  far above the 1e-18 sigma_max(U_T)^2 <= 1e-18 k the test needs, so no
+  subset of that size is dependent: spark >= 1 + 1/mu (Donoho & Elad
+  2003, PNAS 100(5)).  A zero column has G_jj = 0, and then L = 1.
+- Nullity one.  When U has a one-dimensional null space, the spark is
+  the set S of its essential columns, if S passes the test (proof in
+  `spark`).
+- Witness W.  Columns that share one row support span at most as many
+  dimensions as their rank r: if a group of c such columns has r < c,
+  any r + 1 of them are dependent, and one such subset, confirmed by
+  the test, gives W = r + 1.  Any m + 1 columns are dependent, and with
+  n <= m the whole set is, once the rank bound fails.
+If L = W that is the spark; otherwise sizes L..W-1 are enumerated, each
+under the budget, and the first dependent size is the spark, else W.
+
+RIP stops at its Gershgorin bound.  Every eigenvalue of a k-subset's
+block G_T lies within sum_{i in T, i != j} |G_ij| of some G_jj, so no
+k-subset deviates by more than B = max_j (|G_jj - 1| + the sum of the
+k-1 largest |G_ij|, i != j); with k > m every subset has sigma_min = 0,
+so B is taken at least 1.  Enumeration stops after the chunk in which
+the running delta reaches B - 1e-14: the delta returned is a real
+subset's value, within 1e-14 of the full maximum.
 
 The class-level variants reduce a matrix to its irreducible Kronecker
 atom first; spark, coherence, and the RIP constant are invariant under
@@ -68,14 +100,35 @@ _SCREEN = 1e-12
 
 _CHUNK = 4096
 
+# Spark's Gershgorin bound calls a subset size independent only when it
+# puts lambda_min(G_T) above this, far above the 1e-18 sigma_max^2 the
+# singular-value test needs.
+_GERSHGORIN_MARGIN = 1e-6
+
 # rip_check certifies delta < 1 - _RIP_MARGIN: a true delta of exactly 1
 # reads a few ulps either side of 1 and must not pass on its last bit.
 _RIP_MARGIN = 1e-12
 
+# rip_check stops once its running delta is this close to the Gershgorin
+# bound, which no subset exceeds (module docstring).
+_RIP_STOP = 1e-14
+
 
 def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a with every nonzero column scaled to unit norm, zero columns left zero, and the norms."""
-    norms = np.linalg.norm(a, axis=0)
+    """a with every nonzero column scaled to unit norm, zero columns left zero, and the norms.
+
+    `np.linalg.norm` sums squares, which overflow above about 1e154 and
+    lose bits to underflow below about 1e-154.  While every column's
+    largest entry lies in (1e-140, 1e150) no square that matters leaves
+    the normal range and `norm` is used; otherwise the norms come from
+    `np.hypot.reduce`, which sums no squares and is safe at every finite
+    scale.
+    """
+    peak = np.abs(a).max(axis=0)
+    if 1e-140 < peak.min() and peak.max() < 1e150:
+        norms = np.linalg.norm(a, axis=0)
+    else:
+        norms = np.hypot.reduce(a, axis=0)
     return a / np.where(norms == 0.0, 1.0, norms), norms
 
 
@@ -145,6 +198,22 @@ def _singular_values(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.moveaxis(a[:, idx], 1, 0), compute_uv=False)
 
 
+def _dependent(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Spark's per-subset test on unit columns u: sigma_min <= 1e-9 sigma_max, per row of idx.
+
+    A subset with more columns than u has rows is dependent outright.
+    """
+    if idx.shape[1] > u.shape[0]:
+        return np.ones(idx.shape[0], dtype=bool)
+    sv = _singular_values(u, idx)
+    return sv[:, -1] <= _RANK_RTOL * sv[:, 0]
+
+
+def _rank(sv: np.ndarray) -> int:
+    """Number of singular values (descending) above 1e-9 of the largest."""
+    return int(np.count_nonzero(sv > _RANK_RTOL * sv[0]))
+
+
 def _check_budget(n: int, k: int, budget: int, what: str) -> None:
     count = math.comb(n, k)
     if count > budget:
@@ -157,26 +226,66 @@ def spark(a, budget: int = DEFAULT_BUDGET):
     """Smallest number of linearly dependent columns.
 
     Returns math.inf when the columns are independent (full column rank),
-    rather than a numeric stand-in.  Enumeration runs in increasing subset
-    size, so the first hit is the spark.  A subset is dependent when the
+    rather than a numeric stand-in.  A subset is dependent when the
     smallest singular value of its unit-norm columns is at most 1e-9 of
-    their largest, so column scale does not change the spark; that test
-    runs only on the subsets the Gram determinant screen flags (see the
-    module docstring), all others being independent.
+    their largest, so column scale does not change the spark.  The spark
+    is settled from the rank, the nullity, the Gershgorin lower bound L and
+    a witness W (module docstring); only sizes L..W-1 are enumerated, in
+    increasing order, each against the budget, and the per-subset test
+    runs only on the subsets the Gram determinant screen flags.
+
+    Nullity one.  Let U (unit columns) have rank n - 1, v the unit right
+    singular vector of its smallest singular value (its null vector), and
+    S the indices i with sigma_{n-1}(U) |v_i| > 1e-9 sigma_max(U).  A
+    subset T that misses some i in S passes as independent: for x
+    supported on T, split x = <x, v> v + w with w orthogonal to v; since
+    x_i = 0, |<x, v>| <= |x| sqrt(1 - v_i^2), so |w| >= |v_i| |x|; U v and
+    U w are orthogonal, so |U_T x| = |U x| >= |U w| >= sigma_{n-1}(U) |w|
+    >= sigma_{n-1}(U) |v_i| |x| > 1e-9 sigma_max(U) |x|
+    >= 1e-9 sigma_max(U_T) |x|.  So every dependent subset contains S, and
+    if U_S itself fails the test, the spark is |S|.
     """
-    a, _ = _unit_columns(as_matrix(a))
-    m, n = a.shape
-    g = a.T @ a
-    for k in range(1, min(m, n) + 1):
+    return _spark(a, budget)[0]
+
+
+def _spark(a, budget: int):
+    """(spark, the bound that decided it: "rank", "nullity", "bounds" or "enumeration")."""
+    u, _ = _unit_columns(as_matrix(a))
+    m, n = u.shape
+    sv = np.linalg.svd(u, compute_uv=False)
+    rank = _rank(sv)
+    if rank == n:
+        return math.inf, "rank"
+    if n > 1 and rank == n - 1:
+        v = np.linalg.svd(u, full_matrices=n > m)[2][-1]
+        essential = np.flatnonzero(sv[n - 2] * np.abs(v) > _RANK_RTOL * sv[0])
+        if essential.size and _dependent(u, essential[None, :])[0]:
+            return essential.size, "nullity"
+
+    g = u.T @ u
+    mu = float(np.abs(g - np.diag(g.diagonal())).max())
+    least = float(g.diagonal().min())  # 1 up to rounding, or 0 for a zero column
+    low = 1
+    while low <= n and least - (low - 1) * mu > _GERSHGORIN_MARGIN:
+        low += 1
+
+    high = m + 1 if n > m else n
+    groups: dict[bytes, list[int]] = {}
+    for j, support in enumerate((u != 0.0).T):
+        groups.setdefault(support.tobytes(), []).append(j)
+    for cols in groups.values():
+        r = _rank(np.linalg.svd(u[:, cols], compute_uv=False))
+        if r < len(cols) and r + 1 < high and _dependent(u, np.array([cols[: r + 1]]))[0]:
+            high = r + 1
+
+    if low >= high:
+        return high, "bounds"
+    for k in range(low, high):
         _check_budget(n, k, budget, "spark")
         for idx, _, suspect in _gram_blocks(g, k):
-            if np.any(suspect):
-                sv = _singular_values(a, idx[suspect])
-                if np.any(sv[:, -1] <= _RANK_RTOL * sv[:, 0]):
-                    return k
-    if n > m:
-        return m + 1  # any m+1 columns of an m-row matrix are dependent
-    return math.inf
+            if suspect.any() and _dependent(u, idx[suspect]).any():
+                return k, "enumeration"
+    return high, "enumeration"
 
 
 def max_sparsity(a) -> int:
@@ -214,6 +323,12 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     singular values from an SVD of the column block instead, so that a
     dependent subset reads sigma_min^2 = 0 and delta = 1 exactly, not a
     rounding error below it.  With k above the row count, sigma_min = 0.
+
+    Enumeration stops after the chunk in which delta comes within 1e-14
+    of the Gershgorin bound that no k-subset exceeds (module docstring),
+    so delta is a real subset's value within 1e-14 of the full maximum.
+    `satisfied` could differ from the full maximum's only if that lay
+    within 1e-14 above 1 - 1e-12, inside the margin's own rounding band.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -224,8 +339,14 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
         if np.any(norms == 0.0):
             raise ZeroColumn("cannot normalize a zero column")
     _check_budget(n, k, budget, "rip_check")
+    g = a.T @ a
+    off = np.abs(g - np.diag(g.diagonal()))
+    radius = np.sort(off, axis=1)[:, n - k + 1:].sum(axis=1)  # the k-1 largest per column
+    bound = float(np.max(np.abs(g.diagonal() - 1.0) + radius))
+    if k > m:
+        bound = max(bound, 1.0)
     delta = 0.0
-    for idx, blocks, suspect in _gram_blocks(a.T @ a, k):
+    for idx, blocks, suspect in _gram_blocks(g, k):
         lam = np.linalg.eigvalsh(blocks)  # ascending
         top, low = lam[:, -1], lam[:, 0]
         if np.any(suspect):
@@ -234,6 +355,8 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
         if k > m:
             low[:] = 0.0
         delta = max(delta, float(np.max(top - 1.0)), float(np.max(1.0 - low)))
+        if delta >= bound - _RIP_STOP:
+            break
     return RipResult(delta, delta < 1.0 - _RIP_MARGIN)
 
 
@@ -245,6 +368,7 @@ class CsReport:
     signed_coherence: float
     welch_bound: float | None
     spark: float  # positive integer, or math.inf when columns are independent
+    spark_by: str  # the bound that decided spark: rank, nullity, bounds or enumeration
     max_k: int
     rip: dict | None = None
 
@@ -255,6 +379,7 @@ class CsReport:
             "welch_bound": self.welch_bound,
             "spark": None if math.isinf(self.spark) else int(self.spark),
             "spark_infinite": bool(math.isinf(self.spark)),
+            "spark_by": self.spark_by,
             "max_k": self.max_k,
         }
         if self.rip is not None:
@@ -276,11 +401,13 @@ def component_metrics(a, rip_k: int | None = None,
     m, n = a.shape
     cosines = _pair_cosines(a)
     mu = float(np.max(np.abs(cosines)))
+    spark_value, spark_by = _spark(a, budget)
     report = CsReport(
         coherence=mu,
         signed_coherence=float(np.max(cosines)),
         welch_bound=welch_bound(m, n) if n > m else None,
-        spark=spark(a, budget=budget),
+        spark=spark_value,
+        spark_by=spark_by,
         max_k=_sparsity_bound(mu, n),
     )
     if rip_k is not None:

@@ -431,8 +431,10 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     Spark and coherence are invariant under both identity lifts, so the
     matrix is reduced on both sides and the smaller atom is used.  When
     its coherence certifies k (k <= `metrics.max_sparsity`, so spark >=
-    1 + 1/mu > 2k) the answer is True without enumerating; otherwise,
-    and for an atom with a zero column, spark is enumerated.
+    1 + 1/mu > 2k) the answer is True without computing spark; otherwise,
+    and for an atom with a zero column, `metrics.spark` settles it from
+    its rank, nullity, Gershgorin and witness bounds, and the budget
+    applies only to the subset sizes those bounds leave open.
     """
     atom = min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
     return _certified(*_unit_columns(atom), k, 0.0) or spark(atom, budget=budget) > 2 * k

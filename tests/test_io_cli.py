@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stpcs import io, ocm, sign_matrix_check
+from stpcs import aocm, horizontal_expand, io, ocm, sign_matrix_check, vertical_expand_star
 from stpcs.bibd import SignKind
 from stpcs.cli import main
 from stpcs.errors import BadShape
@@ -161,6 +161,18 @@ def test_metrics_report_json(tmp_path, capsys):
     assert doc["welch_bound"] == pytest.approx(0.29277, abs=5e-6)
     assert doc["max_k"] == 1
     assert doc["spark"] == 4 and doc["spark_infinite"] is False
+
+
+def test_metrics_reports_which_bound_decided_spark(tmp_path, capsys, monkeypatch):
+    # the 55x22 alpha=11 star design has nullity one; enumerating its
+    # spark would need C(22, 3) = 1540 subsets at the third size already
+    phi = tmp_path / "Phi11.csv"
+    io.save_matrix(phi, horizontal_expand(vertical_expand_star(11), aocm(10)))
+    monkeypatch.setenv("STPCS_BUDGET", "1000")
+    assert main(["metrics", "-i", str(phi), "--rip-k", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spark"] == 20 and doc["spark_by"] == "nullity"
+    assert doc["rip"]["delta"] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_metrics_class_reduction(tmp_path, capsys):

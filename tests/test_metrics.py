@@ -1,5 +1,6 @@
 import math
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stpcs import (
     coherence,
     component_metrics,
     horizontal_expand,
+    incidence_matrix,
     lift_matrix,
     make_embedding,
     max_sparsity,
@@ -20,10 +22,12 @@ from stpcs import (
     signed_coherence,
     spark,
     uniqueness_guarantee,
+    vertical_expand,
     vertical_expand_star,
     welch_bound,
 )
-from stpcs.errors import BadShape, BudgetExceeded, ZeroColumn
+from stpcs import metrics
+from stpcs.errors import BadShape, BudgetExceeded, StpcsError, ZeroColumn
 from stpcs.golden import EMBED_SIGNS_3X4, SENSING_7X16, VERTICAL_ALPHA4
 
 
@@ -438,3 +442,193 @@ def test_report_invariants_on_random_wide_matrices(seed):
     assert rep.coherence >= rep.welch_bound - 1e-12
     assert rep.signed_coherence <= rep.coherence + 1e-15
     assert rep.spark <= 4
+
+
+# --- spark from bounds -----------------------------------------------------------
+
+def star_design(alpha):
+    """The star expansion of alpha points embedded with the sign design aocm(alpha - 1)."""
+    return horizontal_expand(vertical_expand_star(alpha), aocm(alpha - 1))
+
+
+def vertical_design(alpha):
+    """The vertical expansion of alpha points embedded with aocm(alpha - 1)."""
+    return horizontal_expand(vertical_expand(incidence_matrix(alpha)), aocm(alpha - 1))
+
+
+def planted_null_vector_matrix(seed, m, n, size, smallest, squeeze):
+    """An m-by-n matrix, n <= m + 1, of rank n - 1 whose null vector has `size` nonzeros.
+
+    The first n - 1 columns are Gaussian; the last is the combination
+    that puts the null vector on it and size - 1 others, with component
+    magnitudes down to 10**smallest.  With squeeze set, two columns off
+    the support differ by 10**squeeze, so sigma_{n-1} is small and the
+    tiny components are no longer provably essential.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    support = rng.choice(n - 1, size=size - 1, replace=False)
+    coef = rng.choice([-1.0, 1.0], size - 1) * 10.0 ** rng.uniform(smallest, 0.0, size - 1)
+    a[:, -1] = a[:, support] @ coef
+    others = np.setdiff1d(np.arange(n - 1), support)
+    if squeeze is not None and others.size >= 2:
+        a[:, others[1]] = a[:, others[0]] + 10.0**squeeze * rng.standard_normal(m)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+    st.floats(min_value=-6.0, max_value=0.0),
+    st.one_of(st.none(), st.floats(min_value=-7.0, max_value=-3.0)),
+)
+def test_spark_matches_the_oracle_with_a_planted_null_vector(seed, m, data, smallest, squeeze):
+    n = data.draw(st.integers(min_value=2, max_value=min(m + 1, 8)))
+    size = data.draw(st.integers(min_value=1, max_value=n))
+    a = planted_null_vector_matrix(seed, m, n, size, smallest, squeeze)
+    assert spark(a) == spark_oracle(a)
+
+
+def test_nullity_one_decides_only_when_the_support_is_provably_essential():
+    # a null vector on columns {0, 1, 2, 7} with one component 1e-6: with
+    # sigma_{n-1} of order one every support column is essential and the
+    # nullity bound decides; two near-parallel columns off the support push
+    # sigma_{n-1} to about 1e-5, the 1e-6 column is no longer provably
+    # essential, and spark falls through to enumeration
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 8))
+    a[:, 7] = a[:, 0] - 0.5 * a[:, 1] + 1e-6 * a[:, 2]
+    assert metrics._spark(a, metrics.DEFAULT_BUDGET) == (4, "nullity") and spark_oracle(a) == 4
+    a[:, 4] = a[:, 3] + 1e-5 * rng.standard_normal(8)
+    assert metrics._spark(a, metrics.DEFAULT_BUDGET) == (4, "enumeration") and spark_oracle(a) == 4
+
+
+def shared_support_matrix(seed, m, n, rows, width, rank):
+    """Gaussian m-by-n with a group of `width` columns on `rows` shared rows, of rank `rank`."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    group = rng.choice(n, size=width, replace=False)
+    support = rng.choice(m, size=rows, replace=False)
+    a[:, group] = 0.0
+    block = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, width))
+    a[np.ix_(support, group)] = block
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=2, max_value=8),
+    st.data(),
+)
+def test_spark_matches_the_oracle_with_a_rank_deficient_shared_support_group(seed, m, n, data):
+    rows = data.draw(st.integers(min_value=1, max_value=m - 1))
+    width = data.draw(st.integers(min_value=2, max_value=n))
+    rank = data.draw(st.integers(min_value=1, max_value=min(rows, width - 1)))
+    a = shared_support_matrix(seed, m, n, rows, width, rank)
+    assert spark(a) == spark_oracle(a)
+
+
+@pytest.mark.parametrize("design, expected, by", [
+    (lambda: star_design(4), 4, "bounds"),
+    (lambda: star_design(8), 8, "bounds"),
+    (lambda: vertical_design(8), 8, "bounds"),
+    (lambda: star_design(7), 12, "nullity"),
+    (lambda: vertical_design(11), math.inf, "rank"),
+    (lambda: star_design(11), 20, "nullity"),
+], ids=["star4-witness", "star8-witness", "vertical8-witness", "star7-nullity",
+        "vertical11-rank", "star11-nullity"])
+def test_spark_of_the_designs_is_decided_by_a_bound_within_a_small_budget(design, expected, by):
+    # a budget of 1000 subsets rules out enumeration: C(64, 8) is 4.4e9,
+    # and the alpha = 11 designs would walk sizes 1..20 of 22 columns
+    a = design()
+    assert spark(a, budget=1000) == expected
+    assert metrics._spark(a, 1000) == (expected, by)
+
+
+def test_spark_of_the_smallest_star_design_matches_the_oracle():
+    assert spark(star_design(4), budget=1000) == spark_oracle(star_design(4)) == 4
+
+
+# --- RIP stops at its Gershgorin bound ---------------------------------------------
+
+@pytest.mark.parametrize("alpha", [4, 5, 6, 7])
+@pytest.mark.parametrize("k", [2, 3])
+def test_rip_of_the_star_designs_matches_the_oracle(alpha, k):
+    phi = star_design(alpha)
+    delta, ok = rip_check(phi, k, normalize=True)
+    ref_delta, ref_ok = rip_oracle(phi, k, normalize=True)
+    assert delta == pytest.approx(ref_delta, abs=1e-12)
+    assert ok == ref_ok
+
+
+@pytest.mark.parametrize("alpha", [8, 9])
+def test_rip_stops_after_the_first_chunk_at_twice_the_coherence(alpha):
+    # delta_3 = 2 mu is the Gershgorin bound itself, met in the first chunk
+    # of C(64, 3) = 41664 or C(72, 3) = 59640 subsets
+    phi = star_design(alpha)
+    gram_blocks, chunks = metrics._gram_blocks, []
+
+    def counted(g, k):
+        for chunk in gram_blocks(g, k):
+            chunks.append(len(chunk[0]))
+            yield chunk
+
+    with mock.patch.object(metrics, "_gram_blocks", counted):
+        delta, ok = rip_check(phi, 3, normalize=True)
+    assert delta == pytest.approx(2 / (alpha - 1), abs=1e-12) and ok
+    assert chunks == [metrics._CHUNK]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("gaussian", "integer", "rank_deficient")),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=2, max_value=8),
+    st.booleans(),
+)
+def test_rip_stop_matches_the_oracle_across_many_chunks(kind, seed, m, n, normalize):
+    # chunks of 3 subsets, so the stop can fall anywhere in the enumeration
+    a = generated_matrix(kind, seed, m, n)
+    if normalize and np.any(np.linalg.norm(a, axis=0) == 0.0):
+        return
+    with mock.patch.object(metrics, "_CHUNK", 3):
+        for k in range(1, n + 1):
+            delta, ok = rip_check(a, k, normalize=normalize)
+            ref_delta, ref_ok = rip_oracle(a, k, normalize=normalize)
+            assert delta == pytest.approx(ref_delta, abs=1e-12)
+            if abs(ref_delta - 1.0) > 1e-9:
+                assert ok == ref_ok
+
+
+# --- answers at every column scale ----------------------------------------------------
+
+def scale_free_answers(a):
+    """coherence, spark, max_sparsity, normalised delta_2, uniqueness at k=1; errors by type."""
+    out = []
+    for f in (coherence, spark, max_sparsity,
+              lambda b: rip_check(b, 2, normalize=True).delta,
+              lambda b: uniqueness_guarantee(b, 1)):
+        try:
+            out.append(f(a))
+        except StpcsError as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_scale_free_answers_hold_over_the_whole_float_range():
+    # norms that sum squares overflow above about 1e154 (every column read
+    # as zero) and underflow below about 1e-154
+    ref = scale_free_answers(SENSING_7X16)
+    assert ref[:3] == [pytest.approx(1 / 3, abs=1e-15), 4, 1] and ref[4] is True
+    for e in range(-300, 301):
+        got = scale_free_answers(SENSING_7X16 * 10.0**e)
+        for want, have in zip(ref, got):
+            if isinstance(want, float):
+                assert have == pytest.approx(want, rel=1e-12), e
+            else:
+                assert have == want, e

@@ -1034,9 +1034,15 @@ def test_uniqueness_guarantee_uses_the_atom():
 
 def test_uniqueness_guarantee_decides_from_coherence_first():
     # the 43x64 alpha=8 design has coherence 1/7, which certifies k = 3
-    # without enumerating a subset; k = 4 is outside the bound, and its
-    # spark enumeration exceeds a budget of one subset
+    # without enumerating a subset; k = 4 is outside the bound, and spark
+    # settles it, also without enumerating: 1 + 1/mu = 8 and eight columns
+    # sharing one row support are dependent, so spark = 8 = 2k
     a = horizontal_expand(vertical_expand(incidence_matrix(8)), aocm(7))
     assert uniqueness_guarantee(a, 3, budget=1)
+    assert not uniqueness_guarantee(a, 4, budget=1)
+    # the 36x72 alpha=9 star design leaves spark's bounds 9 and 37 apart:
+    # k = 5 (coherence 1/8 certifies k <= 4) must enumerate, over budget
+    star9 = horizontal_expand(vertical_expand_star(9), aocm(8))
+    assert uniqueness_guarantee(star9, 4, budget=1)
     with pytest.raises(BudgetExceeded):
-        uniqueness_guarantee(a, 4, budget=1)
+        uniqueness_guarantee(star9, 5, budget=1)
