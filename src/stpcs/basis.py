@@ -54,12 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 
 import numpy as np
 
 from .errors import BadShape, InsufficientBasis
-from .signal_space import _generator_products
+from .signal_space import _TINY, _generator_products, _scale
 from .stp import Side, as_signal
 
 __all__ = [
@@ -242,15 +242,20 @@ def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
     The inner products <x, d(n, j)> with the kept generators come from
     `signal_space._generator_products`, without a lift, and the inverse
     factor turns them into xi.  By Parseval ||xi||^2 equals ||x||^2
-    exactly when the basis spans x; if the deficit ||x||^2 - ||xi||^2
-    exceeds _PARSEVAL_TOL * ||x||^2 (a relative, squared quantity)
-    InsufficientBasis is raised.
+    exactly when the basis spans x; unless the deficit ||x||^2 - ||xi||^2
+    is at most _PARSEVAL_TOL * ||x||^2 (a relative, squared quantity)
+    InsufficientBasis is raised.  When ||x||^2 is not a normal float the
+    test is made on x scaled by its largest |entry|, and xi scaled back.
     """
     x = as_signal(x)
+    norm2 = float(np.vdot(x, x)) / x.size
+    if not _TINY <= norm2 < inf:
+        peak = _scale(x)
+        if peak:
+            return peak * coordinates(x / peak, basis)
     xi = basis.inverse.T @ _generator_products(x, *np.array(basis.labels).T, basis.side)
-    norm2 = float(x @ x) / x.size
     deficit = norm2 - float(xi @ xi)
-    if deficit > _PARSEVAL_TOL * norm2:
+    if not deficit <= _PARSEVAL_TOL * norm2:  # a NaN deficit fails too
         raise InsufficientBasis(
             f"relative squared residual {deficit / norm2:.3e} exceeds {_PARSEVAL_TOL:.1e}"
         )

@@ -120,13 +120,14 @@ def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `np.linalg.norm` sums squares, which overflow above about 1e154 and
     lose bits to underflow below about 1e-154.  While every column's
     largest entry lies in (1e-140, 1e150) no square that matters leaves
-    the normal range and `norm` is used; otherwise the norms come from
-    `np.hypot.reduce`, which sums no squares and is safe at every finite
-    scale.
+    the normal range and the norms are the root of the plain sum of
+    squares, `norm`'s own arithmetic without its wrapper; otherwise they
+    come from `np.hypot.reduce`, which sums no squares and is safe at
+    every finite scale.
     """
     peak = np.abs(a).max(axis=0)
     if 1e-140 < peak.min() and peak.max() < 1e150:
-        norms = np.linalg.norm(a, axis=0)
+        norms = np.sqrt(np.add.reduce(a * a, axis=0))
     else:
         norms = np.hypot.reduce(a, axis=0)
     return a / np.where(norms == 0.0, 1.0, norms), norms

@@ -24,10 +24,16 @@ BLOCKWISE.  Recovery builds no lifted or swap matrix; those stay in
 
 Sweep and pursuit fit the unit-norm columns U of the atom
 (`metrics._unit_columns`) and scale the coefficients back, so column
-scale sways no decision.  Both fit a support S from its Gram block
-(`_fit`): G = U^T U and C = U^T Y are formed once per call, and one
-batched solve of G_S z = C_S fits a chunk of supports, or a step of
-pursuit.  The residual y - U_S z is computed directly, not as
+scale sways no decision.  `recover` forms G = U^T U once per call, and
+the certificate, pursuit and the sweep all read it.  Both fit a support
+S from its Gram block (`_fit`): C = U^T Y is formed once per call, and
+one batched solve of G_S z = C_S fits a chunk of supports, or a step of
+pursuit.  A pursuit step costs the same fixed few numpy calls however
+many blocks it serves: the scores (|C| itself at the first pick, one
+product r^T U of the residuals after it), the pick, the gathers of G_S
+and C_S, one batched determinant and solve (a division at the first
+pick), and the residuals; blocks that finish are written out and leave
+the batch.  The residual y - U_S z is computed directly, not as
 ||y||^2 - C_S^T z, which cancels at RESIDUAL_TOL.  A support with
 det G_S <= tau = 1e-2 (`_SOLVE_SCREEN`) is near-singular and refitted by
 numpy's lstsq, one call per support with all of its blocks as columns.
@@ -177,92 +183,110 @@ def compress(a, x, side: Side = Side.LEFT) -> np.ndarray:
     return mv_stp(a, x, side)
 
 
-def _fit(a: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
+def _fit(u: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
          ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fits of ys against the column subsets a[:, row], one per row of idx.
+    """Least-squares fits of ys against the column subsets u[:, row], one per row of idx.
 
-    The columns of `a` have unit norm (or are zero), `idx` is (supports,
-    size), g = a^T a, `rhs` holds A_S^T y as (supports, size, cols) and
+    The columns of `u` have unit norm (or are zero), `idx` is (supports,
+    size), g = u^T u, `rhs` holds U_S^T y as (supports, size, cols) and
     `ys` broadcasts against (supports, m, cols).  A support whose Gram
     block passes the determinant screen (module docstring) is solved from
-    its normal equations G_S z = C_S; the others are refitted by
-    np.linalg.lstsq, whose default cutoff gives a rank-deficient support
-    its minimum-norm fit, with a backward-stable residual.  Returns the
-    coefficients (supports, size, cols) and the residuals y - A_S z
-    (supports, m, cols), computed directly.
+    its normal equations G_S z = C_S: a 1x1 block is its own determinant
+    and its solve one division, a larger one takes one batched det and one
+    batched solve.  The others are refitted by np.linalg.lstsq, one call
+    per support with all of its columns, whose default cutoff gives a
+    rank-deficient support its minimum-norm fit, with a backward-stable
+    residual.  Returns the coefficients (supports, size, cols) and the
+    residuals y - U_S z (supports, m, cols), computed directly.
     """
-    subs = np.swapaxes(a.T[idx], -1, -2)  # (supports, m, size)
+    size = idx.shape[1]
+    subs = u.T[idx].swapaxes(1, 2)  # (supports, m, size)
     block = g[idx[:, :, None], idx[:, None, :]]  # G_S, (supports, size, size)
     # a zero column leaves a zero row, so det G_S = 0 and the block fails
-    near = np.linalg.det(block) <= _SOLVE_SCREEN
-    block[near] = np.eye(idx.shape[-1])  # keeps the solve defined; refitted below
+    near = ((block[:, 0, 0] if size == 1 else np.linalg.det(block)) <= _SOLVE_SCREEN).nonzero()[0]
+    if near.size:
+        block[near] = np.eye(size)  # keeps the solve defined; refitted below
     # solve copies its right side column by column: one column is a division
-    coef = rhs / block if idx.shape[-1] == 1 else np.linalg.solve(block, rhs)
-    for i in np.flatnonzero(near):  # one support, all of its blocks as columns
+    coef = rhs / block if size == 1 else np.linalg.solve(block, rhs)
+    for i in near:  # one support, all of its blocks as columns
         yb = np.broadcast_to(ys, subs.shape[:-1] + ys.shape[-1:])[i]
         coef[i] = np.linalg.lstsq(subs[i], yb, rcond=None)[0]
     return coef, ys - subs @ coef
 
 
-def _omp(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int):
+def _omp(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: int):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
     `u` and `norms` are the unit-norm columns U of the atom and their
-    norms (`metrics._unit_columns`).  Each step scores every column still
-    above the tolerance against U, picks its most correlated unchosen
-    one, and refits all of them together by `_fit` from G = U^T U and
-    C = Y^T U, both formed once; a column stops once its residual beats
-    the tolerance.  Stopped columns leave the batch, so the supports of
-    the columns still in it always have the same size.  A pick is the
-    lowest-index column scoring at least max * (1 - 1e-12), so exact ties
-    on integer atoms do not hang on the last bits of the product.  The
-    lowest-index column still above the tolerance after k picks raises
-    NoSolution.  Returns (xs, used, alt) as `_sweep` does: `used` is each
-    column's pick count, and `alt` is the scalar k+1, no rival for any
-    column.  Pursuit alone certifies no uniqueness; `recover` runs it as
-    the oracle only where the coherence does (module docstring).
+    norms (`metrics._unit_columns`), and g = U^T U.  C = Y^T U is formed
+    once, and its rows are the first pick's scores.  Each later step
+    scores every column still above the tolerance by |r^T U| from its
+    direct residual r, picks its most correlated unchosen column, and
+    refits all of them together by `_fit` from g and the gathered C_S; a
+    column stops once its residual beats the tolerance.  Stopped columns
+    leave the batch, so the supports of the columns still in it always
+    have the same size, and every step is the same fixed few numpy calls
+    whatever the number of columns: chosen atoms and C_S are addressed
+    by flat indices into the score rows.  A pick is the lowest-index
+    column scoring at least max * (1 - 1e-12), so exact ties on integer
+    atoms do not hang on the last bits of the product.  The lowest-index
+    column still above the tolerance after k picks raises NoSolution.
+    Returns (xs, used, alt) as `_sweep` does: `used` is each column's
+    pick count, and `alt` is the scalar k+1, no rival for any column.
+    Pursuit alone certifies no uniqueness; `recover` runs it as the
+    oracle only where the coherence does (module docstring).
     """
-    scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
-    xs = np.zeros((u.shape[1], ys.shape[1]))
+    n = u.shape[1]
+    xs = np.zeros((n, ys.shape[1]))
     used = np.zeros(ys.shape[1], dtype=np.intp)
-    live = np.flatnonzero(np.linalg.norm(ys, axis=0) >= RESIDUAL_TOL)
-    support = np.zeros((live.size, 0), dtype=np.intp)
-    resid = ys[:, live].T  # (live, m)
-    targets = resid[:, :, None]  # (live, m, 1), as `_fit` takes them
-    g, c = u.T @ u, resid @ u  # (n, n), (live, n)
-    for _ in range(min(k, u.shape[1])):
-        if not live.size:
-            break
-        scores = np.abs(resid @ u)  # (live, n)
-        np.put_along_axis(scores, support, -1.0, axis=1)
+    # np.linalg.norm's own arithmetic, without its wrapper
+    live = (np.sqrt(np.add.reduce(ys * ys, axis=0)) >= RESIDUAL_TOL).nonzero()[0]
+    if not live.size:
+        return xs, used, k + 1
+    scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
+    targets = ys[:, live].T  # (live, m)
+    c = targets @ u  # (live, n)
+    scores = np.abs(c)
+    support = np.empty((live.size, min(k, n)), dtype=np.intp)
+    rows = np.arange(0, c.size, n)[:, None]  # where each row starts in c.ravel()
+    for size in range(1, support.shape[1] + 1):
+        if size > 1:
+            scores = np.abs(resid @ u)
+            scores.put(flat, -1.0)  # the columns already chosen
         best = scores >= scores.max(axis=1, keepdims=True) * (1 - 1e-12)
-        support = np.column_stack([support, best.argmax(axis=1)])  # the lowest-index best
-        rhs = np.take_along_axis(c, support, axis=1)[:, :, None]  # (live, size, 1)
-        coef, resid = _fit(u, g, support, rhs, targets)
+        support[:, size - 1] = best.argmax(axis=1)  # the lowest-index best
+        idx = support[:, :size]
+        flat = idx + rows
+        coef, resid = _fit(u, g, idx, c.take(flat)[:, :, None], targets[:, :, None])
         coef, resid = coef[:, :, 0], resid[:, :, 0]
-        done = np.linalg.norm(resid, axis=1) < RESIDUAL_TOL
-        xs[support[done], live[done, None]] = coef[done] / scale[support[done]]
-        used[live[done]] = support.shape[1]
-        keep = ~done
-        live, support, targets, c, resid = (
-            live[keep], support[keep], targets[keep], c[keep], resid[keep])
-    if live.size:
-        raise NoSolution(
-            f"matching pursuit residual stayed above {RESIDUAL_TOL:.1e} in block {live[0]}"
-        )
-    return xs, used, k + 1
+        done = np.sqrt(np.add.reduce(resid * resid, axis=1)) < RESIDUAL_TOL
+        finished = np.count_nonzero(done)
+        if finished:
+            out = slice(None) if finished == live.size else done
+            xs[idx[out], live[out, None]] = coef[out] / scale[idx[out]]
+            used[live[out]] = size
+            if finished == live.size:
+                return xs, used, k + 1
+            keep = ~done
+            live, support, targets, c, resid = (
+                live[keep], support[keep], targets[keep], c[keep], resid[keep])
+            rows = rows[:live.size]
+            flat = support[:, :size] + rows
+    raise NoSolution(
+        f"matching pursuit residual stayed above {RESIDUAL_TOL:.1e} in block {live[0]}"
+    )
 
 
-def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int):
+def _sweep(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: int):
     """Sparsest fits x_b with a @ x_b ~= ys[:, b] and the size of a rival, by support search.
 
     `u` and `norms` are the unit-norm columns of the atom a and their
-    norms (`metrics._unit_columns`).  Enumerates supports of size 0..k
-    once for all columns, in chunks from `metrics._subsets` whose stacked
-    arrays stay near _FIT_CHUNK floats: each support gets one
-    least-squares fit (`_fit`) against every column, and a column accepts
-    the fits whose residual beats RESIDUAL_TOL.  A column's solution is
-    its first accepted fit; a later accepted fit more than
+    norms (`metrics._unit_columns`), and g = u^T u.  Enumerates supports
+    of size 0..k once for all columns, in chunks from `metrics._subsets`
+    whose stacked arrays stay near _FIT_CHUNK floats: each support gets
+    one least-squares fit (`_fit`) against every column, and a column
+    accepts the fits whose residual beats RESIDUAL_TOL.  A column's
+    solution is its first accepted fit; a later accepted fit more than
     _SAME_SOLUTION_ATOL from it, both in the coefficients of `a`, is a
     rival (supersets of the true support refit the same vector and are
     not).  Returns (xs, used, alt): the n-by-cols solutions, the size of
@@ -277,7 +301,7 @@ def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int):
     xs = np.zeros((n, cols))
     used = np.where(np.linalg.norm(ys, axis=0) < RESIDUAL_TOL, 0, k + 1)  # the empty support
     alt = np.full(cols, k + 1)
-    g, c = u.T @ u, u.T @ ys
+    c = u.T @ ys
     chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
     for size in range(1, min(k, n) + 1):
         for idx in _subsets(n, size, chunk):
@@ -300,18 +324,20 @@ def _sweep(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, k: int):
     return xs, used, alt
 
 
-def _certified(u: np.ndarray, norms: np.ndarray, k: int, residual_tol: float) -> bool:
-    """True when the coherence of the unit-norm columns u certifies pursuit at sparsity k.
+def _certified(g: np.ndarray, norms: np.ndarray, k: int, residual_tol: float) -> bool:
+    """True when the coherence of unit-norm columns u certifies pursuit at sparsity k.
 
-    `u` and `norms` are as `metrics._unit_columns` returns them.  The
-    certificate and its rival guard are set out in the module docstring.
-    With residual_tol = 0 the guard is void and this is the uniqueness
-    certificate spark >= 1 + 1/mu > 2k.
+    g = u^T u is their Gram matrix, formed once per recovery and shared
+    with pursuit and the sweep, and `norms` the column norms, as
+    `metrics._unit_columns` returns them.  The certificate and its rival
+    guard are set out in the module docstring.  With residual_tol = 0 the
+    guard is void and this is the uniqueness certificate
+    spark >= 1 + 1/mu > 2k.
     """
-    n = u.shape[1]
+    n = g.shape[0]
     if n < 2 or not norms.all():
         return False
-    mu = float(np.abs(u.T @ u - np.eye(n)).max())  # the unit diagonal cancels to ulps
+    mu = float(np.abs(g - np.eye(n)).max())  # the unit diagonal cancels to ulps
     if k > _sparsity_bound(mu, n):
         return False
     sigma = sqrt(1.0 - (min(2 * k, n) - 1) * mu)
@@ -326,17 +352,18 @@ def _budget(used: np.ndarray, spec: SparsitySpec):
     return k
 
 
-def _certified_pursuit(u: np.ndarray, norms: np.ndarray, ys: np.ndarray, spec: SparsitySpec):
+def _certified_pursuit(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray,
+                       spec: SparsitySpec):
     """Pursuit's (xs, used, alt) where it decides for the oracle, else None.
 
     That is where the coherence certifies k and pursuit fits every block
     within its budget; anywhere else the sweep decides (module docstring).
     """
     k = spec.per_block_k
-    if not _certified(u, norms, k, RESIDUAL_TOL):
+    if not _certified(g, norms, k, RESIDUAL_TOL):
         return None
     try:
-        xs, used, alt = _omp(u, norms, ys, k)
+        xs, used, alt = _omp(u, norms, g, ys, k)
     except NoSolution:
         return None
     return (xs, used, alt) if (used <= _budget(used, spec)).all() else None
@@ -383,12 +410,13 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     k = spec.per_block_k
     ys = blocks(y, s, side)
     u, norms = _unit_columns(a)
+    g = u.T @ u
     if method == "omp":
-        found = _omp(u, norms, ys, k)
+        found = _omp(u, norms, g, ys, k)
     else:
-        found = _certified_pursuit(u, norms, ys, spec)
+        found = _certified_pursuit(u, norms, g, ys, spec)
         if found is None:
-            found = _sweep(u, norms, ys, k)
+            found = _sweep(u, norms, g, ys, k)
     xs, used, alt = found
     budget = _budget(used, spec)
     short = used > budget
@@ -437,4 +465,5 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     applies only to the subset sizes those bounds leave open.
     """
     atom = min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
-    return _certified(*_unit_columns(atom), k, 0.0) or spark(atom, budget=budget) > 2 * k
+    u, norms = _unit_columns(atom)
+    return _certified(u.T @ u, norms, k, 0.0) or spark(atom, budget=budget) > 2 * k

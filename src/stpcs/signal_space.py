@@ -22,7 +22,7 @@ and `basis.coordinates` take <x, d(n, j)> from one kernel, `_generator_products`
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, sqrt
 
 import numpy as np
 
@@ -48,6 +48,23 @@ __all__ = [
 # comparison is effectively exact.
 REDUCE_RTOL = 1e-12
 
+# The diagonal test of `reduce_matrix` takes its differences in chunks of
+# rows holding about this many floats, whatever the size of the input.
+_REDUCE_CHUNK = 1 << 18
+
+# The smallest normal float.  A mean square outside [_TINY, inf) has
+# overflowed or lost bits to underflow, and is retaken on the signal
+# scaled by its largest |entry| (`norm_v`, `basis.coordinates`).  The
+# plain sum of squares is np.vdot's: the same BLAS dot as `x @ x`, but one
+# that raises no overflow warning.
+_TINY = float(np.finfo(float).tiny)
+
+# `angle_v` takes <x, y> / (||x|| ||y||) as given while both norms lie in
+# [1 / _ANGLE_PLAIN, _ANGLE_PLAIN]: for any signal that fits in memory no
+# sum or product inside `inner_v` can then overflow, and the denominator
+# stays far inside the normal range.
+_ANGLE_PLAIN = 1e100
+
 
 def _divisors_desc(n: int) -> list[int]:
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
@@ -57,6 +74,15 @@ def _divisors_desc(n: int) -> list[int]:
 def _scale(a: np.ndarray) -> float:
     """max|a| without building |a|."""
     return float(max(a.max(), -a.min()))
+
+
+def _diagonal_within(diag: np.ndarray, atom: np.ndarray, tol: float) -> bool:
+    """max |diag - atom[:, :, None]| <= tol, over chunks of rows of about _REDUCE_CHUNK floats."""
+    step = max(1, _REDUCE_CHUNK // diag[0].size)
+    for i in range(0, len(diag), step):
+        if np.abs(diag[i:i + step] - atom[i:i + step, :, None]).max() > tol:
+            return False
+    return True
 
 
 def _beyond(a: np.ndarray, tol: float) -> int:
@@ -105,10 +131,13 @@ def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     is made in block form, without building the candidate lift: viewed as
     (m0, s, n0, s) on LEFT or (s, m0, s, n0) on RIGHT, an s-fold lift has
     the atom in each of its s diagonal blocks and zeros elsewhere.  The
-    diagonal view is compared with the atom, and the off-diagonal blocks
-    are zero exactly when the whole matrix has no more entries beyond the
-    tolerance than the diagonal view; the whole-matrix count is taken once.
-    The test holds O(mn / s) floats, and bool masks of the input.
+    diagonal view is compared with the atom in chunks of rows, stopping at
+    the first that differs, and the off-diagonal blocks are zero exactly
+    when the whole matrix has no more entries beyond the tolerance than the
+    diagonal view; the whole-matrix count is taken once.  The test holds
+    about _REDUCE_CHUNK floats, and bool masks of the input.  The atom of
+    a reducible matrix is a copy; an irreducible matrix is its own atom and
+    comes back as `as_matrix` reads it, not copied.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -121,13 +150,13 @@ def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
         else:
             v = a.reshape(s, m // s, s, n // s)
             atom, diag = v[0, :, 0, :], np.diagonal(v, axis1=0, axis2=2)
-        if np.abs(diag - atom[:, :, None]).max() > tol:
+        if not _diagonal_within(diag, atom, tol):
             continue
         if beyond is None:
             beyond = _beyond(a, tol)
         if _beyond(diag, tol) == beyond:
             return atom.copy(), s
-    return a.copy(), 1
+    return a, 1
 
 
 def equivalent(x, y, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL) -> bool:
@@ -179,9 +208,19 @@ def inner_v(x, y, side: Side = Side.LEFT) -> float:
 
 
 def norm_v(x) -> float:
-    """Lift-invariant norm sqrt(x.x / dim); independent of the side."""
+    """Lift-invariant norm sqrt(x.x / dim); independent of the side.
+
+    The plain mean square is used while it is a normal float; otherwise
+    the norm is taken of x scaled by its largest |entry|, so it is right
+    at every finite scale.
+    """
     x = as_signal(x)
-    return float(np.sqrt(x @ x / x.size))
+    ms = float(np.vdot(x, x)) / x.size
+    if not _TINY <= ms < inf:
+        peak = _scale(x)
+        if peak:
+            return peak * norm_v(x / peak)
+    return sqrt(ms)
 
 
 def dist_v(x, y, side: Side = Side.LEFT) -> float:
@@ -193,12 +232,18 @@ def angle_v(x, y, side: Side = Side.LEFT) -> float:
     """Angle (radians) between two nonzero classes.
 
     The cosine is clamped to [-1, 1] so parallel inputs never produce NaN.
-    Raises ZeroVector if either argument has zero norm.
+    Outside the norms where <x, y> / (||x|| ||y||) is safe as given
+    (_ANGLE_PLAIN) it is taken from x / ||x|| and y / ||y||.  Raises
+    ZeroVector if either argument has zero norm.
     """
     nx, ny = norm_v(x), norm_v(y)
     if nx == 0.0 or ny == 0.0:
         raise ZeroVector("angle is undefined for a zero signal")
-    c = inner_v(x, y, side) / (nx * ny)
+    lo, hi = 1.0 / _ANGLE_PLAIN, _ANGLE_PLAIN
+    if lo <= nx <= hi and lo <= ny <= hi:
+        c = inner_v(x, y, side) / (nx * ny)
+    else:
+        c = inner_v(as_signal(x) / nx, as_signal(y) / ny, side)
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 

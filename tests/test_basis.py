@@ -245,6 +245,22 @@ def test_coordinates_raise_outside_the_span():
         coordinates(delta(4, 2), ob)
 
 
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-300, 300))
+def test_coordinates_answer_the_same_at_every_scale(side, e):
+    # [1, 2, 3, 4] is in the LEFT span of layers 1..4 but not the RIGHT
+    # one; at 1e155 its squares overflow and the Parseval deficit is
+    # inf - inf, at 1e-300 they underflow to zero
+    ob = orthonormal_basis(4, side)
+    x, c = np.array([1.0, 2.0, 3.0, 4.0]), 10.0 ** e
+    if side is Side.RIGHT:
+        with pytest.raises(InsufficientBasis):
+            coordinates(c * x, ob)
+    else:
+        assert np.allclose(coordinates(c * x, ob), c * coordinates(x, ob), rtol=1e-13, atol=0.0)
+
+
 # --- exact selection and the closed-form Gram matrix ---------------------------
 
 def _generators(m):

@@ -320,7 +320,9 @@ def test_recover_signal_non_divisible_right(phi30):
 
 
 def test_recover_signal_non_divisible_left(phi30):
-    # entry repetition doubles the nonzero inside one block: per-block bound 2
+    # p = 45, atom columns 30: t = 90, r = 2, s = 3.  The two copies of x[7],
+    # lifted entries 14 and 15, land in blocks 2 and 0, one nonzero each, so
+    # the per-block bound 2 is loose: k = 1 recovers x as well
     p = 45
     x = place_block_sparse(p, [7], [3.0])
     y = compress(phi30, x, Side.LEFT)
@@ -581,7 +583,8 @@ def test_support_sweep_memory_is_bounded_by_the_fit_chunk(phi, side):
     # 136 supports against the 256 blocks; fitting them in one stack would
     # hold about 4.7 MB, and _FIT_CHUNK keeps each chunk near 0.13 MB
     s = 256
-    assert not _certified(*_unit_columns(phi), 2, pipeline.RESIDUAL_TOL)
+    u, norms = _unit_columns(phi)
+    assert not _certified(u.T @ u, norms, 2, pipeline.RESIDUAL_TOL)
     xs = np.zeros((16, s))
     xs[np.arange(s) % 16, np.arange(s)] = 2.0
     x = unblocks(xs, side)
@@ -910,10 +913,11 @@ def test_rival_guard_holds_up_to_its_tolerance_edge():
     # difference of two fits has up to 6 nonzeros, sigma^2 = 1 - 5/7, and
     # the guard holds for tolerances up to ATOL * sigma * sqrt(7) / 2
     u, norms = _unit_columns(aocm(7))
+    g = u.T @ u
     edge = _SAME_SOLUTION_ATOL * np.sqrt(2.0 / 7.0) * np.sqrt(7.0) / 2.0
-    assert _certified(u, norms, 3, 0.99 * edge)
-    assert not _certified(u, norms, 3, 1.01 * edge)
-    assert not _certified(u, norms, 4, 0.0)  # outside the coherence bound
+    assert _certified(g, norms, 3, 0.99 * edge)
+    assert not _certified(g, norms, 3, 1.01 * edge)
+    assert not _certified(g, norms, 4, 0.0)  # outside the coherence bound
 
 
 def test_certified_pursuit_over_the_global_budget_defers_to_the_sweep():
@@ -1012,6 +1016,49 @@ def test_certified_oracle_answers_as_the_sweep(seed):
         norms = np.linalg.norm(a, axis=0)
         weight = unblocks(np.repeat(norms[:, None], s, axis=1), side)
         assert np.allclose(got * weight, expected * weight, rtol=0.0, atol=1e-9)
+
+
+def _bench_plant(rng, s, n, k, side, tie):
+    """A dim s*n signal planted by the rule of the recovery benchmarks.
+
+    Block b of the unknown holds (b + s) mod (k + 1) nonzeros of +-1..9.
+    With `tie` every nonzero has magnitude 4, so on the sign-valued atoms
+    the two true columns of a block tie in pursuit's first scores.
+    """
+    xs = np.zeros((n, s))
+    for b in range(s):
+        rows = rng.choice(n, size=(b + s) % (k + 1), replace=False)
+        mags = np.full(rows.size, 4.0) if tie else rng.integers(1, 10, rows.size)
+        xs[rows, b] = rng.choice([-1.0, 1.0], rows.size) * mags
+    return unblocks(xs, side)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("s", [1, 2, 3, 256])
+@pytest.mark.parametrize("atom", ["7x16", "15x30"])
+def test_pursuit_returns_the_sweeps_answer_on_the_benchmark_atoms(phi, phi30, atom, s, side):
+    # both atoms are certified at the benchmarks' sparsity (coherence 1/3 at
+    # k = 1, 1/5 at k = 2), so the sweep's answer, with the certificate
+    # forced off, is the unique one, and both methods must return it:
+    # blockwise, with exact ties, and under a GLOBAL budget spread over blocks
+    a, k = (phi, 1) if atom == "7x16" else (phi30, 2)
+    n = a.shape[1]
+    u, norms = _unit_columns(a)
+    assert _certified(u.T @ u, norms, k, pipeline.RESIDUAL_TOL)
+    rng = np.random.default_rng(s)
+    cases = [(SparsitySpec(n, k), _bench_plant(rng, s, n, k, side, tie)) for tie in (0, 0, 1, 1)]
+    x = np.zeros(s * n)
+    x[rng.choice(s * n, size=k, replace=False)] = rng.choice([-4.0, 4.0, 7.0], size=k)
+    cases.append((SparsitySpec(n, k, SparsityMode.GLOBAL), x))
+    for spec, x in cases:
+        y = compress(a, x, side)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_certified", lambda *args: False)
+            expected = recover(a, s, y, spec, side)
+        assert np.allclose(expected, x, rtol=0.0, atol=1e-9)
+        for method in ("oracle", "omp"):
+            got = recover(a, s, y, spec, side, method=method)
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 # --- uniqueness guarantee -------------------------------------------------------------

@@ -216,6 +216,35 @@ def test_reduce_matrix_builds_no_lift(side):
     assert peak < a.nbytes
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_reduce_matrix_memory_is_bounded_on_a_non_lift(side):
+    # a 256-fold lift, 1792x4096 and 56 MiB: bumping entry (0, 17), off the
+    # diagonal blocks, or the last entry, inside the last one, makes it
+    # irreducible on both sides, and every divisor down to 2 is tested;
+    # the differences of the diagonal blocks taken at once (two temporaries
+    # of mn/2 floats at s = 2), or a copy of the input as its own atom,
+    # would each hold 56 MiB
+    a = lift_matrix(SENSING_7X16, 256, side)
+
+    def traced(b):
+        tracemalloc.start()
+        try:
+            got = reduce_matrix(b, side)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (atom, mult), peak = traced(a)
+    assert mult == 256 and atom.tobytes() == SENSING_7X16.tobytes()
+    assert peak <= 7.01 * 2**20  # a bool mask of the input
+    for pos in [(0, 17), (1791, 4095)]:
+        b = a.copy()
+        b[pos] += 1.0
+        (atom, mult), peak = traced(b)
+        assert mult == 1 and atom.shape == b.shape and np.array_equal(atom, b)
+        assert peak <= 14 * 2**20
+
+
 # --- the tolerance is relative to the data ------------------------------------
 
 @pytest.mark.parametrize("side", SIDES)
@@ -356,6 +385,26 @@ def test_angle_left_example():
 def test_angle_rejects_zero_vector():
     with pytest.raises(ZeroVector):
         angle_v([0.0, 0.0], [1.0])
+
+
+def test_norm_and_angle_past_the_range_of_a_sum_of_squares():
+    # 1e155 squared overflows and 1e-300 squared underflows to zero
+    assert norm_v(np.array([3.0, 4.0]) * 1e155) == pytest.approx(5e155 / math.sqrt(2), rel=1e-15)
+    assert norm_v(np.array([3.0, 4.0]) * 1e-300) == pytest.approx(5e-300 / math.sqrt(2), rel=1e-15)
+    big = angle_v(np.array([1.0, 0.0]) * 1e155, np.array([1.0, 1.0]) * 1e155)
+    assert big == pytest.approx(math.pi / 4, abs=1e-15)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300))
+def test_norm_and_angle_are_right_at_every_scale(side, ex, ey):
+    # both are homogeneous: norm_v(c x) = c norm_v(x), and the angle
+    # ignores positive scale on either side
+    x, y = np.array([1.0, -2.0, 3.0, 0.5]), np.array([2.0, 1.0, -1.0])
+    cx, cy = 10.0 ** ex, 10.0 ** ey
+    assert norm_v(cx * x) == pytest.approx(cx * norm_v(x), rel=1e-14)
+    assert angle_v(cx * x, cy * y, side) == pytest.approx(angle_v(x, y, side), abs=1e-12)
 
 
 def test_projection_residual_is_perpendicular_to_target_space():
