@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import BadShape, InsufficientBasis
 from .signal_space import _TINY, _generator_products, _scale
-from .stp import Side, as_signal
+from .stp import Side, as_side, as_signal
 
 __all__ = [
     "BasisElement",
@@ -218,6 +218,7 @@ def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
     """
     if m < 1:
         raise BadShape("bound must be positive")
+    side = as_side(side)
     labels = [(n, j) for n in range(1, m + 1) for j in _kept_layer(n, side)]
     ns, js = np.array(labels).T
     inverse = np.linalg.inv(np.linalg.cholesky(_gram(ns[:, None], js[:, None], ns, js, side)).T)

@@ -24,8 +24,20 @@ BLOCKWISE.  Recovery builds no lifted or swap matrix; those stay in
 
 Sweep and pursuit fit the unit-norm columns U of the atom
 (`metrics._unit_columns`) and scale the coefficients back, so column
-scale sways no decision.  `recover` forms G = U^T U once per call, and
-the certificate, pursuit and the sweep all read it.  Both fit a support
+scale sways no decision.  None of what recovery derives from the atom
+depends on the signal, so it is formed once per distinct atom (`_atom`):
+U, its column norms, G = U^T U and the coherence mu = max|G - I| that
+the certificate reads.  The memo is keyed by the contents of the
+validated float64 atom, its shape and bytes, never by identity, and
+keeps the _MEMO_SIZE atoms used last: at most _MEMO_SIZE (mn + n^2 + n)
+floats for m-by-n atoms, plus the keys (mn floats each).  `plan` keeps
+its reductions the same way (`_reduced`), keyed also by the side: an
+entry holds the matrix's bytes and, when it reduces, the smaller atom.
+Each entry is built from a read-only copy of its key, and its arrays
+are read-only, so no caller's buffer is held and no caller can change
+an entry.  Every input check still runs on every call, and every
+decision on every call: the memo holds only what the atom fixes, and
+answers are bit for bit those of a cold one.  Both fit a support
 S from its Gram block (`_fit`): C = U^T Y is formed once per call, and
 one batched solve of G_S z = C_S fits a chunk of supports, or a step of
 pursuit.  A pursuit step costs the same fixed few numpy calls however
@@ -82,14 +94,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from math import lcm, sqrt
+from operator import index
 
 import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
 from .metrics import DEFAULT_BUDGET, _sparsity_bound, _subsets, _unit_columns, spark
 from .signal_space import reduce_matrix
-from .stp import Side, as_matrix, as_signal, blocks, mv_stp, unblocks, unlift
+from .stp import Side, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
 
 __all__ = [
     "SparsityMode",
@@ -119,6 +133,9 @@ _FIT_CHUNK = 1 << 14
 # its unit-diagonal Gram block exceeds this, and by np.linalg.lstsq
 # otherwise; the module docstring derives the bound that fixes it.
 _SOLVE_SCREEN = 1e-2
+
+# How many distinct atoms (`_atom`) and reductions (`_reduced`) are kept.
+_MEMO_SIZE = 8
 
 
 class SparsityMode(Enum):
@@ -169,11 +186,72 @@ class CompressionPlan:
         return int(self.atom.shape[0]) * self.s
 
 
+def _count(value, what: str, least: int) -> int:
+    """`value` as an int of at least `least` (0 or 1), else BadShape."""
+    try:
+        v = index(value)
+    except TypeError:
+        raise BadShape(f"{what} {value!r} must be an integer") from None
+    if v < least:
+        raise BadShape(f"{what} {v} must be {'positive' if least else 'non-negative'}")
+    return v
+
+
+@dataclass(frozen=True)
+class _Atom:
+    """What recovery derives from an atom, whatever the signal (module docstring).
+
+    `u` and `norms` are its unit-norm columns and their norms
+    (`metrics._unit_columns`), g = U^T U, and mu = max|G - I|, its
+    coherence; the arrays are read-only.
+    """
+
+    u: np.ndarray
+    norms: np.ndarray
+    g: np.ndarray
+    mu: float
+
+
+def _atom(a: np.ndarray) -> _Atom:
+    """The memo entry of the validated float64 atom `a`, keyed by its contents."""
+    return _atom_of(a.shape, a.tobytes())
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _atom_of(shape: tuple[int, int], data: bytes) -> _Atom:
+    u, norms = _unit_columns(np.frombuffer(data).reshape(shape))
+    g = u.T @ u
+    for arr in (u, norms, g):
+        arr.flags.writeable = False
+    return _Atom(u, norms, g, float(np.abs(g - np.eye(shape[1])).max()))
+
+
+def _reduced(a: np.ndarray, side: Side) -> tuple[np.ndarray, int]:
+    """`reduce_matrix(a, side)` of a validated float64 matrix, memoized by contents and side.
+
+    The atom is read-only: a reduction's copy, or for an irreducible
+    matrix a view of the key's own bytes.
+    """
+    return _reduced_of(a.shape, a.tobytes(), side)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _reduced_of(shape: tuple[int, int], data: bytes, side: Side) -> tuple[np.ndarray, int]:
+    atom, lifts = reduce_matrix(np.frombuffer(data).reshape(shape), side)
+    atom.flags.writeable = False
+    return atom, lifts
+
+
 def plan(a, p: int, side: Side = Side.LEFT) -> CompressionPlan:
-    """Reduce `a` to its atom and work out the lift factors for dim-p input."""
+    """Reduce `a` to its atom and work out the lift factors for dim-p input.
+
+    The reduction is made once per distinct matrix and side and kept
+    (module docstring); the plan's atom is read-only.
+    """
+    a, side = as_matrix(a), as_side(side)
     if p < 1:
         raise BadShape("signal dimension must be positive")
-    atom, lifts = reduce_matrix(a, side)
+    atom, lifts = _reduced(a, side)
     t = lcm(atom.shape[1] * lifts, p)  # a's own columns, as compress lifts them
     return CompressionPlan(atom, side, p, t // atom.shape[1], t // p, t)
 
@@ -324,24 +402,24 @@ def _sweep(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: i
     return xs, used, alt
 
 
-def _certified(g: np.ndarray, norms: np.ndarray, k: int, residual_tol: float) -> bool:
-    """True when the coherence of unit-norm columns u certifies pursuit at sparsity k.
+def _certified(atom: _Atom, k: int, residual_tol: float) -> bool:
+    """True when the coherence of the atom's unit-norm columns certifies pursuit at sparsity k.
 
-    g = u^T u is their Gram matrix, formed once per recovery and shared
-    with pursuit and the sweep, and `norms` the column norms, as
-    `metrics._unit_columns` returns them.  The certificate and its rival
-    guard are set out in the module docstring.  With residual_tol = 0 the
-    guard is void and this is the uniqueness certificate
-    spark >= 1 + 1/mu > 2k.
+    `atom` is the memo entry (`_atom`): its coherence mu (the unit
+    diagonal of G cancels to ulps) and column norms are formed once per
+    distinct atom, and the decision is made here on every call.  The
+    certificate and its rival guard are set out in the module docstring.
+    With residual_tol = 0 the guard is void and this is the uniqueness
+    certificate spark >= 1 + 1/mu > 2k.
     """
-    n = g.shape[0]
-    if n < 2 or not norms.all():
+    n = atom.g.shape[0]
+    if n < 2 or not atom.norms.all():
         return False
-    mu = float(np.abs(g - np.eye(n)).max())  # the unit diagonal cancels to ulps
+    mu = atom.mu
     if k > _sparsity_bound(mu, n):
         return False
     sigma = sqrt(1.0 - (min(2 * k, n) - 1) * mu)
-    return bool(2.0 * residual_tol <= _SAME_SOLUTION_ATOL * sigma * norms.min())
+    return bool(2.0 * residual_tol <= _SAME_SOLUTION_ATOL * sigma * atom.norms.min())
 
 
 def _budget(used: np.ndarray, spec: SparsitySpec):
@@ -352,18 +430,17 @@ def _budget(used: np.ndarray, spec: SparsitySpec):
     return k
 
 
-def _certified_pursuit(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray,
-                       spec: SparsitySpec):
+def _certified_pursuit(atom: _Atom, ys: np.ndarray, spec: SparsitySpec):
     """Pursuit's (xs, used, alt) where it decides for the oracle, else None.
 
     That is where the coherence certifies k and pursuit fits every block
     within its budget; anywhere else the sweep decides (module docstring).
     """
     k = spec.per_block_k
-    if not _certified(g, norms, k, RESIDUAL_TOL):
+    if not _certified(atom, k, RESIDUAL_TOL):
         return None
     try:
-        xs, used, alt = _omp(u, norms, g, ys, k)
+        xs, used, alt = _omp(atom.u, atom.norms, atom.g, ys, k)
     except NoSolution:
         return None
     return (xs, used, alt) if (used <= _budget(used, spec)).all() else None
@@ -396,10 +473,13 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     more than its budget.  The lowest block whose sparsest fit exceeds
     its budget raises NoSolution, or whose rival fits within it
     NotUnique.  In both modes each block's residual must beat
-    `RESIDUAL_TOL`.
+    `RESIDUAL_TOL`.  What the atom alone fixes is formed once per
+    distinct atom (module docstring).
     """
     a = as_matrix(a)
     y = as_signal(y)
+    side = as_side(side)
+    s = _count(s, "lift factor", 1)
     m, n = a.shape
     if spec.block_len != n:
         raise BadShape(f"sparsity block length {spec.block_len} != matrix columns {n}")
@@ -409,14 +489,13 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
         raise BadShape(f"unknown recovery method {method!r}")
     k = spec.per_block_k
     ys = blocks(y, s, side)
-    u, norms = _unit_columns(a)
-    g = u.T @ u
+    atom = _atom(a)
     if method == "omp":
-        found = _omp(u, norms, g, ys, k)
+        found = _omp(atom.u, atom.norms, atom.g, ys, k)
     else:
-        found = _certified_pursuit(u, norms, g, ys, spec)
+        found = _certified_pursuit(atom, ys, spec)
         if found is None:
-            found = _sweep(u, norms, g, ys, k)
+            found = _sweep(atom.u, atom.norms, atom.g, ys, k)
     xs, used, alt = found
     budget = _budget(used, spec)
     short = used > budget
@@ -442,10 +521,10 @@ def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
     """
     pl = plan(a, p, side)
     spec = SparsitySpec(int(pl.atom.shape[1]), k)
-    xt = recover(pl.atom, pl.s, y, spec, side, method)
+    xt = recover(pl.atom, pl.s, y, spec, pl.side, method)
     if pl.r == 1:
         return xt
-    x = unlift(xt, pl.r, side, RESIDUAL_TOL)
+    x = unlift(xt, pl.r, pl.side, RESIDUAL_TOL)
     if x is None:
         raise NoSolution(
             f"lifted solution is not {pl.r}-fold replicated; no dim-{p} signal matches"
@@ -462,8 +541,11 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     1 + 1/mu > 2k) the answer is True without computing spark; otherwise,
     and for an atom with a zero column, `metrics.spark` settles it from
     its rank, nullity, Gershgorin and witness bounds, and the budget
-    applies only to the subset sizes those bounds leave open.
+    applies only to the subset sizes those bounds leave open.  The
+    reductions and the coherence are kept per distinct matrix (module
+    docstring).
     """
-    atom = min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
-    u, norms = _unit_columns(atom)
-    return _certified(u.T @ u, norms, k, 0.0) or spark(atom, budget=budget) > 2 * k
+    a = as_matrix(a)
+    k = _count(k, "sparsity", 0)
+    atom = min((_reduced(a, side)[0] for side in Side), key=np.size)
+    return _certified(_atom(atom), k, 0.0) or spark(atom, budget=budget) > 2 * k

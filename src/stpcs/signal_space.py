@@ -27,7 +27,7 @@ from math import gcd, inf, isqrt, lcm, sqrt
 import numpy as np
 
 from .errors import BadShape, ZeroVector
-from .stp import Side, as_matrix, as_signal, sta, unlift
+from .stp import Side, as_matrix, as_side, as_signal, sta, unlift
 
 __all__ = [
     "reduce_signal",
@@ -103,7 +103,7 @@ def reduce_signal(x, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     which must equal x[0].  Only the survivors get the full test
     (`stp.unlift`), so an irreducible x usually costs the one pass.
     """
-    x = as_signal(x)
+    x, side = as_signal(x), as_side(side)
     p = x.size
     divs = _divisors_desc(p)[:-1]
     if not divs:
@@ -139,7 +139,7 @@ def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     a reducible matrix is a copy; an irreducible matrix is its own atom and
     comes back as `as_matrix` reads it, not copied.
     """
-    a = as_matrix(a)
+    a, side = as_matrix(a), as_side(side)
     m, n = a.shape
     tol = rtol * _scale(a)
     beyond = None
@@ -202,7 +202,7 @@ def inner_v(x, y, side: Side = Side.LEFT) -> float:
 
     Computed without the lifts, as sum_j x[j] <y, d(dim x, j)> (`_generator_products`).
     """
-    x, y = as_signal(x), as_signal(y)
+    x, y, side = as_signal(x), as_signal(y), as_side(side)
     a = x.size
     return float(x @ _generator_products(y, np.full(a, a), np.arange(1, a + 1), side))
 
@@ -258,6 +258,7 @@ def projection_matrix(m: int, n: int, side: Side = Side.LEFT) -> np.ndarray:
     """
     if m < 1 or n < 1:
         raise BadShape("projection_matrix needs positive dimensions")
+    side = as_side(side)
     t = lcm(m, n)
     jn = np.ones((t // n, 1))
     jm = np.ones((t // m, 1))
@@ -276,7 +277,7 @@ def project(x, n: int, side: Side = Side.LEFT) -> np.ndarray:
     Equals projection_matrix(dim x, n, side) @ x: entry j is
     n <x, d(n, j)>, from `_generator_products`, so no lift is built.
     """
-    x = as_signal(x)
+    x, side = as_signal(x), as_side(side)
     if n < 1:
         raise BadShape("projection target dimension must be positive")
     if n == x.size:

@@ -39,6 +39,7 @@ from .errors import BadShape
 
 __all__ = [
     "Side",
+    "as_side",
     "as_matrix",
     "as_signal",
     "swap_matrix",
@@ -65,6 +66,20 @@ class Side(Enum):
             return cls(name.lower())
         except ValueError:
             raise BadShape(f"unknown side {name!r}; expected 'left' or 'right'") from None
+
+
+def as_side(side) -> Side:
+    """Validate and return `side` as a Side: a member, or a name `Side.parse` reads.
+
+    Every public function that takes a side reads it through here, so a
+    string is parsed once and anything else raises BadShape instead of
+    silently meaning one convention here and the other there.
+    """
+    if side.__class__ is Side:
+        return side
+    if isinstance(side, str):
+        return Side.parse(side)
+    raise BadShape(f"unknown side {side!r}; expected 'left' or 'right'")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -112,7 +127,7 @@ def lift_signal(x, t: int, side: Side = Side.LEFT) -> np.ndarray:
     LEFT repeats each entry t/dim times in place; RIGHT repeats the whole
     vector t/dim times.
     """
-    return _lift(as_signal(x), t, side)
+    return _lift(as_signal(x), t, as_side(side))
 
 
 def _lift(x: np.ndarray, t: int, side: Side) -> np.ndarray:
@@ -129,7 +144,7 @@ def lift_matrix(a, s: int, side: Side = Side.LEFT) -> np.ndarray:
     The dense reference construction; the products apply lifts in
     reshape form instead.
     """
-    a = as_matrix(a)
+    a, side = as_matrix(a), as_side(side)
     eye = np.eye(s)
     return np.kron(a, eye) if side is Side.LEFT else np.kron(eye, a)
 
@@ -141,7 +156,7 @@ def blocks(v, s: int, side: Side = Side.LEFT) -> np.ndarray:
     entries (RIGHT).  Trailing axes ride along.
     """
     v = np.asarray(v)
-    if side is Side.LEFT:
+    if as_side(side) is Side.LEFT:
         return v.reshape(-1, s, *v.shape[1:])
     return v.reshape(s, -1, *v.shape[1:]).swapaxes(0, 1)
 
@@ -149,7 +164,7 @@ def blocks(v, s: int, side: Side = Side.LEFT) -> np.ndarray:
 def unblocks(g, side: Side = Side.LEFT) -> np.ndarray:
     """Inverse of `blocks`: flatten an (n, s, ...) block array to its leading axis."""
     g = np.asarray(g)
-    if side is Side.RIGHT:
+    if as_side(side) is Side.RIGHT:
         g = g.swapaxes(0, 1)
     return g.reshape(-1, *g.shape[2:])
 
@@ -161,7 +176,7 @@ def unlift(x, r: int, side: Side = Side.LEFT, atol: float = 0.0):
     The input is not validated: equal infinities count as equal, and a NaN
     entry refuses the lift.
     """
-    g = blocks(x, r, side)
+    g = blocks(x, r, side)  # validates the side
     y = g[:, 0]
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, settled below
         gap = np.abs(g - y[:, None]).max()
@@ -179,7 +194,7 @@ def mm_stp(a, b, side: Side = Side.LEFT) -> np.ndarray:
     the conventional product A @ B.  Only B is lifted; A acts on the
     blocks of its rows.
     """
-    a, b = as_matrix(a), as_matrix(b)
+    a, b, side = as_matrix(a), as_matrix(b), as_side(side)
     (m, n), (p, q) = a.shape, b.shape
     t = lcm(n, p)
     eye = np.eye(t // p)
@@ -201,7 +216,7 @@ def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
     Applied in reshape form: O(ms) time, no memory beyond the lift and
     the result.
     """
-    a, x = as_matrix(a), as_signal(x)
+    a, x, side = as_matrix(a), as_signal(x), as_side(side)
     n = a.shape[1]
     s = lcm(n, x.size)
     xl = _lift(x, s, side)
@@ -214,7 +229,7 @@ def sta(x, y, side: Side = Side.LEFT, subtract: bool = False) -> np.ndarray:
     Returns a vector of dimension lcm(dim x, dim y); `subtract` flips the
     sign of the second operand.
     """
-    t = lcm(np.size(x), np.size(y))  # lift_signal validates both
+    t = lcm(np.size(x), np.size(y))  # lift_signal validates both, and the side
     xl = lift_signal(x, t, side)
     yl = lift_signal(y, t, side)
     return xl - yl if subtract else xl + yl

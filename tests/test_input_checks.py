@@ -5,6 +5,7 @@ import pytest
 
 from stpcs import (
     Side,
+    SparsitySpec,
     aocm,
     basis_up_to,
     bibd_check,
@@ -13,14 +14,18 @@ from stpcs import (
     incidence_matrix,
     io,
     lift_signal,
+    mv_stp,
     ocm,
     orthonormal_basis,
     plan,
     project,
     projection_matrix,
+    recover,
+    reduce_matrix,
     rip_check,
     sign_matrix_check,
     swap_matrix,
+    uniqueness_guarantee,
     vertical_expand_star,
 )
 from stpcs.basis import largest_square_divisor
@@ -75,6 +80,22 @@ CASES = {
     "as_signal([nan])": (lambda t: as_signal([np.nan]), ValueError, "finite"),
     "swap_matrix(0, 2)": (lambda t: swap_matrix(0, 2), BadShape, "positive"),
     "lift to a non-multiple": (lambda t: lift_signal(np.ones(2), 3), BadShape, "non-multiple 3"),
+    "mv_stp side 'bogus'": (lambda t: mv_stp(SENSING_7X16, np.ones(16), "bogus"), BadShape,
+                            "unknown side 'bogus'"),
+    "reduce_matrix side 0": (lambda t: reduce_matrix(SENSING_7X16, 0), BadShape,
+                             "unknown side 0"),
+    "recover side None": (lambda t: recover(SENSING_7X16, 1, np.zeros(7), SparsitySpec(16, 1),
+                                            None), BadShape, "unknown side None"),
+    "uniqueness_guarantee k = -1": (lambda t: uniqueness_guarantee(SENSING_7X16, -1), BadShape,
+                                    "sparsity -1 must be non-negative"),
+    "uniqueness_guarantee k = 1.5": (lambda t: uniqueness_guarantee(SENSING_7X16, 1.5),
+                                     BadShape, "sparsity 1.5 must be an integer"),
+    "recover s = 1.0": (lambda t: recover(SENSING_7X16, 1.0, np.zeros(7), SparsitySpec(16, 1)),
+                        BadShape, "lift factor 1.0 must be an integer"),
+    "recover s = -1": (lambda t: recover(SENSING_7X16, -1, np.zeros(7), SparsitySpec(16, 1)),
+                       BadShape, "lift factor -1 must be positive"),
+    "recover s = 0": (lambda t: recover(SENSING_7X16, 0, np.zeros(7), SparsitySpec(16, 1)),
+                      BadShape, "lift factor 0 must be positive"),
 }
 
 

@@ -28,8 +28,7 @@ from stpcs import (
 from stpcs import pipeline
 from stpcs.errors import BadShape, BudgetExceeded, NoSolution, NotUnique
 from stpcs.golden import SENSING_7X16
-from stpcs.metrics import _unit_columns
-from stpcs.pipeline import _SAME_SOLUTION_ATOL, _certified, _fit
+from stpcs.pipeline import _SAME_SOLUTION_ATOL, _atom, _certified, _fit
 from stpcs.stp import blocks, unblocks
 
 SIDES = [Side.LEFT, Side.RIGHT]
@@ -583,8 +582,7 @@ def test_support_sweep_memory_is_bounded_by_the_fit_chunk(phi, side):
     # 136 supports against the 256 blocks; fitting them in one stack would
     # hold about 4.7 MB, and _FIT_CHUNK keeps each chunk near 0.13 MB
     s = 256
-    u, norms = _unit_columns(phi)
-    assert not _certified(u.T @ u, norms, 2, pipeline.RESIDUAL_TOL)
+    assert not _certified(_atom(phi), 2, pipeline.RESIDUAL_TOL)
     xs = np.zeros((16, s))
     xs[np.arange(s) % 16, np.arange(s)] = 2.0
     x = unblocks(xs, side)
@@ -640,16 +638,18 @@ def lstsq_reference(a, s, y, spec, side, method):
     return unblocks(reference_omp(a, blocks(y, s, side), k), side)
 
 
-@pytest.mark.parametrize("method", ["oracle", "omp"])
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=19_999))
-@example(1476)  # column-scaled: pursuit refits on raw columns disagree with the reference
-def test_gram_fits_match_the_lstsq_reference(method, seed):
-    # Column-scaled atoms keep the normal equations; near-duplicate,
-    # duplicate and zero columns send supports to the SVD.  Blockwise and
-    # global sparsity, and in one case in seven noise below the tolerance.
-    # Each planted nonzero contributes O(1) to y, whatever its column's
-    # scale, with distinct magnitudes so that pursuit scores do not tie.
+def _gram_fit_case(seed):
+    """A recovery problem whose supports fail the determinant screen or not.
+
+    Column-scaled atoms keep the normal equations; near-duplicate,
+    duplicate and zero columns send supports to the SVD.  Blockwise and
+    global sparsity, and in one case in seven noise below the tolerance.
+    Each planted nonzero contributes O(1) to y, whatever its column's
+    scale, with distinct magnitudes so that pursuit scores do not tie.
+    Returns the generator, which the caller may draw on further, with
+    the kind, the atom, its column norms (zero read as one) and the
+    arguments of `recover`.
+    """
     rng = np.random.default_rng(seed)
     kind = _ATOM_KINDS[seed % len(_ATOM_KINDS)]
     m, n, s = int(rng.integers(2, 7)), int(rng.integers(3, 9)), int(rng.integers(1, 5))
@@ -668,7 +668,15 @@ def test_gram_fits_match_the_lstsq_reference(method, seed):
     y = compress(a, unblocks(xs, side), side)
     if rng.integers(7) == 0:
         y = y + 1e-10 * rng.standard_normal(y.size)
-    spec = SparsitySpec(n, k, mode)
+    return rng, kind, a, norms, s, y, SparsitySpec(n, k, mode), side
+
+
+@pytest.mark.parametrize("method", ["oracle", "omp"])
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=19_999))
+@example(1476)  # column-scaled: pursuit refits on raw columns disagree with the reference
+def test_gram_fits_match_the_lstsq_reference(method, seed):
+    rng, kind, a, norms, s, y, spec, side = _gram_fit_case(seed)
 
     def reference(y):
         with pytest.MonkeyPatch.context() as mp:
@@ -912,12 +920,11 @@ def test_rival_guard_holds_up_to_its_tolerance_edge():
     # aocm(7): coherence 1/7 and column norms sqrt(7).  At k = 3 the
     # difference of two fits has up to 6 nonzeros, sigma^2 = 1 - 5/7, and
     # the guard holds for tolerances up to ATOL * sigma * sqrt(7) / 2
-    u, norms = _unit_columns(aocm(7))
-    g = u.T @ u
+    atom = _atom(aocm(7))
     edge = _SAME_SOLUTION_ATOL * np.sqrt(2.0 / 7.0) * np.sqrt(7.0) / 2.0
-    assert _certified(g, norms, 3, 0.99 * edge)
-    assert not _certified(g, norms, 3, 1.01 * edge)
-    assert not _certified(g, norms, 4, 0.0)  # outside the coherence bound
+    assert _certified(atom, 3, 0.99 * edge)
+    assert not _certified(atom, 3, 1.01 * edge)
+    assert not _certified(atom, 4, 0.0)  # outside the coherence bound
 
 
 def test_certified_pursuit_over_the_global_budget_defers_to_the_sweep():
@@ -990,10 +997,10 @@ def _pursuit_case(seed):
     return a, s, y, SparsitySpec(n, k, mode), side
 
 
-def _decision(a, s, y, spec, side):
+def _exact(solve, *args, **kwargs):
     """The solution, or the type and message of the recovery error raised."""
     try:
-        return recover(a, s, y, spec, side)
+        return solve(*args, **kwargs)
     except (NoSolution, NotUnique) as exc:
         return type(exc), str(exc)
 
@@ -1006,10 +1013,10 @@ def test_certified_oracle_answers_as_the_sweep(seed):
     # raise the same error with the same message, or agree in the
     # coordinates of the unit-norm columns
     a, s, y, spec, side = _pursuit_case(seed)
-    got = _decision(a, s, y, spec, side)
+    got = _exact(recover, a, s, y, spec, side)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_certified", lambda *args: False)
-        expected = _decision(a, s, y, spec, side)
+        expected = _exact(recover, a, s, y, spec, side)
     if isinstance(expected, tuple) or isinstance(got, tuple):
         assert got == expected
     else:
@@ -1043,8 +1050,7 @@ def test_pursuit_returns_the_sweeps_answer_on_the_benchmark_atoms(phi, phi30, at
     # blockwise, with exact ties, and under a GLOBAL budget spread over blocks
     a, k = (phi, 1) if atom == "7x16" else (phi30, 2)
     n = a.shape[1]
-    u, norms = _unit_columns(a)
-    assert _certified(u.T @ u, norms, k, pipeline.RESIDUAL_TOL)
+    assert _certified(_atom(a), k, pipeline.RESIDUAL_TOL)
     rng = np.random.default_rng(s)
     cases = [(SparsitySpec(n, k), _bench_plant(rng, s, n, k, side, tie)) for tie in (0, 0, 1, 1)]
     x = np.zeros(s * n)
@@ -1093,3 +1099,131 @@ def test_uniqueness_guarantee_decides_from_coherence_first():
     assert uniqueness_guarantee(star9, 4, budget=1)
     with pytest.raises(BudgetExceeded):
         uniqueness_guarantee(star9, 5, budget=1)
+
+
+# --- the atom memo -------------------------------------------------------------------
+
+def _clear_memo():
+    pipeline._atom_of.cache_clear()
+    pipeline._reduced_of.cache_clear()
+
+
+def _same_exactly(got, expected) -> bool:
+    if isinstance(got, tuple) or isinstance(expected, tuple):
+        return got == expected
+    return got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_memo_holds_no_caller_buffer(phi30, side):
+    # phi30 is irreducible, so its reduction is the matrix itself: a memo
+    # that kept the caller's array would read the overwrite below
+    _clear_memo()
+    x = place_block_sparse(90, [3, 40, 88], [2.0, -1.0, 3.0])
+    y = compress(phi30, x, side)
+    spec = SparsitySpec(30, 2)
+    a = phi30.copy()
+    first = (recover_signal(a, y, 90, 2, side), recover(a, 3, y, spec, side),
+             uniqueness_guarantee(a, 2))
+    a[:] = np.arange(a.size, dtype=float).reshape(a.shape)
+    fresh = phi30.copy()
+    again = (recover_signal(fresh, y, 90, 2, side), recover(fresh, 3, y, spec, side),
+             uniqueness_guarantee(fresh, 2))
+    assert np.allclose(first[0], x, rtol=0.0, atol=1e-12)
+    assert all(np.array_equal(f, g) for f, g in zip(first[:2], again[:2]))
+    assert first[2] is again[2] is True
+
+
+def test_short_lived_atoms_answer_as_cold_ones():
+    # 200 atoms made and dropped one after another, so that their ids are
+    # reused: every answer is the one a cold memo gives
+    rng = np.random.default_rng(7)
+    spec = SparsitySpec(6, 1)
+    seen = []
+    for _ in range(200):
+        a = rng.integers(-3, 4, size=(4, 6)).astype(float)
+        x = np.zeros(12)
+        x[rng.integers(12)] = 2.0
+        y = compress(a, x, Side.LEFT)
+        seen.append((a.copy(), y, _exact(recover, a, 2, y, spec, Side.LEFT),
+                     _exact(recover_signal, a, y, 12, 1, Side.LEFT)))
+        del a
+    for a, y, got, got_signal in seen:
+        _clear_memo()
+        assert _same_exactly(got, _exact(recover, a, 2, y, spec, Side.LEFT))
+        _clear_memo()
+        assert _same_exactly(got_signal, _exact(recover_signal, a, y, 12, 1, Side.LEFT))
+
+
+def test_memo_keeps_at_most_its_size():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        a = rng.standard_normal((3, 4))
+        recover_signal(a, compress(a, np.eye(4)[1], Side.RIGHT), 4, 1, Side.RIGHT)
+    for memo in (pipeline._atom_of, pipeline._reduced_of):
+        info = memo.cache_info()
+        assert info.maxsize == pipeline._MEMO_SIZE and info.currsize <= pipeline._MEMO_SIZE
+
+
+def test_equal_values_in_any_layout_give_identical_answers(phi30):
+    # integer entries, so the int and float32 copies hold the same values
+    wide = np.zeros((15, 60))
+    wide[:, ::2] = phi30
+    layouts = [np.ascontiguousarray(phi30), np.asfortranarray(phi30), wide[:, ::2],
+               phi30.astype(int), phi30.astype(np.float32), phi30.tolist()]
+    x = place_block_sparse(60, [5, 44, 51], [2.0, -1.0, 3.0])
+    spec = SparsitySpec(30, 2)
+    for side in SIDES:
+        y = compress(phi30, x, side)
+        for method in ("oracle", "omp"):
+            _clear_memo()
+            expected = (recover(phi30, 2, y, spec, side, method),
+                        recover_signal(phi30, y, 60, 2, side, method))
+            for a in layouts:
+                _clear_memo()
+                got = (recover(a, 2, y, spec, side, method),
+                       recover_signal(a, y, 60, 2, side, method))
+                assert all(_same_exactly(g, e) for g, e in zip(got, expected))
+                assert uniqueness_guarantee(a, 2)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("lifts", [1, 2])
+def test_plan_atom_cannot_change_a_later_call(phi30, side, lifts):
+    a = lift_matrix(phi30, lifts, side)
+    x = place_block_sparse(60, [5, 44], [2.0, -1.0])
+    y = compress(a, x, side)
+    atom = plan(a, 60, side).atom
+    with pytest.raises(ValueError, match="read-only"):
+        atom[0, 0] = 5.0
+    assert np.array_equal(plan(a, 60, side).atom, phi30)
+    assert np.allclose(recover_signal(a, y, 60, 1, side), x, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("generator", ["gram-fit", "pursuit"])
+def test_warm_memo_answers_bit_for_bit_as_a_cold_one(generator):
+    # each case on both methods and both sides: once from a cleared memo,
+    # then again from the entry that call left
+    for seed in range(500):
+        if generator == "gram-fit":
+            _, _, a, _, s, y, spec, _ = _gram_fit_case(seed)
+        else:
+            a, s, y, spec, _ = _pursuit_case(seed)
+        for side in SIDES:
+            for method in ("oracle", "omp"):
+                _clear_memo()
+                cold = _exact(recover, a, s, y, spec, side, method)
+                assert _same_exactly(_exact(recover, a, s, y, spec, side, method), cold)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_side_name_means_its_member(phi30, side):
+    x = place_block_sparse(90, [3, 40, 88], [2.0, -1.0, 3.0])
+    y = compress(phi30, x, side.value)
+    assert np.array_equal(y, compress(phi30, x, side))
+    spec = SparsitySpec(30, 2)
+    assert np.array_equal(recover(phi30, 3, y, spec, side.value), recover(phi30, 3, y, spec, side))
+    xh = recover_signal(phi30, y, 90, 2, side.value.upper())
+    assert np.array_equal(xh, recover_signal(phi30, y, 90, 2, side))
+    assert np.allclose(xh, x, rtol=0.0, atol=1e-12)
+    assert plan(phi30, 45, side.value).side is side

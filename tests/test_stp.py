@@ -19,7 +19,7 @@ from stpcs import (
 )
 from stpcs.errors import BadShape
 from stpcs.golden import SENSING_7X16
-from stpcs.stp import blocks, unblocks, unlift
+from stpcs.stp import as_side, blocks, unblocks, unlift
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -329,3 +329,25 @@ def test_rejects_non_finite_entries():
 def test_rejects_empty_shapes():
     with pytest.raises(BadShape):
         sta([], [1.0])
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_side_name_is_its_member_everywhere(side):
+    # a name once read "left" in one function and "not RIGHT" in another
+    x = np.arange(48.0)
+    b = np.arange(24.0).reshape(2, 12)
+    for name in (side.value, side.value.upper()):
+        assert as_side(name) is side
+        assert np.array_equal(blocks(x, 3, name), blocks(x, 3, side))
+        assert np.array_equal(unblocks(blocks(x, 3, side), name), x)
+        assert np.array_equal(mv_stp(SENSING_7X16, x, name), mv_stp(SENSING_7X16, x, side))
+        assert np.array_equal(mm_stp(SENSING_7X16, b, name), mm_stp(SENSING_7X16, b, side))
+        assert np.array_equal(lift_matrix(b, 2, name), lift_matrix(b, 2, side))
+        assert np.array_equal(sta(x, x[:6], name), sta(x, x[:6], side))
+    assert as_side(side) is side
+
+
+@pytest.mark.parametrize("bad", ["bogus", "", 1, None, "Side.LEFT"])
+def test_anything_but_a_side_is_refused(bad):
+    with pytest.raises(BadShape, match="unknown side"):
+        as_side(bad)
