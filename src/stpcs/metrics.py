@@ -8,9 +8,13 @@ meet, and subsets are enumerated (guarded by a budget, never sampled)
 only in the gap the bounds leave.
 
 Column scale changes neither dependence nor recoverability, so
-coherence, spark, `rip_check(normalize=True)` and the recovery of
-`pipeline` work on the unit-norm columns of one helper, `_unit_columns`,
-whose norms neither overflow nor underflow at any finite scale.
+coherence, spark, the sparsity bound, `rip_check(normalize=True)` and
+the recovery of `pipeline` read one column geometry, formed by one
+helper, `_geometry`: the unit-norm columns U, their norms (which
+neither overflow nor underflow at any finite scale), the zero-safe
+divisor that scales coefficients back, G = U^T U and the coherence
+mu = max|G - diag G|.  So one mu decides both what a design certifies
+and what recovery promises.
 
 One subset kernel serves spark, RIP and sparse recovery: `_subsets`
 enumerates the lexicographic k-subsets in chunks, and the recovery
@@ -114,8 +118,24 @@ _RIP_MARGIN = 1e-12
 _RIP_STOP = 1e-14
 
 
-def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a with every nonzero column scaled to unit norm, zero columns left zero, and the norms.
+class _Geometry(NamedTuple):
+    """The column geometry of a matrix A, formed once by `_geometry`.
+
+    `u` holds the columns of A scaled to unit norm (zero columns left
+    zero), `norms` their norms, `scale` the norms with zeros read as 1 (the
+    divisor of A's coefficients), g = U^T U, and mu = max|G - diag G|, the
+    coherence.
+    """
+
+    u: np.ndarray
+    norms: np.ndarray
+    scale: np.ndarray
+    g: np.ndarray
+    mu: float
+
+
+def _geometry(a: np.ndarray) -> _Geometry:
+    """The `_Geometry` of a validated float matrix.
 
     `np.linalg.norm` sums squares, which overflow above about 1e154 and
     lose bits to underflow below about 1e-154.  While every column's
@@ -130,29 +150,26 @@ def _unit_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         norms = np.sqrt(np.add.reduce(a * a, axis=0))
     else:
         norms = np.hypot.reduce(a, axis=0)
-    return a / np.where(norms == 0.0, 1.0, norms), norms
+    scale = np.where(norms == 0.0, 1.0, norms)
+    u = a / scale
+    g = u.T @ u
+    return _Geometry(u, norms, scale, g, float(np.abs(g - np.diag(g.diagonal())).max()))
 
 
-def _column_cosines(a: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise column cosines; raises on zero columns."""
+def _correlated(a) -> _Geometry:
+    """The geometry of `a`, which needs at least two columns and no zero column."""
     a = as_matrix(a)
     if a.shape[1] < 2:
         raise BadShape("column correlations need at least two columns")
-    u, norms = _unit_columns(a)
-    if np.any(norms == 0.0):
+    geo = _geometry(a)
+    if not geo.norms.all():
         raise ZeroColumn("matrix has a zero column")
-    return u.T @ u
-
-
-def _pair_cosines(a) -> np.ndarray:
-    """Cosines of all ordered pairs of distinct columns, flattened."""
-    g = _column_cosines(a)
-    return g[~np.eye(g.shape[0], dtype=bool)]
+    return geo
 
 
 def coherence(a) -> float:
     """Largest absolute pairwise column cosine, in [0, 1]."""
-    return float(np.max(np.abs(_pair_cosines(a))))
+    return _correlated(a).mu
 
 
 def signed_coherence(a) -> float:
@@ -161,7 +178,8 @@ def signed_coherence(a) -> float:
     Kept alongside `coherence` because the magnitude-free maximum can be
     negative and carries sign information the bound arguments ignore.
     """
-    return float(np.max(_pair_cosines(a)))
+    g = _correlated(a).g
+    return float(g[~np.eye(len(g), dtype=bool)].max())
 
 
 def welch_bound(m: int, n: int) -> float:
@@ -246,12 +264,12 @@ def spark(a, budget: int = DEFAULT_BUDGET):
     >= 1e-9 sigma_max(U_T) |x|.  So every dependent subset contains S, and
     if U_S itself fails the test, the spark is |S|.
     """
-    return _spark(a, budget)[0]
+    return _spark(_geometry(as_matrix(a)), budget)[0]
 
 
-def _spark(a, budget: int):
+def _spark(geo: _Geometry, budget: int):
     """(spark, the bound that decided it: "rank", "nullity", "bounds" or "enumeration")."""
-    u, _ = _unit_columns(as_matrix(a))
+    u, g, mu = geo.u, geo.g, geo.mu
     m, n = u.shape
     sv = np.linalg.svd(u, compute_uv=False)
     rank = _rank(sv)
@@ -263,8 +281,6 @@ def _spark(a, budget: int):
         if essential.size and _dependent(u, essential[None, :])[0]:
             return essential.size, "nullity"
 
-    g = u.T @ u
-    mu = float(np.abs(g - np.diag(g.diagonal())).max())
     least = float(g.diagonal().min())  # 1 up to rounding, or 0 for a zero column
     low = 1
     while low <= n and least - (low - 1) * mu > _GERSHGORIN_MARGIN:
@@ -291,7 +307,8 @@ def _spark(a, budget: int):
 
 def max_sparsity(a) -> int:
     """Largest k <= columns with k < (1 + 1/coherence)/2, the lossless-recovery bound."""
-    return _sparsity_bound(coherence(a), as_matrix(a).shape[1])
+    geo = _correlated(a)
+    return _sparsity_bound(geo.mu, len(geo.g))
 
 
 def _sparsity_bound(mu: float, n: int) -> int:
@@ -316,7 +333,7 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     delta is the largest deviation max(sigma_max^2 - 1, 1 - sigma_min^2)
     over every k-column submatrix; the property holds when delta < 1.
     The certificate is scale-sensitive, so columns should be unit-norm;
-    pass normalize=True to rescale them first (`_unit_columns`).
+    pass normalize=True to rescale them first (`_geometry`).
 
     The squared singular values of a submatrix are the eigenvalues of its
     Gram block, so delta comes from `eigvalsh` of the blocks.  Blocks the
@@ -336,11 +353,13 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     if not 1 <= k <= n:
         raise BadShape(f"sparsity k={k} out of range for {n} columns")
     if normalize:
-        a, norms = _unit_columns(a)
-        if np.any(norms == 0.0):
+        geo = _geometry(a)
+        if not geo.norms.all():
             raise ZeroColumn("cannot normalize a zero column")
+        a, g = geo.u, geo.g
+    else:
+        g = a.T @ a
     _check_budget(n, k, budget, "rip_check")
-    g = a.T @ a
     off = np.abs(g - np.diag(g.diagonal()))
     radius = np.sort(off, axis=1)[:, n - k + 1:].sum(axis=1)  # the k-1 largest per column
     bound = float(np.max(np.abs(g.diagonal() - 1.0) + radius))
@@ -398,18 +417,16 @@ def class_metrics(a, side: Side = Side.LEFT, rip_k: int | None = None,
 def component_metrics(a, rip_k: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> CsReport:
     """Metrics of a fixed matrix, no reduction."""
-    a = as_matrix(a)
-    m, n = a.shape
-    cosines = _pair_cosines(a)
-    mu = float(np.max(np.abs(cosines)))
-    spark_value, spark_by = _spark(a, budget)
+    geo = _correlated(a)
+    m, n = geo.u.shape
+    spark_value, spark_by = _spark(geo, budget)
     report = CsReport(
-        coherence=mu,
-        signed_coherence=float(np.max(cosines)),
+        coherence=geo.mu,
+        signed_coherence=float(geo.g[~np.eye(n, dtype=bool)].max()),
         welch_bound=welch_bound(m, n) if n > m else None,
         spark=spark_value,
         spark_by=spark_by,
-        max_k=_sparsity_bound(mu, n),
+        max_k=_sparsity_bound(geo.mu, n),
     )
     if rip_k is not None:
         res = rip_check(a, rip_k, normalize=True, budget=budget)

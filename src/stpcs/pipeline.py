@@ -22,22 +22,23 @@ budget the blocks share, decided from the same per-block fits as
 BLOCKWISE.  Recovery builds no lifted or swap matrix; those stay in
 `stp` as reference constructions.
 
-Sweep and pursuit fit the unit-norm columns U of the atom
-(`metrics._unit_columns`) and scale the coefficients back, so column
-scale sways no decision.  None of what recovery derives from the atom
-depends on the signal, so it is formed once per distinct atom (`_atom`):
-U, its column norms, G = U^T U and the coherence mu = max|G - I| that
-the certificate reads.  The memo is keyed by the contents of the
-validated float64 atom, its shape and bytes, never by identity, and
-keeps the _MEMO_SIZE atoms used last: at most _MEMO_SIZE (mn + n^2 + n)
-floats for m-by-n atoms, plus the keys (mn floats each).  `plan` keeps
-its reductions the same way (`_reduced`), keyed also by the side: an
-entry holds the matrix's bytes and, when it reduces, the smaller atom.
-Each entry is built from a read-only copy of its key, and its arrays
-are read-only, so no caller's buffer is held and no caller can change
-an entry.  Every input check still runs on every call, and every
-decision on every call: the memo holds only what the atom fixes, and
-answers are bit for bit those of a cold one.  Both fit a support
+Sweep and pursuit fit the unit-norm columns U of the atom and scale
+the coefficients back, so column scale sways no decision.  None of what
+recovery derives from the atom depends on the signal, so it is formed
+once per distinct atom, and the package keeps one memo (`_atom`): the
+atom's column geometry (`metrics._geometry`), U, its column norms and
+their zero-safe divisor, G = U^T U and the coherence mu that the
+certificate reads, equal to `metrics.coherence` of the atom bit for bit.
+The memo is keyed by the contents of the validated float64 atom, its
+shape and bytes, never by identity, and keeps the _MEMO_SIZE atoms used
+last: at most _MEMO_SIZE (mn + n^2 + 2n) floats for m-by-n atoms, plus
+the keys (mn floats each).  Each entry is built from a read-only copy
+of its key, and its arrays are read-only, so no caller's buffer is held
+and no caller can change an entry.  `plan` keeps nothing: it reduces
+its matrix on every call, and hands back its atom as a read-only view.
+Every input check still runs on every call, and every decision on every
+call: the memo holds only what the atom fixes, and answers are bit for
+bit those of a cold one.  Both fit a support
 S from its Gram block (`_fit`): C = U^T Y is formed once per call, and
 one batched solve of G_S z = C_S fits a chunk of supports, or a step of
 pursuit.  A pursuit step costs the same fixed few numpy calls however
@@ -96,14 +97,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import lcm, sqrt
-from operator import index
 
 import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
-from .metrics import DEFAULT_BUDGET, _sparsity_bound, _subsets, _unit_columns, spark
+from .metrics import DEFAULT_BUDGET, _Geometry, _geometry, _sparsity_bound, _subsets, spark
 from .signal_space import reduce_matrix
-from .stp import Side, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
+from .stp import Side, as_count, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
 
 __all__ = [
     "SparsityMode",
@@ -134,7 +134,7 @@ _FIT_CHUNK = 1 << 14
 # otherwise; the module docstring derives the bound that fixes it.
 _SOLVE_SCREEN = 1e-2
 
-# How many distinct atoms (`_atom`) and reductions (`_reduced`) are kept.
+# How many distinct atoms `_atom` keeps.
 _MEMO_SIZE = 8
 
 
@@ -156,12 +156,11 @@ class SparsitySpec:
     mode: SparsityMode = SparsityMode.BLOCKWISE
 
     def __post_init__(self):
-        k = self.per_block_k
-        if self.mode is SparsityMode.GLOBAL:
-            if k < 0:
-                raise BadShape(f"sparsity {k} must be non-negative")
-        elif not 0 <= k <= self.block_len:
-            raise BadShape(f"per-block sparsity {k} out of range for block {self.block_len}")
+        n = as_count(self.block_len, "block length", 1)
+        blockwise = self.mode is not SparsityMode.GLOBAL
+        k = as_count(self.per_block_k, "per-block sparsity" if blockwise else "sparsity", 0)
+        if blockwise and k > n:
+            raise BadShape(f"per-block sparsity {k} out of range for block {n}")
 
 
 @dataclass(frozen=True)
@@ -186,72 +185,29 @@ class CompressionPlan:
         return int(self.atom.shape[0]) * self.s
 
 
-def _count(value, what: str, least: int) -> int:
-    """`value` as an int of at least `least` (0 or 1), else BadShape."""
-    try:
-        v = index(value)
-    except TypeError:
-        raise BadShape(f"{what} {value!r} must be an integer") from None
-    if v < least:
-        raise BadShape(f"{what} {v} must be {'positive' if least else 'non-negative'}")
-    return v
-
-
-@dataclass(frozen=True)
-class _Atom:
-    """What recovery derives from an atom, whatever the signal (module docstring).
-
-    `u` and `norms` are its unit-norm columns and their norms
-    (`metrics._unit_columns`), g = U^T U, and mu = max|G - I|, its
-    coherence; the arrays are read-only.
-    """
-
-    u: np.ndarray
-    norms: np.ndarray
-    g: np.ndarray
-    mu: float
-
-
-def _atom(a: np.ndarray) -> _Atom:
+def _atom(a: np.ndarray) -> _Geometry:
     """The memo entry of the validated float64 atom `a`, keyed by its contents."""
     return _atom_of(a.shape, a.tobytes())
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _atom_of(shape: tuple[int, int], data: bytes) -> _Atom:
-    u, norms = _unit_columns(np.frombuffer(data).reshape(shape))
-    g = u.T @ u
-    for arr in (u, norms, g):
+def _atom_of(shape: tuple[int, int], data: bytes) -> _Geometry:
+    geo = _geometry(np.frombuffer(data).reshape(shape))
+    for arr in (geo.u, geo.norms, geo.scale, geo.g):
         arr.flags.writeable = False
-    return _Atom(u, norms, g, float(np.abs(g - np.eye(shape[1])).max()))
-
-
-def _reduced(a: np.ndarray, side: Side) -> tuple[np.ndarray, int]:
-    """`reduce_matrix(a, side)` of a validated float64 matrix, memoized by contents and side.
-
-    The atom is read-only: a reduction's copy, or for an irreducible
-    matrix a view of the key's own bytes.
-    """
-    return _reduced_of(a.shape, a.tobytes(), side)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _reduced_of(shape: tuple[int, int], data: bytes, side: Side) -> tuple[np.ndarray, int]:
-    atom, lifts = reduce_matrix(np.frombuffer(data).reshape(shape), side)
-    atom.flags.writeable = False
-    return atom, lifts
+    return geo
 
 
 def plan(a, p: int, side: Side = Side.LEFT) -> CompressionPlan:
     """Reduce `a` to its atom and work out the lift factors for dim-p input.
 
-    The reduction is made once per distinct matrix and side and kept
-    (module docstring); the plan's atom is read-only.
+    The reduction is made on every call; the plan's atom is a read-only
+    view, of `a` itself when `a` is irreducible.
     """
-    a, side = as_matrix(a), as_side(side)
-    if p < 1:
-        raise BadShape("signal dimension must be positive")
-    atom, lifts = _reduced(a, side)
+    atom, lifts = reduce_matrix(a, side)
+    side, p = as_side(side), as_count(p, "signal dimension", 1)
+    atom = atom.view()
+    atom.flags.writeable = False
     t = lcm(atom.shape[1] * lifts, p)  # a's own columns, as compress lifts them
     return CompressionPlan(atom, side, p, t // atom.shape[1], t // p, t)
 
@@ -292,11 +248,11 @@ def _fit(u: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
     return coef, ys - subs @ coef
 
 
-def _omp(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: int):
+def _omp(atom: _Geometry, ys: np.ndarray, k: int):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
-    `u` and `norms` are the unit-norm columns U of the atom and their
-    norms (`metrics._unit_columns`), and g = U^T U.  C = Y^T U is formed
+    `atom` is the geometry of the atom (`_atom`): its unit-norm columns
+    U, the divisor of their coefficients, and g = U^T U.  C = Y^T U is formed
     once, and its rows are the first pick's scores.  Each later step
     scores every column still above the tolerance by |r^T U| from its
     direct residual r, picks its most correlated unchosen column, and
@@ -314,6 +270,7 @@ def _omp(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: int
     Pursuit alone certifies no uniqueness; `recover` runs it as the
     oracle only where the coherence does (module docstring).
     """
+    u, g, scale = atom.u, atom.g, atom.scale
     n = u.shape[1]
     xs = np.zeros((n, ys.shape[1]))
     used = np.zeros(ys.shape[1], dtype=np.intp)
@@ -321,7 +278,6 @@ def _omp(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: int
     live = (np.sqrt(np.add.reduce(ys * ys, axis=0)) >= RESIDUAL_TOL).nonzero()[0]
     if not live.size:
         return xs, used, k + 1
-    scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
     targets = ys[:, live].T  # (live, m)
     c = targets @ u  # (live, n)
     scores = np.abs(c)
@@ -355,11 +311,11 @@ def _omp(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: int
     )
 
 
-def _sweep(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: int):
+def _sweep(atom: _Geometry, ys: np.ndarray, k: int):
     """Sparsest fits x_b with a @ x_b ~= ys[:, b] and the size of a rival, by support search.
 
-    `u` and `norms` are the unit-norm columns of the atom a and their
-    norms (`metrics._unit_columns`), and g = u^T u.  Enumerates supports
+    `atom` is the geometry of the atom a (`_atom`): its unit-norm columns
+    u, the divisor of their coefficients, and g = u^T u.  Enumerates supports
     of size 0..k once for all columns, in chunks from `metrics._subsets`
     whose stacked arrays stay near _FIT_CHUNK floats: each support gets
     one least-squares fit (`_fit`) against every column, and a column
@@ -373,9 +329,9 @@ def _sweep(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: i
     The sweep decides nothing; `recover` weighs both sizes against the
     sparsity budget.
     """
+    u, g, scale = atom.u, atom.g, atom.scale
     m, n = u.shape
     cols = ys.shape[1]
-    scale = np.where(norms == 0.0, 1.0, norms)  # a zero column's coefficient is 0 either way
     xs = np.zeros((n, cols))
     used = np.where(np.linalg.norm(ys, axis=0) < RESIDUAL_TOL, 0, k + 1)  # the empty support
     alt = np.full(cols, k + 1)
@@ -402,23 +358,21 @@ def _sweep(u: np.ndarray, norms: np.ndarray, g: np.ndarray, ys: np.ndarray, k: i
     return xs, used, alt
 
 
-def _certified(atom: _Atom, k: int, residual_tol: float) -> bool:
+def _certified(atom: _Geometry, k: int, residual_tol: float) -> bool:
     """True when the coherence of the atom's unit-norm columns certifies pursuit at sparsity k.
 
-    `atom` is the memo entry (`_atom`): its coherence mu (the unit
-    diagonal of G cancels to ulps) and column norms are formed once per
+    `atom` is the memo entry (`_atom`), whose mu is `metrics.coherence`
+    of the atom bit for bit; it and the column norms are formed once per
     distinct atom, and the decision is made here on every call.  The
     certificate and its rival guard are set out in the module docstring.
     With residual_tol = 0 the guard is void and this is the uniqueness
-    certificate spark >= 1 + 1/mu > 2k.
+    certificate spark >= 1 + 1/mu > 2k: True exactly when the atom has
+    no zero column and k <= `metrics.max_sparsity`.
     """
-    n = atom.g.shape[0]
-    if n < 2 or not atom.norms.all():
+    n = len(atom.g)
+    if n < 2 or not atom.norms.all() or k > _sparsity_bound(atom.mu, n):
         return False
-    mu = atom.mu
-    if k > _sparsity_bound(mu, n):
-        return False
-    sigma = sqrt(1.0 - (min(2 * k, n) - 1) * mu)
+    sigma = sqrt(1.0 - (min(2 * k, n) - 1) * atom.mu)
     return bool(2.0 * residual_tol <= _SAME_SOLUTION_ATOL * sigma * atom.norms.min())
 
 
@@ -430,7 +384,7 @@ def _budget(used: np.ndarray, spec: SparsitySpec):
     return k
 
 
-def _certified_pursuit(atom: _Atom, ys: np.ndarray, spec: SparsitySpec):
+def _certified_pursuit(atom: _Geometry, ys: np.ndarray, spec: SparsitySpec):
     """Pursuit's (xs, used, alt) where it decides for the oracle, else None.
 
     That is where the coherence certifies k and pursuit fits every block
@@ -440,7 +394,7 @@ def _certified_pursuit(atom: _Atom, ys: np.ndarray, spec: SparsitySpec):
     if not _certified(atom, k, RESIDUAL_TOL):
         return None
     try:
-        xs, used, alt = _omp(atom.u, atom.norms, atom.g, ys, k)
+        xs, used, alt = _omp(atom, ys, k)
     except NoSolution:
         return None
     return (xs, used, alt) if (used <= _budget(used, spec)).all() else None
@@ -479,7 +433,7 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     a = as_matrix(a)
     y = as_signal(y)
     side = as_side(side)
-    s = _count(s, "lift factor", 1)
+    s = as_count(s, "lift factor", 1)
     m, n = a.shape
     if spec.block_len != n:
         raise BadShape(f"sparsity block length {spec.block_len} != matrix columns {n}")
@@ -491,11 +445,11 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     ys = blocks(y, s, side)
     atom = _atom(a)
     if method == "omp":
-        found = _omp(atom.u, atom.norms, atom.g, ys, k)
+        found = _omp(atom, ys, k)
     else:
         found = _certified_pursuit(atom, ys, spec)
         if found is None:
-            found = _sweep(atom.u, atom.norms, atom.g, ys, k)
+            found = _sweep(atom, ys, k)
     xs, used, alt = found
     budget = _budget(used, spec)
     short = used > budget
@@ -542,10 +496,9 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     and for an atom with a zero column, `metrics.spark` settles it from
     its rank, nullity, Gershgorin and witness bounds, and the budget
     applies only to the subset sizes those bounds leave open.  The
-    reductions and the coherence are kept per distinct matrix (module
-    docstring).
+    coherence is kept per distinct atom (module docstring).
     """
     a = as_matrix(a)
-    k = _count(k, "sparsity", 0)
-    atom = min((_reduced(a, side)[0] for side in Side), key=np.size)
+    k = as_count(k, "sparsity", 0)
+    atom = min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
     return _certified(_atom(atom), k, 0.0) or spark(atom, budget=budget) > 2 * k

@@ -135,12 +135,15 @@ def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     the first that differs, and the off-diagonal blocks are zero exactly
     when the whole matrix has no more entries beyond the tolerance than the
     diagonal view; the whole-matrix count is taken once.  The test holds
-    about _REDUCE_CHUNK floats, and bool masks of the input.  The atom of
-    a reducible matrix is a copy; an irreducible matrix is its own atom and
-    comes back as `as_matrix` reads it, not copied.
+    about _REDUCE_CHUNK floats, and bool masks of the input; with
+    gcd(rows, cols) = 1 there is nothing to test.  The atom of a reducible
+    matrix is a copy; an irreducible matrix is its own atom and comes back
+    as `as_matrix` reads it, not copied.
     """
     a, side = as_matrix(a), as_side(side)
     m, n = a.shape
+    if gcd(m, n) == 1:
+        return a, 1
     tol = rtol * _scale(a)
     beyond = None
     for s in _divisors_desc(gcd(m, n))[:-1]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "as_side",
     "as_matrix",
     "as_signal",
+    "as_count",
     "swap_matrix",
     "lift_signal",
     "lift_matrix",
@@ -104,6 +106,20 @@ def as_signal(x) -> np.ndarray:
     return arr
 
 
+def as_count(value, what: str, least: int) -> int:
+    """Validate and return `value` as an int of at least `least` (0 or 1), else BadShape.
+
+    `what` names the count in the message.
+    """
+    try:
+        v = index(value)
+    except TypeError:
+        raise BadShape(f"{what} {value!r} must be an integer") from None
+    if v < least:
+        raise BadShape(f"{what} {v} must be {'positive' if least else 'non-negative'}")
+    return v
+
+
 def swap_matrix(m: int, n: int) -> np.ndarray:
     """Permutation matrix W[m,n] exchanging the factors of a tensor pair.
 
@@ -127,7 +143,7 @@ def lift_signal(x, t: int, side: Side = Side.LEFT) -> np.ndarray:
     LEFT repeats each entry t/dim times in place; RIGHT repeats the whole
     vector t/dim times.
     """
-    return _lift(as_signal(x), t, as_side(side))
+    return _lift(as_signal(x), as_count(t, "lift dimension", 1), as_side(side))
 
 
 def _lift(x: np.ndarray, t: int, side: Side) -> np.ndarray:
@@ -145,7 +161,7 @@ def lift_matrix(a, s: int, side: Side = Side.LEFT) -> np.ndarray:
     reshape form instead.
     """
     a, side = as_matrix(a), as_side(side)
-    eye = np.eye(s)
+    eye = np.eye(as_count(s, "lift factor", 1))
     return np.kron(a, eye) if side is Side.LEFT else np.kron(eye, a)
 
 

@@ -1,9 +1,11 @@
-"""The smallest recovery passes of the benchmark, run as tests.
+"""The smallest passes of the benchmark, run as tests.
 
 `perfbench/workloads.py` is loaded from its file, without writing
-bytecode next to it, and its TINY recover-lift and recover-search passes
+bytecode next to it.  Its TINY recover-lift and recover-search passes
 run every op and its own output check twice in one process: from a
-cleared atom memo, then from the entries the first run left.
+cleared atom memo, then from the entries the first run left.  Its TINY
+certify pass, without the CLI subprocesses, and its TINY basis-geometry
+pass run every op and its check once.
 """
 
 import importlib.util
@@ -40,8 +42,17 @@ def test_tiny_recovery_pass_is_correct_cold_and_warm(bench, workload, tmp_path):
     ops = workloads.build(workload, 1, workloads.TINY, str(tmp_path))
     assert ops
     pipeline._atom_of.cache_clear()
-    pipeline._reduced_of.cache_clear()
     for _ in ("cold", "warm"):
         state = {}
         for op in ops:
             op.check(op.run(tracer, state))
+
+
+@pytest.mark.parametrize("workload", ["certify", "basis-geometry"])
+def test_tiny_pass_is_correct(bench, workload, tmp_path):
+    workloads, tracer = bench
+    ops = workloads.build(workload, 1, workloads.TINY, str(tmp_path), with_cli=False)
+    assert ops
+    state = {}
+    for op in ops:
+        op.check(op.run(tracer, state))

@@ -5,6 +5,7 @@ import pytest
 
 from stpcs import (
     Side,
+    SparsityMode,
     SparsitySpec,
     aocm,
     basis_up_to,
@@ -13,6 +14,7 @@ from stpcs import (
     generating_layer,
     incidence_matrix,
     io,
+    lift_matrix,
     lift_signal,
     mv_stp,
     ocm,
@@ -21,6 +23,7 @@ from stpcs import (
     project,
     projection_matrix,
     recover,
+    recover_signal,
     reduce_matrix,
     rip_check,
     sign_matrix_check,
@@ -96,6 +99,24 @@ CASES = {
                        BadShape, "lift factor -1 must be positive"),
     "recover s = 0": (lambda t: recover(SENSING_7X16, 0, np.zeros(7), SparsitySpec(16, 1)),
                       BadShape, "lift factor 0 must be positive"),
+    "SparsitySpec k = 1.5": (lambda t: SparsitySpec(16, 1.5), BadShape,
+                             "per-block sparsity 1.5 must be an integer"),
+    "SparsitySpec GLOBAL k = 1.5": (lambda t: SparsitySpec(16, 1.5, SparsityMode.GLOBAL),
+                                    BadShape, "sparsity 1.5 must be an integer"),
+    "SparsitySpec n = 16.0": (lambda t: SparsitySpec(16.0, 1), BadShape,
+                              "block length 16.0 must be an integer"),
+    "SparsitySpec n = 0": (lambda t: SparsitySpec(0, 0), BadShape,
+                           "block length 0 must be positive"),
+    "plan(a, 16.5)": (lambda t: plan(SENSING_7X16, 16.5), BadShape,
+                      "signal dimension 16.5 must be an integer"),
+    "recover_signal p = 16.0": (lambda t: recover_signal(SENSING_7X16, np.zeros(7), 16.0, 1),
+                                BadShape, "signal dimension 16.0 must be an integer"),
+    "lift_matrix(a, 0)": (lambda t: lift_matrix(SENSING_7X16, 0), BadShape,
+                          "lift factor 0 must be positive"),
+    "lift_matrix(a, 2.0)": (lambda t: lift_matrix(SENSING_7X16, 2.0), BadShape,
+                            "lift factor 2.0 must be an integer"),
+    "lift_signal(x, 0)": (lambda t: lift_signal(np.ones(2), 0), BadShape,
+                          "lift dimension 0 must be positive"),
 }
 
 

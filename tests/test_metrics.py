@@ -500,9 +500,9 @@ def test_nullity_one_decides_only_when_the_support_is_provably_essential():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 8))
     a[:, 7] = a[:, 0] - 0.5 * a[:, 1] + 1e-6 * a[:, 2]
-    assert metrics._spark(a, metrics.DEFAULT_BUDGET) == (4, "nullity") and spark_oracle(a) == 4
+    assert metrics._spark(metrics._geometry(a), metrics.DEFAULT_BUDGET) == (4, "nullity") and spark_oracle(a) == 4
     a[:, 4] = a[:, 3] + 1e-5 * rng.standard_normal(8)
-    assert metrics._spark(a, metrics.DEFAULT_BUDGET) == (4, "enumeration") and spark_oracle(a) == 4
+    assert metrics._spark(metrics._geometry(a), metrics.DEFAULT_BUDGET) == (4, "enumeration") and spark_oracle(a) == 4
 
 
 def shared_support_matrix(seed, m, n, rows, width, rank):
@@ -546,7 +546,7 @@ def test_spark_of_the_designs_is_decided_by_a_bound_within_a_small_budget(design
     # and the alpha = 11 designs would walk sizes 1..20 of 22 columns
     a = design()
     assert spark(a, budget=1000) == expected
-    assert metrics._spark(a, 1000) == (expected, by)
+    assert metrics._spark(metrics._geometry(a), 1000) == (expected, by)
 
 
 def test_spark_of_the_smallest_star_design_matches_the_oracle():

@@ -16,7 +16,9 @@ from stpcs import (
     horizontal_expand,
     incidence_matrix,
     lift_matrix,
+    max_sparsity,
     mv_stp,
+    ocm,
     plan,
     recover,
     recover_signal,
@@ -25,11 +27,11 @@ from stpcs import (
     vertical_expand,
     vertical_expand_star,
 )
-from stpcs import pipeline
+from stpcs import metrics, pipeline
 from stpcs.errors import BadShape, BudgetExceeded, NoSolution, NotUnique
 from stpcs.golden import SENSING_7X16
 from stpcs.pipeline import _SAME_SOLUTION_ATOL, _atom, _certified, _fit
-from stpcs.stp import blocks, unblocks
+from stpcs.stp import as_matrix, blocks, unblocks
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -1105,7 +1107,6 @@ def test_uniqueness_guarantee_decides_from_coherence_first():
 
 def _clear_memo():
     pipeline._atom_of.cache_clear()
-    pipeline._reduced_of.cache_clear()
 
 
 def _same_exactly(got, expected) -> bool:
@@ -1160,9 +1161,8 @@ def test_memo_keeps_at_most_its_size():
     for _ in range(100):
         a = rng.standard_normal((3, 4))
         recover_signal(a, compress(a, np.eye(4)[1], Side.RIGHT), 4, 1, Side.RIGHT)
-    for memo in (pipeline._atom_of, pipeline._reduced_of):
-        info = memo.cache_info()
-        assert info.maxsize == pipeline._MEMO_SIZE and info.currsize <= pipeline._MEMO_SIZE
+    info = pipeline._atom_of.cache_info()
+    assert info.maxsize == pipeline._MEMO_SIZE and info.currsize <= pipeline._MEMO_SIZE
 
 
 def test_equal_values_in_any_layout_give_identical_answers(phi30):
@@ -1198,6 +1198,38 @@ def test_plan_atom_cannot_change_a_later_call(phi30, side, lifts):
         atom[0, 0] = 5.0
     assert np.array_equal(plan(a, 60, side).atom, phi30)
     assert np.allclose(recover_signal(a, y, 60, 1, side), x, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_recovery_keeps_no_copy_of_a_lifted_matrix(phi, side):
+    # the 448x1024 lift is 3.5 MiB; only the 7x16 atom's geometry stays
+    a = lift_matrix(phi, 64, side)
+    xs = np.zeros((16, 64))
+    xs[np.arange(64) % 16, np.arange(64)] = 2.0
+    x = unblocks(xs, side)
+    y = compress(a, x, side)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert np.array_equal(recover_signal(a, y, 1024, 1, side), x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 0.1 * 2**20
+
+
+def test_the_memo_reads_the_coherence_of_metrics():
+    # orthogonal atoms first: there the unit diagonal of G reads 1 +- ulps
+    rng = np.random.default_rng(19)
+    gaussian = [rng.standard_normal((m, n)) for m, n in [(3, 5), (4, 9), (6, 6), (7, 16)]]
+    integer = [rng.integers(1, 6, size=(m, n)) * rng.choice([-1, 1], size=(m, n))
+               for m, n in [(3, 5), (4, 9), (5, 12)]]
+    for a in map(as_matrix, [ocm(8), np.eye(5), aocm(7), SENSING_7X16, *gaussian, *integer]):
+        atom = _atom(a)
+        assert atom.mu.hex() == metrics.coherence(a).hex()
+        bound = max_sparsity(a)
+        for k in range(a.shape[1] + 2):
+            assert _certified(atom, k, 0.0) == (k <= bound)
 
 
 @pytest.mark.parametrize("generator", ["gram-fit", "pursuit"])
