@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import BadShape, InsufficientBasis
 from .signal_space import _TINY, _generator_products, _scale
-from .stp import Side, as_side, as_signal
+from .stp import Side, as_count, as_side, as_signal
 
 __all__ = [
     "BasisElement",
@@ -134,8 +134,7 @@ class OrthonormalBasis:
 
 def generating_layer(n: int) -> list[BasisElement]:
     """All generating elements of ambient dimension n, ascending j."""
-    if n < 1:
-        raise BadShape("layer index must be positive")
+    n = as_count(n, "layer index", 1)
     if n == 1:
         return [BasisElement.delta(1, 1)]
     return [BasisElement.delta(n, j) for j in range(1, n) if gcd(j, n) == 1]
@@ -143,8 +142,7 @@ def generating_layer(n: int) -> list[BasisElement]:
 
 def largest_square_divisor(n: int) -> int:
     """The largest s with s*s dividing n (s = 1 iff n is squarefree)."""
-    if n < 1:
-        raise BadShape("argument must be positive")
+    n = as_count(n, "argument", 1)
     s = 1
     for d in range(2, isqrt(n) + 1):
         while n % (d * d) == 0:
@@ -175,8 +173,7 @@ def basis_layer(n: int) -> list[BasisElement]:
 
 def basis_up_to(m: int) -> list[BasisElement]:
     """Independent layers 1..m concatenated, ascending n then ascending j."""
-    if m < 1:
-        raise BadShape("bound must be positive")
+    m = as_count(m, "bound", 1)
     out: list[BasisElement] = []
     for n in range(1, m + 1):
         out.extend(basis_layer(n))
@@ -216,9 +213,7 @@ def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
     Generators are taken in ascending (n, j) order and each element is
     scaled so that its first nonzero entry is positive.
     """
-    if m < 1:
-        raise BadShape("bound must be positive")
-    side = as_side(side)
+    m, side = as_count(m, "bound", 1), as_side(side)
     labels = [(n, j) for n in range(1, m + 1) for j in _kept_layer(n, side)]
     ns, js = np.array(labels).T
     inverse = np.linalg.inv(np.linalg.cholesky(_gram(ns[:, None], js[:, None], ns, js, side)).T)

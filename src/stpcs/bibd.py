@@ -26,7 +26,7 @@ from .errors import (
     Unsupported,
 )
 from .io import _validate_kind
-from .stp import as_matrix
+from .stp import as_count, as_matrix
 
 __all__ = [
     "BibdParams",
@@ -63,6 +63,7 @@ def incidence_matrix(alpha: int) -> np.ndarray:
     blocks, every block holds alpha-1 points, and every pair of points
     shares alpha-2 blocks.
     """
+    alpha = as_count(alpha, "alpha", 0)
     if alpha < 3:
         raise BadShape("incidence pattern needs alpha >= 3")
     h = np.ones((alpha, alpha))
@@ -135,6 +136,7 @@ def vertical_expand_star(alpha: int) -> np.ndarray:
     order, so the output has alpha*(alpha-1)/2 rows, row degree 2, column
     degree alpha-1, and coherence exactly 1/(alpha-1).
     """
+    alpha = as_count(alpha, "alpha", 0)
     if alpha < 3:
         raise BadShape("star expansion needs alpha >= 3")
     i, j = np.triu_indices(alpha, 1)
@@ -208,6 +210,7 @@ def ocm(t: int) -> np.ndarray:
     Kronecker power of [[1,1],[1,-1]] times a ones column, shape t x 2^p.
     Unique up to sign changes and permutations of rows/columns.
     """
+    t = as_count(t, "row count", 0)
     if t < 1:
         raise BadShape("ocm needs a positive row count")
     p = (t & -t).bit_length() - 1  # exponent of 2 in t
@@ -245,6 +248,7 @@ def aocm(t: int) -> np.ndarray:
     known 5x5 solution.  Other odd t raise Unsupported; no general
     construction is available.
     """
+    t = as_count(t, "row count", 0)
     if t < 1:
         raise BadShape("aocm needs a positive row count")
     if t % 2 == 0:
@@ -262,16 +266,15 @@ class SignKind(Enum):
     NEITHER = "neither"
 
 
-def sign_matrix_check(a, alpha_minus_1: int) -> SignKind:
+def sign_matrix_check(a) -> SignKind:
     """Classify a sign matrix by its pairwise column inner products.
 
     OCM when all are 0 (needs an even row count), AOCM when all are +-1
-    (needs an odd row count).  Matrices with a single column classify by
-    row parity alone.
+    (needs an odd row count).  The row count, alpha - 1 for the embedding
+    of an alpha-point design, is read from the matrix.  Matrices with a
+    single column classify by row parity alone.
     """
     a = _validate_kind(as_matrix(a), "sign")
-    if a.shape[0] != alpha_minus_1:
-        raise BadShape(f"expected {alpha_minus_1} rows, got {a.shape[0]}")
     if a.shape[1] < 2:
         return SignKind.OCM if a.shape[0] % 2 == 0 else SignKind.AOCM
     g = a.T @ a

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 One verb per construction or analysis step, so every artifact can be
-regenerated from its parameters:
+regenerated from its parameters.  `gen bibd` writes the incidence
+pattern itself (no expansion) or one of its expansions:
 
-    stpcs gen bibd --alpha 4 --expansion star -o H.csv
+    stpcs gen bibd --alpha 4 -o H.csv
+    stpcs gen bibd --alpha 4 --expansion star -o Hs.csv
     stpcs gen ocm -t 4 -o O.csv
     stpcs expand horizontal -i Hv.csv --embed B.csv -o Phi.csv
     stpcs metrics -i Phi.csv --rip-k 1
@@ -67,11 +69,7 @@ def _emit_json(args, doc: dict) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.what == "incidence":
-        _write_matrix(args, bibd.incidence_matrix(args.alpha), kind="boolean",
-                      name=f"incidence-alpha{args.alpha}",
-                      provenance={"alpha": args.alpha})
-    elif args.what == "bibd":
+    if args.what == "bibd":
         h = bibd.incidence_matrix(args.alpha)
         if args.expansion == "vertical":
             h = bibd.vertical_expand(h)
@@ -233,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate matrices")
     gs = g.add_subparsers(dest="what", required=True)
-    gi = gs.add_parser("incidence", help="anti-diagonal block-design incidence matrix")
-    gi.add_argument("--alpha", type=int, required=True)
     gb = gs.add_parser("bibd", help="incidence matrix plus optional expansion")
     gb.add_argument("--alpha", type=int, required=True)
     gb.add_argument("--expansion", choices=["none", "vertical", "star"], default="none")
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--cols", type=int, required=True)
     gr.add_argument("--seed", type=int, default=0)
     gr.add_argument("--kind", choices=list(io.KINDS), default="real")
-    for sp in (gi, gb, go, ga, gr):
+    for sp in (gb, go, ga, gr):
         sp.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_gen)
 

@@ -127,10 +127,10 @@ def load_matrix(path):
     return a, meta
 
 
-def save_signal(path, x, kind: str = "real") -> None:
-    """Write a signal as a single-column CSV/JSON matrix."""
+def save_signal(path, x) -> None:
+    """Write a signal as a single-column real CSV/JSON matrix."""
     x = as_signal(x)
-    save_matrix(path, x.reshape(-1, 1), kind=kind)
+    save_matrix(path, x.reshape(-1, 1))
 
 
 def load_signal(path) -> np.ndarray:

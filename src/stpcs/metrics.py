@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import BadShape, BudgetExceeded, ZeroColumn
 from .signal_space import reduce_matrix
-from .stp import Side, as_matrix
+from .stp import Side, as_count, as_matrix
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -178,7 +178,11 @@ def signed_coherence(a) -> float:
     Kept alongside `coherence` because the magnitude-free maximum can be
     negative and carries sign information the bound arguments ignore.
     """
-    g = _correlated(a).g
+    return _signed_max(_correlated(a).g)
+
+
+def _signed_max(g: np.ndarray) -> float:
+    """The largest off-diagonal entry of the Gram matrix g."""
     return float(g[~np.eye(len(g), dtype=bool)].max())
 
 
@@ -349,16 +353,26 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     within 1e-14 above 1 - 1e-12, inside the margin's own rounding band.
     """
     a = as_matrix(a)
-    m, n = a.shape
+    k = _sparsity_k(k, a.shape[1])
+    if not normalize:
+        return _rip(a, a.T @ a, k, budget)
+    geo = _geometry(a)
+    if not geo.norms.all():
+        raise ZeroColumn("cannot normalize a zero column")
+    return _rip(geo.u, geo.g, k, budget)
+
+
+def _sparsity_k(k, n: int) -> int:
+    """`k` as an int in 1..n, else BadShape."""
+    k = as_count(k, "sparsity", 0)
     if not 1 <= k <= n:
         raise BadShape(f"sparsity k={k} out of range for {n} columns")
-    if normalize:
-        geo = _geometry(a)
-        if not geo.norms.all():
-            raise ZeroColumn("cannot normalize a zero column")
-        a, g = geo.u, geo.g
-    else:
-        g = a.T @ a
+    return k
+
+
+def _rip(a: np.ndarray, g: np.ndarray, k: int, budget: int) -> RipResult:
+    """`rip_check` of the matrix a with Gram matrix g = A^T A, for a valid k."""
+    m, n = a.shape
     _check_budget(n, k, budget, "rip_check")
     off = np.abs(g - np.diag(g.diagonal()))
     radius = np.sort(off, axis=1)[:, n - k + 1:].sum(axis=1)  # the k-1 largest per column
@@ -422,13 +436,14 @@ def component_metrics(a, rip_k: int | None = None,
     spark_value, spark_by = _spark(geo, budget)
     report = CsReport(
         coherence=geo.mu,
-        signed_coherence=float(geo.g[~np.eye(n, dtype=bool)].max()),
+        signed_coherence=_signed_max(geo.g),
         welch_bound=welch_bound(m, n) if n > m else None,
         spark=spark_value,
         spark_by=spark_by,
         max_k=_sparsity_bound(geo.mu, n),
     )
     if rip_k is not None:
-        res = rip_check(a, rip_k, normalize=True, budget=budget)
-        report.rip = {"k": rip_k, "delta": res.delta, "satisfied": res.satisfied}
+        k = _sparsity_k(rip_k, n)
+        res = _rip(geo.u, geo.g, k, budget)
+        report.rip = {"k": k, "delta": res.delta, "satisfied": res.satisfied}
     return report

@@ -101,7 +101,7 @@ from math import lcm, sqrt
 import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
-from .metrics import DEFAULT_BUDGET, _Geometry, _geometry, _sparsity_bound, _subsets, spark
+from .metrics import DEFAULT_BUDGET, _Geometry, _geometry, _spark, _sparsity_bound, _subsets
 from .signal_space import reduce_matrix
 from .stp import Side, as_count, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
 
@@ -495,10 +495,11 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     1 + 1/mu > 2k) the answer is True without computing spark; otherwise,
     and for an atom with a zero column, `metrics.spark` settles it from
     its rank, nullity, Gershgorin and witness bounds, and the budget
-    applies only to the subset sizes those bounds leave open.  The
-    coherence is kept per distinct atom (module docstring).
+    applies only to the subset sizes those bounds leave open.  Both read
+    the one geometry record kept per distinct atom (module docstring), so
+    an atom in any memory layout gets the answer of its C-ordered copy.
     """
     a = as_matrix(a)
     k = as_count(k, "sparsity", 0)
-    atom = min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
-    return _certified(_atom(atom), k, 0.0) or spark(atom, budget=budget) > 2 * k
+    atom = _atom(min((reduce_matrix(a, side)[0] for side in Side), key=np.size))
+    return _certified(atom, k, 0.0) or _spark(atom, budget)[0] > 2 * k

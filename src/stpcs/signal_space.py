@@ -10,7 +10,8 @@ angle, and a cross-dimensional projection.
 Reduction is the quotient map, and it builds no lift: `reduce_signal`
 prunes the candidate multiplicities in one pass before testing the rest
 block by block, and `reduce_matrix` reads the diagonal blocks of a
-reshaped view of its input.  Entries count as equal within REDUCE_RTOL
+reshaped view of its input.  Reductions and equivalence tests all use
+the one tolerance REDUCE_RTOL: entries count as equal within REDUCE_RTOL
 times the largest |entry|, so a reduction gives the same answer when the
 input is scaled.
 
@@ -26,8 +27,8 @@ from math import gcd, inf, isqrt, lcm, sqrt
 
 import numpy as np
 
-from .errors import BadShape, ZeroVector
-from .stp import Side, as_matrix, as_side, as_signal, sta, unlift
+from .errors import ZeroVector
+from .stp import Side, as_count, as_matrix, as_side, as_signal, sta, unlift
 
 __all__ = [
     "reduce_signal",
@@ -90,10 +91,10 @@ def _beyond(a: np.ndarray, tol: float) -> int:
     return np.count_nonzero(a > tol) + np.count_nonzero(a < -tol)
 
 
-def reduce_signal(x, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
+def reduce_signal(x, side: Side = Side.LEFT):
     """Return (atom, multiplicity) with x == lift(atom, multiplicity).
 
-    Entries count as equal within rtol * max|x|.  The atom is the unique
+    Entries count as equal within REDUCE_RTOL * max|x|.  The atom is the unique
     irreducible representative of x's class; multiplicities are tried in
     decreasing order, so the first match is maximal and the returned atom
     is irreducible.  One O(p) pass first drops every multiplicity s that
@@ -108,7 +109,7 @@ def reduce_signal(x, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     divs = _divisors_desc(p)[:-1]
     if not divs:
         return x.copy(), 1
-    tol = rtol * _scale(x)
+    tol = REDUCE_RTOL * _scale(x)
     if side is Side.LEFT:
         far = np.abs(x - x[0]) > tol
         first = int(far.argmax()) or p  # far[0] is False: argmax 0 means none is far
@@ -123,10 +124,10 @@ def reduce_signal(x, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     return x.copy(), 1
 
 
-def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
+def reduce_matrix(a, side: Side = Side.LEFT):
     """Return (atom, multiplicity) with a == atom (x) I_s (LEFT) or I_s (x) atom.
 
-    Entries count as equal within rtol * max|a|, and multiplicities s (the
+    Entries count as equal within REDUCE_RTOL * max|a|, and multiplicities s (the
     divisors of gcd(rows, cols)) are tried in decreasing order.  Each test
     is made in block form, without building the candidate lift: viewed as
     (m0, s, n0, s) on LEFT or (s, m0, s, n0) on RIGHT, an s-fold lift has
@@ -144,7 +145,7 @@ def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     m, n = a.shape
     if gcd(m, n) == 1:
         return a, 1
-    tol = rtol * _scale(a)
+    tol = REDUCE_RTOL * _scale(a)
     beyond = None
     for s in _divisors_desc(gcd(m, n))[:-1]:
         if side is Side.LEFT:
@@ -162,18 +163,23 @@ def reduce_matrix(a, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL):
     return a, 1
 
 
-def equivalent(x, y, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL) -> bool:
-    """True iff x and y reduce to the same atom, within rtol times the larger max|atom|."""
-    ax, _ = reduce_signal(x, side, rtol)
-    ay, _ = reduce_signal(y, side, rtol)
-    return ax.size == ay.size and np.abs(ax - ay).max() <= rtol * max(_scale(ax), _scale(ay))
+def equivalent(x, y, side: Side = Side.LEFT) -> bool:
+    """True iff x and y reduce to the same atom, within REDUCE_RTOL times the larger max|atom|."""
+    ax, _ = reduce_signal(x, side)
+    ay, _ = reduce_signal(y, side)
+    tol = REDUCE_RTOL * max(_scale(ax), _scale(ay))
+    return ax.size == ay.size and np.abs(ax - ay).max() <= tol
 
 
-def matrices_equivalent(a, b, side: Side = Side.LEFT, rtol: float = REDUCE_RTOL) -> bool:
-    """True iff a and b reduce to the same matrix atom, within rtol times the larger max|atom|."""
-    aa, _ = reduce_matrix(a, side, rtol)
-    ab, _ = reduce_matrix(b, side, rtol)
-    return aa.shape == ab.shape and np.abs(aa - ab).max() <= rtol * max(_scale(aa), _scale(ab))
+def matrices_equivalent(a, b, side: Side = Side.LEFT) -> bool:
+    """True iff a and b reduce to the same matrix atom.
+
+    Entries count as equal within REDUCE_RTOL times the larger max|atom|.
+    """
+    aa, _ = reduce_matrix(a, side)
+    ab, _ = reduce_matrix(b, side)
+    tol = REDUCE_RTOL * max(_scale(aa), _scale(ab))
+    return aa.shape == ab.shape and np.abs(aa - ab).max() <= tol
 
 
 def _generator_products(x: np.ndarray, ns: np.ndarray, js: np.ndarray, side: Side) -> np.ndarray:
@@ -259,8 +265,7 @@ def projection_matrix(m: int, n: int, side: Side = Side.LEFT) -> np.ndarray:
     orthogonal to every vector of R^n under the matching inner product.
     A reference construction: `project` applies it without building it.
     """
-    if m < 1 or n < 1:
-        raise BadShape("projection_matrix needs positive dimensions")
+    m, n = as_count(m, "dimension", 1), as_count(n, "dimension", 1)
     side = as_side(side)
     t = lcm(m, n)
     jn = np.ones((t // n, 1))
@@ -281,8 +286,7 @@ def project(x, n: int, side: Side = Side.LEFT) -> np.ndarray:
     n <x, d(n, j)>, from `_generator_products`, so no lift is built.
     """
     x, side = as_signal(x), as_side(side)
-    if n < 1:
-        raise BadShape("projection target dimension must be positive")
+    n = as_count(n, "projection target dimension", 1)
     if n == x.size:
         return x.copy()
     return n * _generator_products(x, np.full(n, n), np.arange(1, n + 1), side)

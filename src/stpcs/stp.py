@@ -128,8 +128,7 @@ def swap_matrix(m: int, n: int) -> np.ndarray:
     W[m,n]^-1 = W[m,n]^T = W[n,m].  A reference construction: the package
     applies W[m,n] v as v.reshape(m, n).T.reshape(-1).
     """
-    if m < 1 or n < 1:
-        raise BadShape("swap_matrix needs positive dimensions")
+    m, n = as_count(m, "dimension", 1), as_count(n, "dimension", 1)
     w = np.zeros((m * n, m * n))
     for i in range(m):
         for j in range(n):

@@ -19,13 +19,13 @@ from stpcs import (
     lift_signal,
     norm_v,
     orthonormal_basis,
-    reduce_signal,
     sta,
 )
 from stpcs.basis import _gram as closed_form_gram
 from stpcs.basis import _kept_layer, largest_square_divisor
 from stpcs.errors import InsufficientBasis
 from stpcs.golden import BASIS_LAYER_12, BASIS_LAYER_27, BASIS_LAYER_4, BASIS_ORDER_M10, ORTHONORMAL_FIRST9
+from stpcs.stp import unlift
 
 
 def delta(n, j):
@@ -378,5 +378,8 @@ def test_elements_are_irreducible_unit_atoms(side):
         k = pow(j, -1, n) if n > 1 else 1
         assert e.size == (n if side is Side.RIGHT or n == 1 else math.lcm(k, n, n - k))
         assert abs(norm_v(e) - 1.0) <= 1e-12
-        assert reduce_signal(e, side, rtol=1e-9)[1] == 1
+        # irreducible: no s-fold lift, s > 1, within 1e-9 of its largest entry
+        tol = 1e-9 * np.abs(e).max()
+        assert all(unlift(e, s, side, tol) is None
+                   for s in range(2, e.size + 1) if e.size % s == 0)
         assert e[np.abs(e) > 1e-9][0] > 0

@@ -312,15 +312,15 @@ def test_aocm_unsupported_odd():
 
 
 def test_sign_matrix_check_classifies():
-    assert sign_matrix_check(ocm(8), 8) is SignKind.OCM
-    assert sign_matrix_check(aocm(7), 7) is SignKind.AOCM
-    assert sign_matrix_check(np.ones((3, 2)), 3) is SignKind.NEITHER
+    assert sign_matrix_check(ocm(8)) is SignKind.OCM
+    assert sign_matrix_check(aocm(7)) is SignKind.AOCM
+    assert sign_matrix_check(np.ones((3, 2))) is SignKind.NEITHER
 
 
 def test_sign_matrix_check_parity_is_structural():
     # odd rows cannot give inner product 0; even rows cannot give +-1
-    assert sign_matrix_check(aocm(5), 5) is SignKind.AOCM
-    assert sign_matrix_check(ocm(4), 4) is SignKind.OCM
+    assert sign_matrix_check(aocm(5)) is SignKind.AOCM
+    assert sign_matrix_check(ocm(4)) is SignKind.OCM
 
 
 @settings(max_examples=30)
@@ -332,7 +332,7 @@ def test_sign_transformations_preserve_classification(seed):
         a *= rng.choice([-1.0, 1.0], size=(1, a.shape[1]))  # column signs
         a *= rng.choice([-1.0, 1.0], size=(a.shape[0], 1))  # row signs
         a = a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
-        assert sign_matrix_check(a, a.shape[0]) is kind
+        assert sign_matrix_check(a) is kind
 
 
 def test_canonical_form_identifies_printed_variants():

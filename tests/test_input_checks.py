@@ -10,6 +10,7 @@ from stpcs import (
     aocm,
     basis_up_to,
     bibd_check,
+    class_metrics,
     coherence,
     generating_layer,
     incidence_matrix,
@@ -60,8 +61,6 @@ CASES = {
     "bibd_check k": (lambda t: bibd_check(np.eye(3)), NotBibd, "block size 1 violates"),
     "bibd_check pairs": (lambda t: bibd_check([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0],
                                                [0, 1, 0, 1]]), NotBibd, "pair count"),
-    "sign_matrix_check rows": (lambda t: sign_matrix_check(np.ones((3, 2)), 2), BadShape,
-                               "expected 2 rows, got 3"),
     "unknown kind": (lambda t: io.save_matrix(t / "a.csv", np.eye(2), kind="int"), BadShape,
                      "unknown kind 'int'"),
     "non-boolean": (lambda t: io.save_matrix(t / "a.csv", 2 * np.eye(2), kind="boolean"),
@@ -117,6 +116,29 @@ CASES = {
                             "lift factor 2.0 must be an integer"),
     "lift_signal(x, 0)": (lambda t: lift_signal(np.ones(2), 0), BadShape,
                           "lift dimension 0 must be positive"),
+    "orthonormal_basis(4.0)": (lambda t: orthonormal_basis(4.0), BadShape,
+                               "bound 4.0 must be an integer"),
+    "generating_layer(3.0)": (lambda t: generating_layer(3.0), BadShape,
+                              "layer index 3.0 must be an integer"),
+    "basis_up_to(3.5)": (lambda t: basis_up_to(3.5), BadShape, "bound 3.5 must be an integer"),
+    "largest_square_divisor(8.0)": (lambda t: largest_square_divisor(8.0), BadShape,
+                                    "8.0 must be an integer"),
+    "project(x, 2.5)": (lambda t: project(np.ones(3), 2.5), BadShape,
+                        "dimension 2.5 must be an integer"),
+    "projection_matrix(2.0, 3)": (lambda t: projection_matrix(2.0, 3), BadShape,
+                                  "dimension 2.0 must be an integer"),
+    "swap_matrix(2.5, 2)": (lambda t: swap_matrix(2.5, 2), BadShape,
+                            "dimension 2.5 must be an integer"),
+    "incidence_matrix(4.5)": (lambda t: incidence_matrix(4.5), BadShape,
+                              "alpha 4.5 must be an integer"),
+    "vertical_expand_star(4.0)": (lambda t: vertical_expand_star(4.0), BadShape,
+                                  "alpha 4.0 must be an integer"),
+    "ocm(4.0)": (lambda t: ocm(4.0), BadShape, "row count 4.0 must be an integer"),
+    "aocm(3.0)": (lambda t: aocm(3.0), BadShape, "row count 3.0 must be an integer"),
+    "rip_check k = 2.0": (lambda t: rip_check(SENSING_7X16, 2.0), BadShape,
+                          "sparsity 2.0 must be an integer"),
+    "class_metrics rip_k = 1.5": (lambda t: class_metrics(SENSING_7X16, rip_k=1.5), BadShape,
+                                  "sparsity 1.5 must be an integer"),
 }
 
 
@@ -132,5 +154,5 @@ def test_one_dimensional_input_is_a_row_matrix():
 
 
 def test_single_column_sign_matrices_classify_by_row_parity():
-    assert sign_matrix_check(np.ones((2, 1)), 2) is SignKind.OCM
-    assert sign_matrix_check(np.ones((3, 1)), 3) is SignKind.AOCM
+    assert sign_matrix_check(np.ones((2, 1))) is SignKind.OCM
+    assert sign_matrix_check(np.ones((3, 1))) is SignKind.AOCM

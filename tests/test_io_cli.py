@@ -119,7 +119,7 @@ def test_gen_and_expand_pipeline_reproduces_sensing_matrix(tmp_path):
     hv = tmp_path / "Hv.csv"
     b = tmp_path / "B.csv"
     phi = tmp_path / "Phi.csv"
-    assert main(["gen", "incidence", "--alpha", "4", "-o", str(h)]) == 0
+    assert main(["gen", "bibd", "--alpha", "4", "-o", str(h)]) == 0
     assert main(["expand", "vertical", "-i", str(h), "-o", str(hv)]) == 0
     io.save_matrix(b, np.array([[1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]],
                                dtype=float), kind="sign")
@@ -304,7 +304,7 @@ def test_gen_ocm_writes_an_orthogonal_sign_matrix(tmp_path):
     assert main(["gen", "ocm", "-t", "4", "-o", str(out)]) == 0
     u, meta = io.load_matrix(out)
     assert meta["kind"] == "sign" and np.array_equal(u, ocm(4))
-    assert sign_matrix_check(u, 4) is SignKind.OCM
+    assert sign_matrix_check(u) is SignKind.OCM
 
 
 @pytest.mark.parametrize("kind,values", [("sign", {-1.0, 1.0}), ("boolean", {0.0, 1.0})])
@@ -341,10 +341,12 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
-def test_expand_star_is_gone():
-    # `gen bibd --expansion star` builds the pair-incidence design
+@pytest.mark.parametrize("verb", ["expand star", "gen incidence"])
+def test_expand_star_is_gone(verb):
+    # `gen bibd` builds the incidence pattern, and with `--expansion star`
+    # the pair-incidence design
     with pytest.raises(SystemExit) as exc:
-        main(["expand", "star", "--alpha", "4"])
+        main([*verb.split(), "--alpha", "4"])
     assert exc.value.code == 2
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations, product
 from unittest import mock
@@ -430,6 +431,11 @@ def test_report_json_dict_round_trip():
     assert doc["spark"] is None and doc["spark_infinite"] is True
     assert doc["welch_bound"] is None
     assert doc["rip"]["k"] == 2 and doc["rip"]["satisfied"] is True
+
+
+def test_report_json_dict_takes_a_numpy_rip_k():
+    doc = class_metrics(SENSING_7X16, rip_k=np.int64(2)).to_json_dict()
+    assert json.loads(json.dumps(doc))["rip"]["k"] == 2
 
 
 @settings(max_examples=20, deadline=None)
