@@ -2,19 +2,38 @@
 
 The generating family is the scalar 1 (written d(1, 1)) and every
 standard basis vector d(n, j) of R^n with j coprime to n.  Its Gram
-matrix has closed forms: under RIGHT <d(n, j), d(n', j')> is
+matrix has closed forms (`_gram`): under RIGHT <d(n, j), d(n', j')> is
 [j = j' mod gcd(n, n')] / lcm(n, n'); under LEFT it is the overlap length
 of [(j-1)/n, j/n) and [(j'-1)/n', j'/n').  `orthonormal_basis` keeps, in
-ascending (n, j) order, the generators independent of all before them,
-which are known in closed form (below), factors their Gram matrix once,
-G = L L^T, and stores the inverse factor inv(L^T): element i is
-sum_k inverse[k, i] * d(labels[k]).  `coordinates` applies the inverse
-factor to the inner products <x, d(n, j)> from the one lift-free kernel
-that also gives `inner_v` and `project` (`signal_space._generator_products`).
+ascending (n, j) order, the generators independent of all before them
+and orthonormalises them in that order.  The kept set and every element
+are known in closed form (below), so no Gram matrix of the family is
+formed: an element is a short sum of cells d(n', j'), standard basis
+vectors that need not be generators.  `elements` builds the atoms from
+those sums, and `coordinates` combines the inner products <x, d(n', j')>
+from the one lift-free kernel that also gives `inner_v` and `project`
+(`signal_space._generator_products`).
 
 LEFT keeps every generator (rank sum(phi(n)), with phi(1) = 1): d(n, j)
 is the indicator of [(j-1)/n, j/n), and every generator before it is
-continuous at the reduced fraction j/n.
+continuous at the reduced fraction j/n.  So the generators before d(n, j)
+span the step functions that break only at the fractions seen so far,
+and d(n, j) adds the break at j/n.  Let h/k < j/n < (j-h)/(n-k) be the
+neighbours of j/n in the Farey sequence of order n: k = j^-1 mod n and
+jk - hn = 1.  Both have denominators below n, so both have been seen,
+and no fraction seen lies between them, so the
+element of d(n, j) is the step function on [h/k, (j-h)/(n-k)) that breaks
+at j/n and integrates to zero.  The two steps have lengths
+j/n - h/k = 1/(nk) and (j-h)/(n-k) - j/n = 1/(n(n-k)), so the values are
+k and -(n-k), and the squared norm is k^2/(nk) + (n-k)^2/(n(n-k)) =
+k/n + (n-k)/n = 1.  Its product with d(n, j) is k/(nk) = 1/n > 0 (the
+cell of d(n, j) contains [h/k, j/n)), so it is the Gram-Schmidt element
+and leads with its positive step.  As cells, [h/k, j/n) =
+[(jk-1)/(nk), jk/(nk)) is cell jk of layer nk and [j/n, (j-h)/(n-k)) =
+[j(n-k)/(n(n-k)), (j(n-k)+1)/(n(n-k))) is cell j(n-k)+1 of layer n(n-k):
+the element is k d(nk, jk) - (n-k) d(n(n-k), j(n-k)+1), an atom of
+dimension lcm(nk, n(n-k)) = lcm(k, n, n-k), and its coordinate is two
+cell integrals.  The element of d(1, 1) is d(1, 1).
 
 RIGHT keeps, in layer n = s^2*q with s maximal, the j <= phi(s)*s*q
 (27, 39 and 69 elements through m = 10, 12 and 16).  `basis_layer` and
@@ -39,22 +58,24 @@ all of them are kept.  (By CRT F_n is a tensor product over the prime
 powers p^e of n; for e >= 2 the kernel of F_{p^e} is the vectors
 invariant under u -> u + p^(e-1), of dimension phi(p^e)/p.)
 
-Elements are built on first access, each in its atom dimension.  RIGHT:
-the element of d(n, j) lies in R^n, because averaging over residues mod n
-maps every earlier generator to a multiple of a generator of layer
-gcd(n, n'), hence maps their span into itself and commutes with the
-projection onto it.
-LEFT: the earlier generators span the step functions that break at the
-fractions j'/n' seen so far, so the element of d(n, j) is a two-step
-function on [h/k, j/n, (j-h)/(n-k)], the neighbours of j/n in the Farey
-sequence of order n, with k = j^-1 mod n.
+RIGHT elements: by the same decomposition the part of d(n, j) orthogonal
+to the layers below n is its part in V_n, the Ramanujan vector
+w_j(u) = (1/n) sum_r exp(2 pi i r (u - j) / n) = c_n(u - j) / n, with c_n
+the Ramanujan sum (an integer).  V_n is orthogonal to the layers below,
+so Gram-Schmidt of layer n is Gram-Schmidt of its w_j alone.  The w_j are
+the orthogonal projections onto V_n of the unit vectors of R^n, so
+<w_j, w_j'> = w_j'(j) / n = c_n(j - j') / n^2.  With that Gram matrix
+G = L L^T over the kept j (at most phi(n) of them) the elements are the
+rows of L^-1 W, W's rows the w_j: each lies in R^n, a sum of the n cells
+d(n, u), and is scaled so that its first entry above 1e-9 of its largest
+|entry| is positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt
 
 import numpy as np
 
@@ -85,8 +106,6 @@ class BasisElement:
 
     @classmethod
     def delta(cls, n: int, j: int) -> "BasisElement":
-        if n == 1:
-            return cls(1, 1, np.ones(1))
         v = np.zeros(n)
         v[j - 1] = 1.0
         return cls(n, j, v)
@@ -103,11 +122,18 @@ def _gram(n1, j1, n2, j2, side: Side) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """The kept generators, the side and the inverse factor; atoms on demand."""
+    """The kept generators, the side, and each element as a short sum of cells.
+
+    Element i is the sum of coefs[t] * d(*cells[:, terms[1, t]]) over the
+    terms t with terms[0, t] == i, which are grouped by element in element
+    order.  A cell d(n, j) is any standard basis vector of R^n.
+    """
 
     labels: list[tuple[int, int]]
     side: Side
-    inverse: np.ndarray = field(repr=False, compare=False)
+    cells: np.ndarray = field(repr=False, compare=False)
+    terms: np.ndarray = field(repr=False, compare=False)
+    coefs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -117,27 +143,27 @@ class OrthonormalBasis:
     def elements(self) -> list[np.ndarray]:
         """The orthonormal elements as atoms, built on first access.
 
-        Raises BadShape when they would hold more than _MAX_ENTRIES entries.
+        An element's dimension is the lcm of its cells' layers.  Raises
+        BadShape when they would hold more than _MAX_ENTRIES entries.
         """
-        atoms = [_atom(n, j, self.side) for n, j in self.labels]
-        total = sum(dim for dim, _ in atoms)
-        if total > _MAX_ENTRIES:
+        elem, cell = self.terms
+        ns, js = self.cells[:, cell]
+        dims = np.lcm.reduceat(ns, np.searchsorted(elem, np.arange(self.count)))
+        ends = np.cumsum(dims)
+        if (total := ends[-1]) > _MAX_ENTRIES:
             raise BadShape(f"the {self.count} elements span {total} entries, above {_MAX_ENTRIES}")
-        ns, js = np.array(self.labels).T
-        out = []
-        for i, (dim, starts) in enumerate(atoms):
-            # constant on the runs that begin at `starts`; entry r is dim * <d(dim, r+1), e_i>
-            g = _gram(dim, starts[:, None] + 1, ns[: i + 1], js[: i + 1], self.side)
-            out.append(np.repeat(dim * g @ self.inverse[: i + 1, i], np.diff(starts, append=dim)))
-        return out
+        # cell j of layer n is the run of s = dim / n entries of its element that ends (n - j) s
+        # entries before the element does; a RIGHT cell lies in its element's own layer, s = 1,
+        # where both lifts agree
+        s = dims[elem] // ns
+        idx = np.arange(s.sum()) + np.repeat(ends[elem] + (js - ns) * s - np.cumsum(s), s)
+        return np.split(np.bincount(idx, np.repeat(self.coefs, s), total), ends[:-1])
 
 
 def generating_layer(n: int) -> list[BasisElement]:
     """All generating elements of ambient dimension n, ascending j."""
     n = as_count(n, "layer index", 1)
-    if n == 1:
-        return [BasisElement.delta(1, 1)]
-    return [BasisElement.delta(n, j) for j in range(1, n) if gcd(j, n) == 1]
+    return [BasisElement.delta(n, j) for j in range(1, n + 1) if gcd(j, n) == 1]
 
 
 def largest_square_divisor(n: int) -> int:
@@ -174,10 +200,7 @@ def basis_layer(n: int) -> list[BasisElement]:
 def basis_up_to(m: int) -> list[BasisElement]:
     """Independent layers 1..m concatenated, ascending n then ascending j."""
     m = as_count(m, "bound", 1)
-    out: list[BasisElement] = []
-    for n in range(1, m + 1):
-        out.extend(basis_layer(n))
-    return out
+    return [e for n in range(1, m + 1) for e in basis_layer(n)]
 
 
 # Elements are for inspection and export: 2^24 entries is 128 MiB of
@@ -196,17 +219,6 @@ def _kept_layer(n: int, side: Side) -> list[int]:
     return [e.j for e in generating_layer(n) if e.j <= cutoff]
 
 
-def _atom(n: int, j: int, side: Side) -> tuple[int, np.ndarray]:
-    """Dimension of the atom of the element of d(n, j), and where its runs start."""
-    if side is Side.RIGHT or n == 1:
-        return n, np.arange(n)
-    k = pow(j, -1, n)
-    h = (j * k - 1) // n  # the Farey neighbours of j/n are h/k and (j-h)/(n-k)
-    dim = lcm(k, n, n - k)
-    starts = np.unique([0, h * dim // k, j * dim // n, (j - h) * dim // (n - k)])
-    return dim, starts[starts < dim]
-
-
 def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
     """The orthonormal basis spanned by the generators of layers 1..m.
 
@@ -214,17 +226,34 @@ def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
     scaled so that its first nonzero entry is positive.
     """
     m, side = as_count(m, "bound", 1), as_side(side)
-    labels = [(n, j) for n in range(1, m + 1) for j in _kept_layer(n, side)]
-    ns, js = np.array(labels).T
-    inverse = np.linalg.inv(np.linalg.cholesky(_gram(ns[:, None], js[:, None], ns, js, side)).T)
-    basis = OrthonormalBasis(labels, side, inverse)
-    if side is Side.RIGHT:  # a LEFT element leads with its positive step on [h/k, j/n)
-        for i, e in enumerate(basis.elements):
+    layers = [(n, _kept_layer(n, side)) for n in range(1, m + 1)]
+    labels = [(n, j) for n, js in layers for j in js]
+    if side is Side.LEFT:
+        # with k = j^-1 mod n the element of d(n, j) is k d(nk, jk) - (n-k) d(n(n-k), j(n-k)+1)
+        rows = [(0, 1, 1, 1)]
+        for i, (n, j) in enumerate(labels[1:], 1):
+            k = pow(j, -1, n)
+            rows += [(i, n * k, j * k, k), (i, n * (n - k), j * (n - k) + 1, k - n)]
+        elem, ns, js, coefs = np.array(rows).T
+        cells, cell = np.array([ns, js]), np.arange(ns.size)
+    else:
+        # layer n's elements are L^-1 W with rows w_j(u) = c_n(u - j) / n and L L^T their Gram
+        # matrix c_n(j - j') / n^2; the factors n cancel, leaving the integer Ramanujan sums c_n
+        coefs = []
+        for n, js in layers:
+            u, js = np.arange(n), np.array(js)[:, None] - 1
+            # c[u] = c_n(u), the sum of cos(2 pi r u / n) over the units r mod n
+            c = np.rint(np.cos(2 * np.pi / n * np.outer(u[np.gcd(u, n) == 1], u)).sum(0))
+            e = np.linalg.solve(np.linalg.cholesky(c[(js - js.T) % n]), c[(u - js) % n])
             # exact zeros come out at rounding level; the first entry above it leads
-            if e[np.abs(e) > 1e-9 * np.abs(e).max()][0] < 0:
-                e *= -1
-                inverse[:, i] *= -1
-    return basis
+            lead = (np.abs(e) > 1e-9 * np.abs(e).max(1, keepdims=True)).argmax(1)
+            coefs.append(e * np.sign(e[np.arange(js.size), lead])[:, None])
+        # an element of layer n sums the n cells of layer n, held once for all m(m+1)/2 cells
+        coefs = np.concatenate(coefs, axis=None)
+        elem = np.repeat(np.arange(len(labels)), [n for n, _ in labels])
+        cell = np.concatenate([n * (n - 1) // 2 + np.tile(range(n), len(js)) for n, js in layers])
+        cells = np.array([(n, j) for n in range(1, m + 1) for j in range(1, n + 1)]).T
+    return OrthonormalBasis(labels, side, cells, np.array([elem, cell]), coefs.astype(float))
 
 
 # `coordinates` raises when the Parseval deficit ||x||^2 - ||xi||^2
@@ -235,13 +264,14 @@ _PARSEVAL_TOL = 1e-9
 def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
     """Coefficients xi[i] = <x, e_i> of x against an orthonormal basis.
 
-    The inner products <x, d(n, j)> with the kept generators come from
-    `signal_space._generator_products`, without a lift, and the inverse
-    factor turns them into xi.  By Parseval ||xi||^2 equals ||x||^2
-    exactly when the basis spans x; unless the deficit ||x||^2 - ||xi||^2
-    is at most _PARSEVAL_TOL * ||x||^2 (a relative, squared quantity)
-    InsufficientBasis is raised.  When ||x||^2 is not a normal float the
-    test is made on x scaled by its largest |entry|, and xi scaled back.
+    The inner products <x, d(n, j)> with the cells of the elements' sums
+    come from `signal_space._generator_products`, without a lift, each cell
+    read once, and xi[i] is element i's sum of them.  By Parseval
+    ||xi||^2 equals ||x||^2 exactly when the basis spans x; unless the
+    deficit ||x||^2 - ||xi||^2 is at most _PARSEVAL_TOL * ||x||^2 (a
+    relative, squared quantity) InsufficientBasis is raised.  When
+    ||x||^2 is not a normal float the test is made on x scaled by its
+    largest |entry|, and xi scaled back.
     """
     x = as_signal(x)
     norm2 = float(np.vdot(x, x)) / x.size
@@ -249,7 +279,8 @@ def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
         peak = _scale(x)
         if peak:
             return peak * coordinates(x / peak, basis)
-    xi = basis.inverse.T @ _generator_products(x, *np.array(basis.labels).T, basis.side)
+    products = _generator_products(x, *basis.cells, basis.side)
+    xi = np.bincount(basis.terms[0], basis.coefs * products[basis.terms[1]], basis.count)
     deficit = norm2 - float(xi @ xi)
     if not deficit <= _PARSEVAL_TOL * norm2:  # a NaN deficit fails too
         raise InsufficientBasis(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -297,9 +298,9 @@ def test_selection_matches_exact_ldl(m, side):
 
 
 def _pivoted_factor(m, side):
-    """Labels and inverse factor by an in-order float Cholesky of the whole
-    generating family that skips a generator when its pivot falls below
-    1e-10 of its squared norm 1/n."""
+    """Labels and factor U (G = U^T U over the kept labels) by an in-order
+    float Cholesky of the whole generating family that skips a generator
+    when its pivot falls below 1e-10 of its squared norm 1/n."""
     ns, js = np.array(_generators(m)).T
     g = closed_form_gram(ns[:, None], js[:, None], ns, js, side)  # becomes the Schur complement
     factor = np.zeros_like(g)  # row i stays zero when generator i is dependent
@@ -308,18 +309,46 @@ def _pivoted_factor(m, side):
             factor[i, i:] = g[i, i:] / np.sqrt(g[i, i])
             g[i:, i:] -= np.outer(factor[i, i:], factor[i, i:])
     kept = np.flatnonzero(np.diag(factor))
-    return [(int(ns[i]), int(js[i])) for i in kept], np.linalg.inv(factor[np.ix_(kept, kept)])
+    return [(int(ns[i]), int(js[i])) for i in kept], factor[np.ix_(kept, kept)]
+
+
+def _assert_oracle_elements(ob, factor, signs):
+    """ob's elements equal the oracle's e_i = signs[i] sum_k inv(U)[k, i] d(labels[k])
+    within 1e-12 of their largest |entry|."""
+    ns, js = np.array(ob.labels).T
+    inverse = np.linalg.inv(factor) * signs
+    # LEFT: the oracle's elements are step functions that break only at fractions of order m
+    # (the Farey sequence F); their values on each piece of F
+    farey = np.unique([a / b for b in range(1, max(ns) + 1) for a in range(b + 1)])
+    mid = (farey[:-1] + farey[1:]) / 2
+    values = (np.floor(mid[:, None] * ns) == js - 1) @ inverse
+    for i, e in enumerate(ob.elements):
+        if ob.side is Side.RIGHT:
+            # entry r of the oracle's element in R^D is D <d(D, r + 1), e_i>, its average over
+            # the residues r mod D; both have unit norm, so equal averages mean equal elements
+            rows = closed_form_gram(e.size, np.arange(1, e.size + 1)[:, None], ns, js, ob.side)
+            got, want = e, e.size * rows @ inverse[:, i]
+        else:
+            # one point of each piece between F and the entries where e changes value
+            pts = np.unique(np.r_[farey, (np.flatnonzero(np.diff(e)) + 1) / e.size])
+            x = (pts[:-1] + pts[1:]) / 2
+            got, want = e[(x * e.size).astype(int)], values[np.searchsorted(farey, x) - 1, i]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(e).max(), ob.labels[i]
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
 def test_closed_form_selection_matches_the_pivoted_cholesky(side):
     for m in range(1, 41):
-        labels, inverse = _pivoted_factor(m, side)
+        labels, factor = _pivoted_factor(m, side)
         ob = orthonormal_basis(m, side)
         assert ob.labels == labels, m
-        # the oracle's inverse has a positive diagonal; RIGHT flips some element signs
-        got = ob.inverse * np.sign(np.diag(ob.inverse))
-        assert np.abs(got - inverse).max() <= 1e-9 * np.abs(inverse).max()
+        # G = L L^T with L = U^T, so L[k, i] = <d(labels[k]), e_i>, the generator's coordinates
+        got = np.array([coordinates(delta(n, j), ob) for n, j in labels])
+        # the oracle's factor has a positive diagonal; RIGHT flips some element signs
+        signs = np.sign(np.diag(got))
+        assert np.abs(got * signs - factor.T).max() <= 1e-9 * np.abs(factor).max(), m
+    # element i depends only on the generators up to its own, so m = 40 covers every m <= 40
+    _assert_oracle_elements(ob, factor, signs)
 
 
 def test_paper_rule_is_the_exact_right_selection_iff_s_is_one_or_prime():
@@ -348,8 +377,7 @@ def test_every_generator_satisfies_parseval(m, side):
     for n, j in _generators(m):
         xi = coordinates(delta(n, j), ob)
         assert abs(xi @ xi - 1 / n) <= 1e-12
-    if side is Side.LEFT:
-        assert "elements" not in vars(ob)  # coordinates built no atom
+    assert "elements" not in vars(ob)  # neither the build nor coordinates built an atom
 
 
 @settings(max_examples=25, deadline=None)
@@ -383,3 +411,19 @@ def test_elements_are_irreducible_unit_atoms(side):
         assert all(unlift(e, s, side, tol) is None
                    for s in range(2, e.size + 1) if e.size % s == 0)
         assert e[np.abs(e) > 1e-9][0] > 0
+        if side is Side.LEFT:  # the values k on [h/k, j/n) and -(n-k) on [j/n, (j-h)/(n-k))
+            assert np.abs(e[:, None] - [0, k, k - n]).min(1).max() <= 1e-14 * n
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_basis_at_m100_and_its_coordinates_stay_small(side):
+    # an N x N float64 array at m = 100 (N = 2661 RIGHT, 3044 LEFT) alone takes 54 or 71 MiB
+    x = lift_signal(delta(96, 1), 9312, side) + lift_signal(delta(97, 2), 9312, side)
+    tracemalloc.start()
+    try:
+        xi = coordinates(x, orthonormal_basis(100, side))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert abs(xi @ xi - norm_v(x) ** 2) <= 1e-12
