@@ -75,12 +75,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import BadShape, InsufficientBasis
-from .signal_space import _TINY, _generator_products, _scale
+from .signal_space import _generator_products, _unit_scale
 from .stp import Side, as_count, as_side, as_signal
 
 __all__ = [
@@ -160,10 +160,15 @@ class OrthonormalBasis:
         return np.split(np.bincount(idx, np.repeat(self.coefs, s), total), ends[:-1])
 
 
+def _units(n: int, cutoff: int) -> list[int]:
+    """The j in 1..cutoff coprime to n, ascending; len(_units(n, n)) is phi(n)."""
+    return [j for j in range(1, cutoff + 1) if gcd(j, n) == 1]
+
+
 def generating_layer(n: int) -> list[BasisElement]:
     """All generating elements of ambient dimension n, ascending j."""
     n = as_count(n, "layer index", 1)
-    return [BasisElement.delta(n, j) for j in range(1, n + 1) if gcd(j, n) == 1]
+    return [BasisElement.delta(n, j) for j in _units(n, n)]
 
 
 def largest_square_divisor(n: int) -> int:
@@ -189,12 +194,10 @@ def basis_layer(n: int) -> list[BasisElement]:
     n = s^2*q with s maximal (q is then squarefree) and keep only the
     elements with index j <= (s-1)*s*q.
     """
-    elems = generating_layer(n)
+    n = as_count(n, "layer index", 1)
     s = largest_square_divisor(n)
-    if s == 1:
-        return elems
-    cutoff = (s - 1) * s * (n // (s * s))
-    return [e for e in elems if e.j <= cutoff]
+    cutoff = (s - 1) * n // s if s > 1 else n  # (s-1) * s * q
+    return [BasisElement.delta(n, j) for j in _units(n, cutoff)]
 
 
 def basis_up_to(m: int) -> list[BasisElement]:
@@ -215,8 +218,7 @@ def _kept_layer(n: int, side: Side) -> list[int]:
     with s maximal (see the module docstring).
     """
     s = largest_square_divisor(n)
-    cutoff = n if side is Side.LEFT else len(generating_layer(s)) * n // s  # phi(s) * s * q
-    return [e.j for e in generating_layer(n) if e.j <= cutoff]
+    return _units(n, n if side is Side.LEFT else len(_units(s, s)) * n // s)  # phi(s) * s * q
 
 
 def orthonormal_basis(m: int, side: Side = Side.RIGHT) -> OrthonormalBasis:
@@ -269,16 +271,13 @@ def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
     read once, and xi[i] is element i's sum of them.  By Parseval
     ||xi||^2 equals ||x||^2 exactly when the basis spans x; unless the
     deficit ||x||^2 - ||xi||^2 is at most _PARSEVAL_TOL * ||x||^2 (a
-    relative, squared quantity) InsufficientBasis is raised.  When
-    ||x||^2 is not a normal float the test is made on x scaled by its
-    largest |entry|, and xi scaled back.
+    relative, squared quantity) InsufficientBasis is raised.  Both are
+    taken on x / c, with c from `signal_space._unit_scale` (1 while the
+    mean square of x is a normal float), and xi is scaled back by c, so
+    the answer is right at every finite scale.
     """
-    x = as_signal(x)
-    norm2 = float(np.vdot(x, x)) / x.size
-    if not _TINY <= norm2 < inf:
-        peak = _scale(x)
-        if peak:
-            return peak * coordinates(x / peak, basis)
+    x, c, ss = _unit_scale(as_signal(x))
+    norm2 = ss / x.size
     products = _generator_products(x, *basis.cells, basis.side)
     xi = np.bincount(basis.terms[0], basis.coefs * products[basis.terms[1]], basis.count)
     deficit = norm2 - float(xi @ xi)
@@ -286,4 +285,4 @@ def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
         raise InsufficientBasis(
             f"relative squared residual {deficit / norm2:.3e} exceeds {_PARSEVAL_TOL:.1e}"
         )
-    return xi
+    return c * xi

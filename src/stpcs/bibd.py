@@ -204,11 +204,14 @@ def horizontal_expand(hv, b) -> np.ndarray:
 
 
 def ocm(t: int) -> np.ndarray:
-    """Largest sign matrix with t rows and pairwise-orthogonal columns.
+    """A sign matrix with t rows and 2^p pairwise-orthogonal columns.
 
     Writing t = 2^p * q with q odd, the construction is the p-fold
     Kronecker power of [[1,1],[1,-1]] times a ones column, shape t x 2^p.
-    Unique up to sign changes and permutations of rows/columns.
+    It has the most columns possible when q = 1 (a Hadamard matrix) or
+    p <= 1 (more than two orthogonal sign columns need 4 | t), but not
+    in general: Paley's Hadamard matrices have orders 12, 20 and 24,
+    where this gives 12 x 4, 20 x 4 and 24 x 8.
     """
     t = as_count(t, "row count", 0)
     if t < 1:
@@ -245,8 +248,10 @@ def aocm(t: int) -> np.ndarray:
     than rows.  For t = 2^p - 1
     the first row of the t+1 orthogonal matrix is deleted, which leaves
     every pairwise inner product at -1 and is maximal.  t = 5 has a
-    known 5x5 solution.  Other odd t raise Unsupported; no general
-    construction is available.
+    known 5x5 solution.  Other odd t raise Unsupported.  Paley's
+    quadratic-residue Hadamard matrix of order q + 1, less its all-ones
+    row, would give a q x (q + 1) matrix for every prime q = 3 (mod 4)
+    (q = 11, 19, 23, ...); this package does not build it yet.
     """
     t = as_count(t, "row count", 0)
     if t < 1:

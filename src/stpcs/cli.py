@@ -34,7 +34,6 @@ from .basis import basis_layer, basis_up_to, orthonormal_basis
 from .errors import StpcsError
 from .pipeline import SparsitySpec, compress, recover, recover_signal
 from .signal_space import project
-from .stp import Side
 
 __all__ = ["main"]
 
@@ -119,8 +118,7 @@ def _cmd_expand(args) -> int:
 def _cmd_metrics(args) -> int:
     a, _ = io.load_matrix(args.input)
     if getattr(args, "class_metrics", False):
-        report = metrics.class_metrics(a, Side.parse(args.side),
-                                       rip_k=args.rip_k, budget=_budget())
+        report = metrics.class_metrics(a, args.side, rip_k=args.rip_k, budget=_budget())
     else:
         report = metrics.component_metrics(a, rip_k=args.rip_k, budget=_budget())
     _emit_json(args, report.to_json_dict())
@@ -128,7 +126,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    ob = orthonormal_basis(args.m, Side.parse(args.side))
+    ob = orthonormal_basis(args.m, args.side)
     doc = {
         "m": args.m,
         "side": ob.side.value,
@@ -142,7 +140,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_project(args) -> int:
     x = io.load_signal(args.input)
-    y = project(x, args.n, Side.parse(args.side))
+    y = project(x, args.n, args.side)
     _write_signal(args, y)
     return 0
 
@@ -150,7 +148,7 @@ def _cmd_project(args) -> int:
 def _cmd_compress(args) -> int:
     a, _ = io.load_matrix(args.matrix)
     x = io.load_signal(args.signal)
-    y = compress(a, x, Side.parse(args.side))
+    y = compress(a, x, args.side)
     _write_signal(args, y)
     return 0
 
@@ -158,12 +156,11 @@ def _cmd_compress(args) -> int:
 def _cmd_recover(args) -> int:
     a, _ = io.load_matrix(args.matrix)
     y = io.load_signal(args.measurements)
-    side = Side.parse(args.side)
     if args.p is not None:
-        x = recover_signal(a, y, args.p, args.k, side, method=args.method)
+        x = recover_signal(a, y, args.p, args.k, args.side, method=args.method)
     else:
         spec = SparsitySpec(a.shape[1], args.k)
-        x = recover(a, args.s, y, spec, side, method=args.method)
+        x = recover(a, args.s, y, spec, args.side, method=args.method)
     _write_signal(args, x)
     return 0
 

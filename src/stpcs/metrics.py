@@ -10,11 +10,13 @@ only in the gap the bounds leave.
 Column scale changes neither dependence nor recoverability, so
 coherence, spark, the sparsity bound, `rip_check(normalize=True)` and
 the recovery of `pipeline` read one column geometry, formed by one
-helper, `_geometry`: the unit-norm columns U, their norms (which
-neither overflow nor underflow at any finite scale), the zero-safe
-divisor that scales coefficients back, G = U^T U and the coherence
-mu = max|G - diag G|.  So one mu decides both what a design certifies
-and what recovery promises.
+helper, `_geometry`: the unit-norm columns U, their norms, the
+zero-safe divisor that scales coefficients back, G = U^T U and the
+coherence mu = max|G - diag G|.  A column's norm is the root of its
+plain sum of squares, retaken at unit scale (`signal_space._unit_scale`)
+only where that sum leaves the normal range, so it reads that column
+alone and is right at every finite scale.  One mu thus decides both
+what a design certifies and what recovery promises.
 
 One subset kernel serves spark, RIP and sparse recovery: `_subsets`
 enumerates the lexicographic k-subsets in chunks, and the recovery
@@ -74,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadShape, BudgetExceeded, ZeroColumn
-from .signal_space import reduce_matrix
+from .signal_space import _plain_sum, _unit_scale, reduce_matrix
 from .stp import Side, as_count, as_matrix
 
 __all__ = [
@@ -137,19 +139,18 @@ class _Geometry(NamedTuple):
 def _geometry(a: np.ndarray) -> _Geometry:
     """The `_Geometry` of a validated float matrix.
 
-    `np.linalg.norm` sums squares, which overflow above about 1e154 and
-    lose bits to underflow below about 1e-154.  While every column's
-    largest entry lies in (1e-140, 1e150) no square that matters leaves
-    the normal range and the norms are the root of the plain sum of
-    squares, `norm`'s own arithmetic without its wrapper; otherwise they
-    come from `np.hypot.reduce`, which sums no squares and is safe at
-    every finite scale.
+    Each column's norm is the root of its plain sum of squares while
+    `signal_space._plain_sum` accepts that sum; a column whose sum has
+    overflowed, lost bits to underflow or is zero is retaken on its own by
+    `signal_space._unit_scale`.  So a column's norm depends on that column
+    alone, and is right at every finite scale.
     """
-    peak = np.abs(a).max(axis=0)
-    if 1e-140 < peak.min() and peak.max() < 1e150:
-        norms = np.sqrt(np.add.reduce(a * a, axis=0))
-    else:
-        norms = np.hypot.reduce(a, axis=0)
+    with np.errstate(over="ignore"):  # an overflowed sum is retaken below
+        ss = np.add.reduce(a * a, axis=0)
+    norms = np.sqrt(ss)
+    for j in np.flatnonzero(~_plain_sum(ss, len(a))):
+        _, c, ssj = _unit_scale(a[:, j])
+        norms[j] = c * math.sqrt(ssj)
     scale = np.where(norms == 0.0, 1.0, norms)
     u = a / scale
     g = u.T @ u

@@ -19,6 +19,15 @@ The inner product of x in R^m and y in R^n lifts both to t = lcm(m, n)
 and scales by 1/t, which makes it invariant under replacing either
 argument by any lift of itself (same-side lifts).  `inner_v`, `project`
 and `basis.coordinates` take <x, d(n, j)> from one kernel, `_generator_products`.
+
+Every norm in the package follows one scale rule (Blue 1978, ACM TOMS
+4(1)): the squares are summed plainly, and the sum is retaken on
+x / max|x| only where its mean is not a normal float, where it has
+overflowed or lost bits to underflow.  `_plain_sum` makes that test and
+`_unit_scale` the retake, for `norm_v`, the Parseval test of
+`basis.coordinates` and each column norm of `metrics._geometry`.
+`angle_v` needs no rule of its own: it takes the inner product of
+x / ||x|| and y / ||y||, which cannot overflow.
 """
 
 from __future__ import annotations
@@ -54,17 +63,8 @@ REDUCE_RTOL = 1e-12
 _REDUCE_CHUNK = 1 << 18
 
 # The smallest normal float.  A mean square outside [_TINY, inf) has
-# overflowed or lost bits to underflow, and is retaken on the signal
-# scaled by its largest |entry| (`norm_v`, `basis.coordinates`).  The
-# plain sum of squares is np.vdot's: the same BLAS dot as `x @ x`, but one
-# that raises no overflow warning.
+# overflowed or lost bits to underflow, and `_plain_sum` rejects it.
 _TINY = float(np.finfo(float).tiny)
-
-# `angle_v` takes <x, y> / (||x|| ||y||) as given while both norms lie in
-# [1 / _ANGLE_PLAIN, _ANGLE_PLAIN]: for any signal that fits in memory no
-# sum or product inside `inner_v` can then overflow, and the denominator
-# stays far inside the normal range.
-_ANGLE_PLAIN = 1e100
 
 
 def _divisors_desc(n: int) -> list[int]:
@@ -75,6 +75,30 @@ def _divisors_desc(n: int) -> list[int]:
 def _scale(a: np.ndarray) -> float:
     """max|a| without building |a|."""
     return float(max(a.max(), -a.min()))
+
+
+def _plain_sum(ss, dim: int):
+    """Whether a sum ss of dim squares holds as taken: its mean is a normal float.
+
+    Elementwise over arrays.  The one test of the package's scale rule
+    (module docstring).
+    """
+    return (_TINY <= ss / dim) & (ss / dim < inf)
+
+
+def _unit_scale(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(x, 1, x.x) while `_plain_sum` accepts x.x; else (x / c, c, (x / c).(x / c)).
+
+    With c = max|x| the rescaled sum lies in [1, dim], so c times its root
+    is the norm of x at every finite scale.  A zero x comes back as
+    (x, 1, 0).  The sum is np.vdot's: the same BLAS dot as `x @ x`, but one
+    that raises no overflow warning.
+    """
+    ss = float(np.vdot(x, x))
+    if _plain_sum(ss, x.size) or not (c := _scale(x)):
+        return x, 1.0, ss
+    x = x / c
+    return x, c, float(np.vdot(x, x))
 
 
 def _diagonal_within(diag: np.ndarray, atom: np.ndarray, tol: float) -> bool:
@@ -163,12 +187,15 @@ def reduce_matrix(a, side: Side = Side.LEFT):
     return a, 1
 
 
+def _same_atom(p: np.ndarray, q: np.ndarray) -> bool:
+    """Same shape, and max|p - q| <= REDUCE_RTOL times the larger of max|p| and max|q|."""
+    tol = REDUCE_RTOL * max(_scale(p), _scale(q))
+    return p.shape == q.shape and np.abs(p - q).max() <= tol
+
+
 def equivalent(x, y, side: Side = Side.LEFT) -> bool:
     """True iff x and y reduce to the same atom, within REDUCE_RTOL times the larger max|atom|."""
-    ax, _ = reduce_signal(x, side)
-    ay, _ = reduce_signal(y, side)
-    tol = REDUCE_RTOL * max(_scale(ax), _scale(ay))
-    return ax.size == ay.size and np.abs(ax - ay).max() <= tol
+    return _same_atom(reduce_signal(x, side)[0], reduce_signal(y, side)[0])
 
 
 def matrices_equivalent(a, b, side: Side = Side.LEFT) -> bool:
@@ -176,10 +203,7 @@ def matrices_equivalent(a, b, side: Side = Side.LEFT) -> bool:
 
     Entries count as equal within REDUCE_RTOL times the larger max|atom|.
     """
-    aa, _ = reduce_matrix(a, side)
-    ab, _ = reduce_matrix(b, side)
-    tol = REDUCE_RTOL * max(_scale(aa), _scale(ab))
-    return aa.shape == ab.shape and np.abs(aa - ab).max() <= tol
+    return _same_atom(reduce_matrix(a, side)[0], reduce_matrix(b, side)[0])
 
 
 def _generator_products(x: np.ndarray, ns: np.ndarray, js: np.ndarray, side: Side) -> np.ndarray:
@@ -219,17 +243,12 @@ def inner_v(x, y, side: Side = Side.LEFT) -> float:
 def norm_v(x) -> float:
     """Lift-invariant norm sqrt(x.x / dim); independent of the side.
 
-    The plain mean square is used while it is a normal float; otherwise
-    the norm is taken of x scaled by its largest |entry|, so it is right
-    at every finite scale.
+    The sum of squares comes from `_unit_scale`, so the norm is right at
+    every finite scale.
     """
     x = as_signal(x)
-    ms = float(np.vdot(x, x)) / x.size
-    if not _TINY <= ms < inf:
-        peak = _scale(x)
-        if peak:
-            return peak * norm_v(x / peak)
-    return sqrt(ms)
+    _, c, ss = _unit_scale(x)
+    return c * sqrt(ss / x.size)
 
 
 def dist_v(x, y, side: Side = Side.LEFT) -> float:
@@ -240,19 +259,16 @@ def dist_v(x, y, side: Side = Side.LEFT) -> float:
 def angle_v(x, y, side: Side = Side.LEFT) -> float:
     """Angle (radians) between two nonzero classes.
 
-    The cosine is clamped to [-1, 1] so parallel inputs never produce NaN.
-    Outside the norms where <x, y> / (||x|| ||y||) is safe as given
-    (_ANGLE_PLAIN) it is taken from x / ||x|| and y / ||y||.  Raises
+    The cosine is <x / ||x||, y / ||y||>: both arguments have unit norm,
+    so no sum inside `inner_v` can overflow at any scale of x or y.  It is
+    clamped to [-1, 1] so parallel inputs never produce NaN.  Raises
     ZeroVector if either argument has zero norm.
     """
+    x, y = as_signal(x), as_signal(y)
     nx, ny = norm_v(x), norm_v(y)
     if nx == 0.0 or ny == 0.0:
         raise ZeroVector("angle is undefined for a zero signal")
-    lo, hi = 1.0 / _ANGLE_PLAIN, _ANGLE_PLAIN
-    if lo <= nx <= hi and lo <= ny <= hi:
-        c = inner_v(x, y, side) / (nx * ny)
-    else:
-        c = inner_v(as_signal(x) / nx, as_signal(y) / ny, side)
+    c = inner_v(x / nx, y / ny, side)
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 

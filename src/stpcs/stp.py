@@ -62,25 +62,18 @@ class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
 
-    @classmethod
-    def parse(cls, name: str) -> "Side":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise BadShape(f"unknown side {name!r}; expected 'left' or 'right'") from None
-
 
 def as_side(side) -> Side:
-    """Validate and return `side` as a Side: a member, or a name `Side.parse` reads.
+    """Validate and return `side` as a Side: a member, or its name in any case.
 
     Every public function that takes a side reads it through here, so a
-    string is parsed once and anything else raises BadShape instead of
-    silently meaning one convention here and the other there.
+    name is parsed in one place and anything else raises BadShape instead
+    of silently meaning one convention here and the other there.
     """
     if side.__class__ is Side:
         return side
-    if isinstance(side, str):
-        return Side.parse(side)
+    if isinstance(side, str) and side.lower() in ("left", "right"):
+        return Side(side.lower())
     raise BadShape(f"unknown side {side!r}; expected 'left' or 'right'")
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stpcs import (
-    Side,
     SparsityMode,
     SparsitySpec,
     aocm,
@@ -36,7 +35,7 @@ from stpcs.basis import largest_square_divisor
 from stpcs.bibd import SignKind
 from stpcs.errors import BadShape, NotBibd, ZeroColumn
 from stpcs.golden import SENSING_7X16
-from stpcs.stp import as_matrix, as_signal
+from stpcs.stp import as_matrix, as_side, as_signal
 
 
 def _load_csv(tmp_path, text):
@@ -76,7 +75,7 @@ CASES = {
     "plan(a, 0)": (lambda t: plan(SENSING_7X16, 0), BadShape, "signal dimension"),
     "projection_matrix(0, 3)": (lambda t: projection_matrix(0, 3), BadShape, "positive"),
     "project(x, 0)": (lambda t: project(np.ones(3), 0), BadShape, "positive"),
-    "Side.parse('up')": (lambda t: Side.parse("up"), BadShape, "unknown side 'up'"),
+    "as_side('up')": (lambda t: as_side("up"), BadShape, "unknown side 'up'"),
     "as_matrix([])": (lambda t: as_matrix([]), BadShape, "nonempty 2-D"),
     "as_matrix 3-D": (lambda t: as_matrix(np.ones((1, 1, 1))), BadShape, "nonempty 2-D"),
     "as_signal([nan])": (lambda t: as_signal([np.nan]), ValueError, "finite"),

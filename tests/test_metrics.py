@@ -638,3 +638,16 @@ def test_scale_free_answers_hold_over_the_whole_float_range():
                 assert have == pytest.approx(want, rel=1e-12), e
             else:
                 assert have == want, e
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-200, 1e-145, 1e160, 1e300])
+@pytest.mark.parametrize("atom", ["SENSING_7X16", "gaussian"])
+def test_a_column_norm_reads_that_column_alone(atom, c):
+    # one more column, zero or far from the others' scale, leaves their geometry
+    # as it was to the bit; the suites above scale every column alike
+    a = SENSING_7X16 if atom == "SENSING_7X16" else np.random.default_rng(0).standard_normal((7, 16))
+    alone = metrics._geometry(a)
+    geo = metrics._geometry(np.column_stack([a, c * a[:, 0]]))
+    assert geo.norms[:16].tobytes() == alone.norms.tobytes()
+    assert geo.g[:16, :16].tobytes() == alone.g.tobytes()
+    assert geo.norms[16] == pytest.approx(c * np.linalg.norm(a[:, 0]), rel=1e-15, abs=0.0)
