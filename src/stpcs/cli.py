@@ -17,7 +17,11 @@ pattern itself (no expansion) or one of its expansions:
 Exit codes: 0 success, 1 domain error (the error class name is echoed),
 2 usage error.  The environment variable STPCS_BUDGET overrides the
 subset-enumeration budget used by spark/RIP computations; spark applies
-it only to the subset sizes its bounds leave open.
+it only to the subset sizes its bounds leave open; a value that is not
+a non-negative integer is a BadShape error.
+
+Each verb imports only the modules it calls, so a launch pays for the
+code it runs: `gen` loads `bibd`, not the recovery or metrics code.
 """
 
 from __future__ import annotations
@@ -29,18 +33,21 @@ import sys
 
 import numpy as np
 
-from . import bibd, golden, io, metrics
-from .basis import basis_layer, basis_up_to, orthonormal_basis
+from . import io
 from .errors import StpcsError
-from .pipeline import SparsitySpec, compress, recover, recover_signal
-from .signal_space import project
 
 __all__ = ["main"]
 
 
-def _budget() -> int:
+def _budget(default: int):
+    """STPCS_BUDGET as an int, or as given where it names none, for the library to reject."""
     raw = os.environ.get("STPCS_BUDGET")
-    return int(raw) if raw else metrics.DEFAULT_BUDGET
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
 
 
 def _write_matrix(args, a, kind="real", name=None, provenance=None) -> None:
@@ -68,6 +75,8 @@ def _emit_json(args, doc: dict) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from . import bibd
+
     if args.what == "bibd":
         h = bibd.incidence_matrix(args.alpha)
         if args.expansion == "vertical":
@@ -98,6 +107,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import bibd
+
     if args.what == "vertical":
         h, _ = io.load_matrix(args.input)
         out = bibd.vertical_expand(h)
@@ -116,16 +127,21 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from . import metrics
+
     a, _ = io.load_matrix(args.input)
+    budget = _budget(metrics.DEFAULT_BUDGET)
     if getattr(args, "class_metrics", False):
-        report = metrics.class_metrics(a, args.side, rip_k=args.rip_k, budget=_budget())
+        report = metrics.class_metrics(a, args.side, rip_k=args.rip_k, budget=budget)
     else:
-        report = metrics.component_metrics(a, rip_k=args.rip_k, budget=_budget())
+        report = metrics.component_metrics(a, rip_k=args.rip_k, budget=budget)
     _emit_json(args, report.to_json_dict())
     return 0
 
 
 def _cmd_basis(args) -> int:
+    from .basis import orthonormal_basis
+
     ob = orthonormal_basis(args.m, args.side)
     doc = {
         "m": args.m,
@@ -139,6 +155,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .signal_space import project
+
     x = io.load_signal(args.input)
     y = project(x, args.n, args.side)
     _write_signal(args, y)
@@ -146,6 +164,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    from .pipeline import compress
+
     a, _ = io.load_matrix(args.matrix)
     x = io.load_signal(args.signal)
     y = compress(a, x, args.side)
@@ -154,6 +174,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from .pipeline import SparsitySpec, recover, recover_signal
+
     a, _ = io.load_matrix(args.matrix)
     y = io.load_signal(args.measurements)
     if args.p is not None:
@@ -167,6 +189,9 @@ def _cmd_recover(args) -> int:
 
 def _cmd_paper_examples(args) -> int:
     """Regenerate the checked-in reference designs and diff against them."""
+    from . import bibd, golden, metrics
+    from .basis import basis_layer, basis_up_to, orthonormal_basis
+
     checks: list[tuple[str, bool, np.ndarray, str]] = []
 
     h4 = bibd.incidence_matrix(4)

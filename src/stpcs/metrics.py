@@ -5,7 +5,9 @@ recoverable-sparsity bound, and certification of the restricted
 isometry property.  Everything here is exact at desk scale: spark and
 the RIP constant are settled by the bounds proved below wherever those
 meet, and subsets are enumerated (guarded by a budget, never sampled)
-only in the gap the bounds leave.
+only in the gap the bounds leave.  The budget is a count of subsets:
+every entry point takes it through `stp.as_count`, so a negative or
+non-integer budget raises BadShape.
 
 Column scale changes neither dependence nor recoverability, so
 coherence, spark, the sparsity bound, `rip_check(normalize=True)` and
@@ -269,6 +271,7 @@ def spark(a, budget: int = DEFAULT_BUDGET):
     >= 1e-9 sigma_max(U_T) |x|.  So every dependent subset contains S, and
     if U_S itself fails the test, the spark is |S|.
     """
+    budget = as_count(budget, "budget", 0)
     return _spark(_geometry(as_matrix(a)), budget)[0]
 
 
@@ -353,7 +356,7 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     `satisfied` could differ from the full maximum's only if that lay
     within 1e-14 above 1 - 1e-12, inside the margin's own rounding band.
     """
-    a = as_matrix(a)
+    a, budget = as_matrix(a), as_count(budget, "budget", 0)
     k = _sparsity_k(k, a.shape[1])
     if not normalize:
         return _rip(a, a.T @ a, k, budget)
@@ -425,6 +428,7 @@ class CsReport:
 def class_metrics(a, side: Side = Side.LEFT, rip_k: int | None = None,
                   budget: int = DEFAULT_BUDGET) -> CsReport:
     """Metrics of the equivalence class of `a`: computed on its atom."""
+    budget = as_count(budget, "budget", 0)
     atom, _ = reduce_matrix(a, side)
     return component_metrics(atom, rip_k=rip_k, budget=budget)
 
@@ -432,6 +436,7 @@ def class_metrics(a, side: Side = Side.LEFT, rip_k: int | None = None,
 def component_metrics(a, rip_k: int | None = None,
                       budget: int = DEFAULT_BUDGET) -> CsReport:
     """Metrics of a fixed matrix, no reduction."""
+    budget = as_count(budget, "budget", 0)
     geo = _correlated(a)
     m, n = geo.u.shape
     spark_value, spark_by = _spark(geo, budget)

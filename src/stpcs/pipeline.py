@@ -499,7 +499,7 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     the one geometry record kept per distinct atom (module docstring), so
     an atom in any memory layout gets the answer of its C-ordered copy.
     """
-    a = as_matrix(a)
+    a, budget = as_matrix(a), as_count(budget, "budget", 0)
     k = as_count(k, "sparsity", 0)
     atom = _atom(min((reduce_matrix(a, side)[0] for side in Side), key=np.size))
     return _certified(atom, k, 0.0) or _spark(atom, budget)[0] > 2 * k

@@ -235,7 +235,11 @@ def inner_v(x, y, side: Side = Side.LEFT) -> float:
 
     Computed without the lifts, as sum_j x[j] <y, d(dim x, j)> (`_generator_products`).
     """
-    x, y, side = as_signal(x), as_signal(y), as_side(side)
+    return _inner(as_signal(x), as_signal(y), as_side(side))
+
+
+def _inner(x: np.ndarray, y: np.ndarray, side: Side) -> float:
+    """`inner_v` of validated signals and side."""
     a = x.size
     return float(x @ _generator_products(y, np.full(a, a), np.arange(1, a + 1), side))
 
@@ -246,7 +250,11 @@ def norm_v(x) -> float:
     The sum of squares comes from `_unit_scale`, so the norm is right at
     every finite scale.
     """
-    x = as_signal(x)
+    return _norm(as_signal(x))
+
+
+def _norm(x: np.ndarray) -> float:
+    """`norm_v` of a validated signal."""
     _, c, ss = _unit_scale(x)
     return c * sqrt(ss / x.size)
 
@@ -262,13 +270,14 @@ def angle_v(x, y, side: Side = Side.LEFT) -> float:
     The cosine is <x / ||x||, y / ||y||>: both arguments have unit norm,
     so no sum inside `inner_v` can overflow at any scale of x or y.  It is
     clamped to [-1, 1] so parallel inputs never produce NaN.  Raises
-    ZeroVector if either argument has zero norm.
+    ZeroVector if either argument has zero norm.  Each argument is
+    validated once, here.
     """
-    x, y = as_signal(x), as_signal(y)
-    nx, ny = norm_v(x), norm_v(y)
+    x, y, side = as_signal(x), as_signal(y), as_side(side)
+    nx, ny = _norm(x), _norm(y)
     if nx == 0.0 or ny == 0.0:
         raise ZeroVector("angle is undefined for a zero signal")
-    c = inner_v(x / nx, y / ny, side)
+    c = _inner(x / nx, y / ny, side)
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 

@@ -367,6 +367,20 @@ def test_budget_env_var_is_honored(tmp_path, capsys, monkeypatch):
     assert "BudgetExceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,message", [
+    ("-5", "budget -5 must be non-negative"),
+    ("abc", "budget 'abc' must be an integer"),
+    ("1.5", "budget '1.5' must be an integer"),
+])
+def test_a_budget_that_is_not_a_count_is_a_domain_error(tmp_path, capsys, monkeypatch,
+                                                         raw, message):
+    path = tmp_path / "A.csv"
+    io.save_matrix(path, SENSING_7X16)
+    monkeypatch.setenv("STPCS_BUDGET", raw)
+    assert main(["metrics", "-i", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: BadShape: {message}\n"
+
+
 def test_paper_examples_all_ok(tmp_path, capsys):
     assert main(["paper-examples", "--outdir", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out

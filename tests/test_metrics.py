@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import combinations, product
 from unittest import mock
 
@@ -255,6 +256,35 @@ def test_spark_budget_guard():
     a = rng.standard_normal((4, 12))
     with pytest.raises(BudgetExceeded):
         spark(a, budget=10)
+
+
+@pytest.mark.parametrize("budget,message", [
+    (-5, "budget -5 must be non-negative"),
+    (1.5, "budget 1.5 must be an integer"),
+    (1e6, "budget 1000000.0 must be an integer"),
+    ("10", "budget '10' must be an integer"),
+    (None, "budget None must be an integer"),
+])
+def test_the_budget_is_a_count(budget, message):
+    # rejected by every entry point, also where the bounds decide and no
+    # subset would be enumerated
+    calls = [
+        lambda: spark(np.eye(3), budget=budget),
+        lambda: rip_check(np.eye(3), 1, budget=budget),
+        lambda: component_metrics(SENSING_7X16, budget=budget),
+        lambda: class_metrics(SENSING_7X16, budget=budget),
+        lambda: uniqueness_guarantee(SENSING_7X16, 1, budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(BadShape, match=re.escape(message)):
+            call()
+
+
+def test_a_zero_or_numpy_integer_budget_is_a_count():
+    assert spark(np.eye(3), budget=0) == math.inf
+    assert spark(SENSING_7X16, budget=np.int64(1000)) == spark(SENSING_7X16)
+    with pytest.raises(BudgetExceeded, match=r"\(budget 0\)"):
+        rip_check(np.eye(3), 2, budget=0)
 
 
 # --- sparsity bound --------------------------------------------------------------

@@ -22,9 +22,11 @@ from stpcs import (
     reduce_signal,
     sta,
 )
+from stpcs import signal_space
 from stpcs.errors import ZeroVector
 from stpcs.golden import SENSING_7X16
 from stpcs.signal_space import REDUCE_RTOL, _generator_products
+from stpcs.stp import as_signal
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -405,6 +407,27 @@ def test_norm_and_angle_are_right_at_every_scale(side, ex, ey):
     cx, cy = 10.0 ** ex, 10.0 ** ey
     assert norm_v(cx * x) == pytest.approx(cx * norm_v(x), rel=1e-14)
     assert angle_v(cx * x, cy * y, side) == pytest.approx(angle_v(x, y, side), abs=1e-12)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_angle_validates_each_argument_once_and_keeps_its_bits(side, monkeypatch):
+    # the angle is the composition of the public norm and inner product,
+    # bit for bit, while it validates each signal once, not three times
+    rng = np.random.default_rng(11)
+    pairs = [(rng.standard_normal(48) * 10.0 ** ex, rng.standard_normal(36) * 10.0 ** ey)
+             for ex in (-300, 0, 300) for ey in (-300, 0, 300)]
+    for x, y in pairs:
+        composed = inner_v(x / norm_v(x), y / norm_v(y), side)
+        assert angle_v(x, y, side) == float(np.arccos(np.clip(composed, -1.0, 1.0)))
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return as_signal(v)
+
+    monkeypatch.setattr(signal_space, "as_signal", counted)
+    angle_v(*pairs[4], side)
+    assert len(calls) == 2
 
 
 def test_projection_residual_is_perpendicular_to_target_space():
