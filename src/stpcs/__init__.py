@@ -27,9 +27,9 @@ _EXPORTS = {
         "generating_layer", "has_multifold_divisor", "orthonormal_basis",
     ),
     "bibd": (
-        "BibdParams", "EmbeddingMatrix", "SignKind", "aocm", "bibd_check",
-        "canonical_sign_form", "horizontal_expand", "incidence_matrix", "make_embedding",
-        "ocm", "sign_matrix_check", "vertical_expand", "vertical_expand_star",
+        "BibdParams", "SignKind", "aocm", "bibd_check", "canonical_sign_form",
+        "horizontal_expand", "incidence_matrix", "make_embedding", "ocm", "sign_matrix_check",
+        "vertical_expand", "vertical_expand_star",
     ),
     "errors": (
         "BadDiag", "BadShape", "BudgetExceeded", "DegreeMismatch", "InsufficientBasis",

@@ -98,17 +98,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisElement:
-    """A generating element: d(n, j), or the scalar 1 when n == 1."""
+    """A generating element: d(n, j), or the scalar 1 when n == 1.
+
+    Only (n, j) is stored, so equal elements compare equal and hash alike;
+    `value`, d(n, j) as a vector of R^n, is built on each read.
+    """
 
     n: int
     j: int
-    value: np.ndarray = field(repr=False)
 
-    @classmethod
-    def delta(cls, n: int, j: int) -> "BasisElement":
-        v = np.zeros(n)
-        v[j - 1] = 1.0
-        return cls(n, j, v)
+    @property
+    def value(self) -> np.ndarray:
+        v = np.zeros(self.n)
+        v[self.j - 1] = 1.0
+        return v
 
 
 def _gram(n1, j1, n2, j2, side: Side) -> np.ndarray:
@@ -168,7 +171,7 @@ def _units(n: int, cutoff: int) -> list[int]:
 def generating_layer(n: int) -> list[BasisElement]:
     """All generating elements of ambient dimension n, ascending j."""
     n = as_count(n, "layer index", 1)
-    return [BasisElement.delta(n, j) for j in _units(n, n)]
+    return [BasisElement(n, j) for j in _units(n, n)]
 
 
 def largest_square_divisor(n: int) -> int:
@@ -197,7 +200,7 @@ def basis_layer(n: int) -> list[BasisElement]:
     n = as_count(n, "layer index", 1)
     s = largest_square_divisor(n)
     cutoff = (s - 1) * n // s if s > 1 else n  # (s-1) * s * q
-    return [BasisElement.delta(n, j) for j in _units(n, cutoff)]
+    return [BasisElement(n, j) for j in _units(n, cutoff)]
 
 
 def basis_up_to(m: int) -> list[BasisElement]:

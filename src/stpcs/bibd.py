@@ -12,7 +12,7 @@ matrices whose pairwise column inner products are 0 (OCM, even rows) or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,7 +30,6 @@ from .stp import as_count, as_matrix
 
 __all__ = [
     "BibdParams",
-    "EmbeddingMatrix",
     "SignKind",
     "incidence_matrix",
     "bibd_check",
@@ -146,24 +145,12 @@ def vertical_expand_star(alpha: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """A sign matrix times a positive, pairwise-distinct diagonal."""
+def make_embedding(signs, diag) -> np.ndarray:
+    """The embedding matrix signs * diag: each sign column scaled by its diagonal entry.
 
-    signs: np.ndarray = field(repr=False)
-    diag: np.ndarray = field(repr=False)
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.signs * self.diag
-
-    @property
-    def rows(self) -> int:
-        return int(self.signs.shape[0])
-
-
-def make_embedding(signs, diag) -> EmbeddingMatrix:
-    """Build an embedding matrix; scaling columns leaves coherence unchanged."""
+    The diagonal must hold one positive, finite entry per column, pairwise
+    distinct; scaling columns leaves coherence unchanged.
+    """
     signs = _validate_kind(as_matrix(signs), "sign")
     diag = np.asarray(diag, dtype=float).reshape(-1)
     if diag.size != signs.shape[1]:
@@ -174,32 +161,32 @@ def make_embedding(signs, diag) -> EmbeddingMatrix:
         raise BadDiag("diagonal entries must be pairwise distinct")
     if not np.all(np.isfinite(diag)):
         raise BadDiag("diagonal entries must be finite")
-    return EmbeddingMatrix(signs, diag)
+    return signs * diag
 
 
 def horizontal_expand(hv, b) -> np.ndarray:
     """Substitute embedding rows for the ones of each skeleton column.
 
-    In column j of the 0/1 skeleton, its i-th one (top to bottom) becomes
-    row i of the embedding; zeros become zero rows.  Output shape is
+    `b` is any matrix: a sign matrix, or the scaled one `make_embedding`
+    returns.  In column j of the 0/1 skeleton, its i-th one (top to
+    bottom) becomes row i of b; zeros become zero rows.  Output shape is
     rows(hv) x (cols(hv) * cols(b)); its coherence is the larger of the
     two factors' coherences.  Every skeleton column degree must equal the
-    embedding's row count.
+    row count of b.
     """
     hv = _validate_kind(as_matrix(hv), "boolean")
-    bm = b.value if isinstance(b, EmbeddingMatrix) else as_matrix(b)
+    b = as_matrix(b)
     rows, cols = hv.shape
     deg = hv.sum(axis=0).astype(int)
-    if np.any(deg != bm.shape[0]):
-        bad = int(np.flatnonzero(deg != bm.shape[0])[0])
+    if np.any(deg != b.shape[0]):
+        bad = int(np.flatnonzero(deg != b.shape[0])[0])
         raise DegreeMismatch(
-            f"column {bad} has degree {deg[bad]}, embedding has {bm.shape[0]} rows"
+            f"column {bad} has degree {deg[bad]}, embedding has {b.shape[0]} rows"
         )
-    width = bm.shape[1]
+    width = b.shape[1]
     out = np.zeros((rows, cols * width))
     for j in range(cols):
-        for i, r in enumerate(np.flatnonzero(hv[:, j])):
-            out[r, j * width:(j + 1) * width] = bm[i]
+        out[np.flatnonzero(hv[:, j]), j * width:(j + 1) * width] = b
     return out
 
 

@@ -117,10 +117,8 @@ def _cmd_expand(args) -> int:
         hv, _ = io.load_matrix(args.input)
         b, _ = io.load_matrix(args.embed)
         if args.diag:
-            emb = bibd.make_embedding(b, [float(v) for v in args.diag.split(",")])
-            out = bibd.horizontal_expand(hv, emb)
-        else:
-            out = bibd.horizontal_expand(hv, b)
+            b = bibd.make_embedding(b, [float(v) for v in args.diag.split(",")])
+        out = bibd.horizontal_expand(hv, b)
         kind = "real"
     _write_matrix(args, out, kind=kind)
     return 0
@@ -131,8 +129,8 @@ def _cmd_metrics(args) -> int:
 
     a, _ = io.load_matrix(args.input)
     budget = _budget(metrics.DEFAULT_BUDGET)
-    if getattr(args, "class_metrics", False):
-        report = metrics.class_metrics(a, args.side, rip_k=args.rip_k, budget=budget)
+    if args.class_metrics:
+        report = metrics.class_metrics(a, rip_k=args.rip_k, budget=budget)
     else:
         report = metrics.component_metrics(a, rip_k=args.rip_k, budget=budget)
     _emit_json(args, report.to_json_dict())
@@ -285,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("-i", "--input", required=True)
     m.add_argument("--rip-k", type=int, default=None)
     m.add_argument("--class", dest="class_metrics", action="store_true",
-                   help="reduce to the irreducible atom first")
-    m.add_argument("--side", choices=["left", "right"], default="left")
+                   help="reduce to the class atom first, the smaller of the two sides' atoms")
     m.add_argument("-o", "--output")
     m.set_defaults(func=_cmd_metrics)
 

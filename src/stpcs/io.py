@@ -92,8 +92,22 @@ def _json_int(v) -> int:
     return v
 
 
+def _check_rows(path, entries, cols: int) -> None:
+    """BadShape naming the file unless every list row of the list `entries` has `cols` items.
+
+    Anything else is left for `as_matrix` to read or refuse.
+    """
+    for i, row in enumerate(entries if isinstance(entries, list) else (), 1):
+        if isinstance(row, list) and len(row) != cols:
+            raise BadShape(f"{path}: row {i} has {len(row)} entries, declared cols {cols}")
+
+
 def load_matrix(path):
-    """Read a matrix (CSV or JSON); returns (array, metadata dict)."""
+    """Read a matrix (CSV or JSON); returns (array, metadata dict).
+
+    Rows of a length other than the declared column count raise BadShape
+    naming the file.
+    """
     path = Path(path)
     if path.suffix.lower() == ".json":
         doc = json.loads(path.read_text())
@@ -101,7 +115,6 @@ def load_matrix(path):
                    if not isinstance(doc, dict) or f not in doc]
         if missing:
             raise BadShape(f"{path}: JSON matrix lacks field(s) {', '.join(missing)}")
-        a = _json_field(path, doc, "entries", as_matrix)
         meta = {
             "rows": _json_field(path, doc, "rows", _json_int),
             "cols": _json_field(path, doc, "cols", _json_int),
@@ -109,6 +122,8 @@ def load_matrix(path):
             "name": doc.get("name"),
             "provenance": doc.get("provenance"),
         }
+        _check_rows(path, doc["entries"], meta["cols"])
+        a = _json_field(path, doc, "entries", as_matrix)
     else:
         lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("#"):
@@ -117,7 +132,9 @@ def load_matrix(path):
         if len(fields) != 3:
             raise BadShape(f"{path}: malformed header {lines[0]!r}")
         rows, cols, kind = int(fields[0]), int(fields[1]), fields[2]
-        a = as_matrix([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        entries = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        _check_rows(path, entries, cols)
+        a = as_matrix(entries)
         meta = {"rows": rows, "cols": cols, "kind": kind, "name": None, "provenance": None}
     if a.shape != (meta["rows"], meta["cols"]):
         raise BadShape(

@@ -63,9 +63,12 @@ so B is taken at least 1.  Enumeration stops after the chunk in which
 the running delta reaches B - 1e-14: the delta returned is a real
 subset's value, within 1e-14 of the full maximum.
 
-The class-level variants reduce a matrix to its irreducible Kronecker
-atom first; spark, coherence, and the RIP constant are invariant under
-identity lifts, so the atom's numbers are the class's numbers.
+`class_metrics` answers for a class: a matrix and all of its identity
+lifts A (x) I_s and I_s (x) A.  Spark, coherence, the sparsity bound and
+the RIP constant are invariant under both lifts, so it reduces the
+matrix on both sides and reads the smaller atom, as
+`pipeline.uniqueness_guarantee` does (`signal_space._class_atom`); the
+answer needs no side from the caller.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadShape, BudgetExceeded, ZeroColumn
-from .signal_space import _plain_sum, _unit_scale, reduce_matrix
-from .stp import Side, as_count, as_matrix
+from .signal_space import _class_atom, _plain_sum, _unit_scale
+from .stp import as_count, as_matrix
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -191,8 +194,9 @@ def _signed_max(g: np.ndarray) -> float:
 
 def welch_bound(m: int, n: int) -> float:
     """Lower bound sqrt((n-m)/(m(n-1))) on the coherence of any m-by-n matrix, n > m."""
-    if n <= m or m < 1 or n < 2:
-        raise BadShape(f"welch bound needs n > m >= 1, got m={m}, n={n}")
+    m, n = as_count(m, "row count", 1), as_count(n, "column count", 1)
+    if n <= m:
+        raise BadShape(f"welch bound needs n > m, got m={m}, n={n}")
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
@@ -425,12 +429,15 @@ class CsReport:
         return out
 
 
-def class_metrics(a, side: Side = Side.LEFT, rip_k: int | None = None,
-                  budget: int = DEFAULT_BUDGET) -> CsReport:
-    """Metrics of the equivalence class of `a`: computed on its atom."""
+def class_metrics(a, rip_k: int | None = None, budget: int = DEFAULT_BUDGET) -> CsReport:
+    """Metrics of the class of `a`, `a` and all of its lifts on either side.
+
+    They are computed on the class atom, the smaller of a's LEFT and RIGHT
+    atoms (`signal_space._class_atom`), so they equal `component_metrics`
+    of A for both A (x) I_s and I_s (x) A, and no side is asked for.
+    """
     budget = as_count(budget, "budget", 0)
-    atom, _ = reduce_matrix(a, side)
-    return component_metrics(atom, rip_k=rip_k, budget=budget)
+    return component_metrics(_class_atom(a), rip_k=rip_k, budget=budget)
 
 
 def component_metrics(a, rip_k: int | None = None,

@@ -102,7 +102,7 @@ import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
 from .metrics import DEFAULT_BUDGET, _Geometry, _geometry, _spark, _sparsity_bound, _subsets
-from .signal_space import reduce_matrix
+from .signal_space import _class_atom, reduce_matrix
 from .stp import Side, as_count, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
 
 __all__ = [
@@ -490,9 +490,10 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff spark(atom) > 2k, certifying per-block uniqueness for every lift.
 
     Spark and coherence are invariant under both identity lifts, so the
-    matrix is reduced on both sides and the smaller atom is used.  When
-    its coherence certifies k (k <= `metrics.max_sparsity`, so spark >=
-    1 + 1/mu > 2k) the answer is True without computing spark; otherwise,
+    matrix is read through its class atom, the smaller of its LEFT and
+    RIGHT atoms (`signal_space._class_atom`).  When its coherence
+    certifies k (k <= `metrics.max_sparsity`, so spark >= 1 + 1/mu > 2k)
+    the answer is True without computing spark; otherwise,
     and for an atom with a zero column, `metrics.spark` settles it from
     its rank, nullity, Gershgorin and witness bounds, and the budget
     applies only to the subset sizes those bounds leave open.  Both read
@@ -501,5 +502,5 @@ def uniqueness_guarantee(a, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """
     a, budget = as_matrix(a), as_count(budget, "budget", 0)
     k = as_count(k, "sparsity", 0)
-    atom = _atom(min((reduce_matrix(a, side)[0] for side in Side), key=np.size))
+    atom = _atom(_class_atom(a))
     return _certified(atom, k, 0.0) or _spark(atom, budget)[0] > 2 * k

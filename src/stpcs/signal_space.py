@@ -25,7 +25,10 @@ Every norm in the package follows one scale rule (Blue 1978, ACM TOMS
 x / max|x| only where its mean is not a normal float, where it has
 overflowed or lost bits to underflow.  `_plain_sum` makes that test and
 `_unit_scale` the retake, for `norm_v`, the Parseval test of
-`basis.coordinates` and each column norm of `metrics._geometry`.
+`basis.coordinates` and each column norm of `metrics._geometry`.  The
+generator products of `inner_v`, `project` and `basis.coordinates` are
+taken on the same rescaled signal and scaled back, so that no partial
+sum overflows while the answer is finite.
 `angle_v` needs no rule of its own: it takes the inner product of
 x / ||x|| and y / ||y||, which cannot overflow.
 """
@@ -206,6 +209,16 @@ def matrices_equivalent(a, b, side: Side = Side.LEFT) -> bool:
     return _same_atom(reduce_matrix(a, side)[0], reduce_matrix(b, side)[0])
 
 
+def _class_atom(a) -> np.ndarray:
+    """The smaller of a's LEFT and RIGHT atoms, the LEFT one on a tie.
+
+    A matrix and all of its lifts on either side form one class, and the
+    class invariants (coherence, spark, RIP, the sparsity bound) read the
+    same on either atom, so the caller names no side.
+    """
+    return min((reduce_matrix(a, side)[0] for side in Side), key=np.size)
+
+
 def _generator_products(x: np.ndarray, ns: np.ndarray, js: np.ndarray, side: Side) -> np.ndarray:
     """<x, d(n, j)> for each pair of the integer arrays ns, js, without lifting x.
 
@@ -234,12 +247,15 @@ def inner_v(x, y, side: Side = Side.LEFT) -> float:
     """Lift-invariant inner product: lift both to lcm dim, dot, divide by dim.
 
     Computed without the lifts, as sum_j x[j] <y, d(dim x, j)> (`_generator_products`).
+    The products are taken on y / c, c from `_unit_scale`, and the sum is
+    scaled back by c, so no partial sum overflows while the answer is finite.
     """
-    return _inner(as_signal(x), as_signal(y), as_side(side))
+    x, (y, c, _), side = as_signal(x), _unit_scale(as_signal(y)), as_side(side)
+    return c * _inner(x, y, side)
 
 
 def _inner(x: np.ndarray, y: np.ndarray, side: Side) -> float:
-    """`inner_v` of validated signals and side."""
+    """`inner_v` of validated signals and side, for a y whose sum of squares holds as taken."""
     a = x.size
     return float(x @ _generator_products(y, np.full(a, a), np.arange(1, a + 1), side))
 
@@ -308,10 +324,13 @@ def project(x, n: int, side: Side = Side.LEFT) -> np.ndarray:
     """Project a signal onto R^n (closest point in the quotient distance).
 
     Equals projection_matrix(dim x, n, side) @ x: entry j is
-    n <x, d(n, j)>, from `_generator_products`, so no lift is built.
+    n <x, d(n, j)>, from `_generator_products`, so no lift is built.  The
+    products are taken on x / c, c from `_unit_scale`, and scaled back by c,
+    so the projection is right at every finite scale.
     """
     x, side = as_signal(x), as_side(side)
     n = as_count(n, "projection target dimension", 1)
     if n == x.size:
         return x.copy()
-    return n * _generator_products(x, np.full(n, n), np.arange(1, n + 1), side)
+    x, c, _ = _unit_scale(x)
+    return c * (n * _generator_products(x, np.full(n, n), np.arange(1, n + 1), side))

@@ -102,9 +102,12 @@ def as_signal(x) -> np.ndarray:
 def as_count(value, what: str, least: int) -> int:
     """Validate and return `value` as an int of at least `least` (0 or 1), else BadShape.
 
-    `what` names the count in the message.
+    `what` names the count in the message.  A bool is not a count, though
+    Python's bool is an int.
     """
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         v = index(value)
     except TypeError:
         raise BadShape(f"{what} {value!r} must be an integer") from None

@@ -56,6 +56,17 @@ def test_generating_layer_is_coprime_indices(n):
     assert js == [j for j in range(1, n) if math.gcd(j, n) == 1]
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generating_elements_compare_and_hash_by_label(n):
+    assert generating_layer(n) == generating_layer(n)
+    assert {hash(e) for e in generating_layer(n)} == {hash(e) for e in generating_layer(n)}
+
+
+def test_basis_elements_are_distinct_set_members():
+    elements = basis_up_to(30)
+    assert len(set(elements)) == len(elements)
+
+
 # --- multifold divisors -------------------------------------------------------
 
 @pytest.mark.parametrize("n,expected", [(12, True), (6, False), (27, True), (1, False)])

@@ -19,7 +19,6 @@ from stpcs import (
     vertical_expand,
     vertical_expand_star,
 )
-from stpcs.bibd import EmbeddingMatrix
 from stpcs.errors import BadDiag, DegreeMismatch, NotBibd, NotExpandable, Unsupported
 from stpcs.golden import (
     AOCM3,
@@ -182,7 +181,7 @@ def test_star_rows_are_the_pairs_in_lexicographic_order(alpha):
 
 def test_embedding_preserves_coherence():
     emb = make_embedding(EMBED_SIGNS_3X4, [1.0, 2.0, 3.0, 4.0])
-    assert coherence(emb.value) == pytest.approx(coherence(EMBED_SIGNS_3X4), abs=1e-12)
+    assert coherence(emb) == pytest.approx(coherence(EMBED_SIGNS_3X4), abs=1e-12)
 
 
 @settings(max_examples=30)
@@ -192,7 +191,7 @@ def test_embedding_coherence_invariance_random(seed):
     signs = rng.choice([-1.0, 1.0], size=(3, 4))
     diag = rng.permutation(np.arange(1.0, 5.0))
     emb = make_embedding(signs, diag)
-    assert coherence(emb.value) == pytest.approx(coherence(signs), abs=1e-12)
+    assert coherence(emb) == pytest.approx(coherence(signs), abs=1e-12)
 
 
 def test_embedding_rejects_repeated_or_nonpositive_diag():
@@ -216,9 +215,16 @@ def test_embedding_value_equals_the_diagonal_product(seed):
     rng = np.random.default_rng(seed)
     rows, cols = rng.integers(1, 8, size=2)
     signs = rng.choice([-1.0, 1.0], size=(rows, cols))
-    emb = make_embedding(signs, rng.permutation(cols) + rng.random(cols) + 1e-3)
-    want = signs @ np.diag(emb.diag)
-    assert emb.value.dtype == want.dtype and np.array_equal(emb.value, want)
+    diag = rng.permutation(cols) + rng.random(cols) + 1e-3
+    emb = make_embedding(signs, diag)
+    want = signs @ np.diag(diag)
+    assert emb.dtype == want.dtype and np.array_equal(emb, want)
+
+
+def test_embedding_is_the_plain_matrix_signs_times_diag():
+    diag = np.array([1e-5, 1.0, 10.0, 1e5])
+    emb = make_embedding(EMBED_SIGNS_3X4, diag)
+    assert type(emb) is np.ndarray and np.array_equal(emb, EMBED_SIGNS_3X4 * diag)
 
 
 # --- horizontal expansion -----------------------------------------------------------
@@ -365,8 +371,3 @@ def test_aocm_maximality_by_exhaustion(t):
         x = np.array([1.0 if bits >> i & 1 else -1.0 for i in range(t)])
         assert np.any(np.abs(x @ u) != 1.0)
 
-
-def test_embedding_matrix_value_shape():
-    emb = EmbeddingMatrix(EMBED_SIGNS_3X4, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert emb.rows == 3 and emb.value.shape == (3, 4)
-    assert np.array_equal(emb.value[:, 1], 2.0 * EMBED_SIGNS_3X4[:, 1])

@@ -20,7 +20,7 @@ SRC = str(Path(stpcs.__file__).resolve().parent.parent)
 PUBLIC = {
     "basis": ["BasisElement", "OrthonormalBasis", "basis_layer", "basis_up_to", "coordinates",
               "generating_layer", "has_multifold_divisor", "orthonormal_basis"],
-    "bibd": ["BibdParams", "EmbeddingMatrix", "SignKind", "aocm", "bibd_check",
+    "bibd": ["BibdParams", "SignKind", "aocm", "bibd_check",
              "canonical_sign_form", "horizontal_expand", "incidence_matrix", "make_embedding",
              "ocm", "sign_matrix_check", "vertical_expand", "vertical_expand_star"],
     "errors": ["BadDiag", "BadShape", "BudgetExceeded", "DegreeMismatch", "InsufficientBasis",
@@ -107,7 +107,7 @@ def test_every_public_name_resolves_to_its_module(module, name):
 
 
 def test_all_is_the_public_names_and_the_submodules():
-    assert len(NAMES) == 70
+    assert len(NAMES) == 69
     assert sorted(stpcs.__all__) == sorted([n for _, n in NAMES] + SUBMODULES)
 
 

@@ -30,6 +30,7 @@ from stpcs import (
     swap_matrix,
     uniqueness_guarantee,
     vertical_expand_star,
+    welch_bound,
 )
 from stpcs.basis import largest_square_divisor
 from stpcs.bibd import SignKind
@@ -138,6 +139,8 @@ CASES = {
                           "sparsity 2.0 must be an integer"),
     "class_metrics rip_k = 1.5": (lambda t: class_metrics(SENSING_7X16, rip_k=1.5), BadShape,
                                   "sparsity 1.5 must be an integer"),
+    "welch_bound(2.5, 4)": (lambda t: welch_bound(2.5, 4), BadShape, "must be an integer"),
+    "welch_bound(True, 3)": (lambda t: welch_bound(True, 3), BadShape, "must be an integer"),
 }
 
 

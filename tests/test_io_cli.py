@@ -179,7 +179,7 @@ def test_metrics_class_reduction(tmp_path, capsys):
     lifted = tmp_path / "A.csv"
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     io.save_matrix(lifted, np.kron(a, np.eye(2)))
-    assert main(["metrics", "-i", str(lifted), "--class", "--side", "left"]) == 0
+    assert main(["metrics", "-i", str(lifted), "--class"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["spark"] == 3
 
@@ -328,6 +328,18 @@ def test_unparsable_csv_header_exits_one(tmp_path, capsys):
     path.write_text("# a,1,real\n1\n")
     assert main(["metrics", "-i", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("ragged.csv", "# 2,2,real\n1,2\n3\n"),
+    ("ragged.json", '{"rows": 2, "cols": 2, "kind": "real", "entries": [[1, 2], [3]]}'),
+])
+def test_ragged_rows_are_a_bad_shape_naming_the_file(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["metrics", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadShape:") and str(path) in err
 
 
 def test_domain_error_exits_one(capsys):

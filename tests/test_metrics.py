@@ -440,7 +440,7 @@ def test_class_metrics_reduce_to_the_atom():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 5))
     lifted = np.kron(a, np.eye(4))
-    rep = class_metrics(lifted, Side.LEFT)
+    rep = class_metrics(lifted)
     assert rep.spark == spark(a)
     assert rep.coherence == pytest.approx(coherence(a), abs=1e-12)
     assert rep.welch_bound == pytest.approx(welch_bound(3, 5), abs=1e-15)
@@ -450,9 +450,17 @@ def test_class_metrics_reduce_to_the_atom():
 def test_class_metrics_of_irreducible_input_match_component_metrics():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 5))
-    rc = class_metrics(a, Side.LEFT)
+    rc = class_metrics(a)
     rp = component_metrics(a)
     assert rc == rp
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_class_metrics_of_either_lift_are_the_atom_metrics(s):
+    a = np.random.default_rng(3).standard_normal((3, 5))
+    want = component_metrics(a)
+    assert class_metrics(np.kron(a, np.eye(s))) == want
+    assert class_metrics(np.kron(np.eye(s), a)) == want
 
 
 def test_report_json_dict_round_trip():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -477,6 +478,19 @@ def test_kernel_project_and_inner_v_match_the_lcm_lift(side, x, y, pairs):
     want = ones_lift(x, t, side) @ ones_lift(y, t, side) / t
     tol = 1e-12 * scale * np.abs(y).max()
     assert inner_v(x, y, side) == pytest.approx(want, rel=1e-12, abs=tol)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("scale", [1e306, 1e307])
+def test_project_and_inner_v_keep_a_finite_answer_finite(side, scale):
+    # a segment sum of 1000 entries of 1e306 overflows, though every answer is `scale`
+    y = scale * np.ones(1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project(y, 7, side)
+        inner = inner_v(np.ones(7), y, side)
+    assert np.allclose(got, scale, rtol=1e-12, atol=0.0)
+    assert inner == pytest.approx(scale, rel=1e-12)
 
 
 def test_project_keeps_small_entries_next_to_a_large_one():
