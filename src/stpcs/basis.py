@@ -138,6 +138,10 @@ class OrthonormalBasis:
     terms: np.ndarray = field(repr=False, compare=False)
     coefs: np.ndarray = field(repr=False, compare=False)
 
+    def __hash__(self) -> int:
+        # the compared fields, with the label list read as a tuple
+        return hash((tuple(self.labels), self.side))
+
     @property
     def count(self) -> int:
         return len(self.labels)

@@ -93,12 +93,18 @@ def _json_int(v) -> int:
 
 
 def _check_rows(path, entries, cols: int) -> None:
-    """BadShape naming the file unless every list row of the list `entries` has `cols` items.
+    """BadShape naming the file and the row where a nested `entries` list is not all rows.
 
-    Anything else is left for `as_matrix` to read or refuse.
+    Once any item of the list `entries` is a list, every item must be a
+    list of `cols` numbers.  A flat list (one row) and anything else are
+    left for `as_matrix` to read or refuse.
     """
-    for i, row in enumerate(entries if isinstance(entries, list) else (), 1):
-        if isinstance(row, list) and len(row) != cols:
+    if not isinstance(entries, list) or not any(isinstance(row, list) for row in entries):
+        return
+    for i, row in enumerate(entries, 1):
+        if not isinstance(row, list) or any(isinstance(v, list) for v in row):
+            raise BadShape(f"{path}: row {i} is not a list of numbers, as a row of a matrix is")
+        if len(row) != cols:
             raise BadShape(f"{path}: row {i} has {len(row)} entries, declared cols {cols}")
 
 

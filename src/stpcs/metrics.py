@@ -129,13 +129,15 @@ class _Geometry(NamedTuple):
     """The column geometry of a matrix A, formed once by `_geometry`.
 
     `u` holds the columns of A scaled to unit norm (zero columns left
-    zero), `norms` their norms, `scale` the norms with zeros read as 1 (the
+    zero), `norms` their norms, `least` the least of them (0 exactly when
+    A has a zero column), `scale` the norms with zeros read as 1 (the
     divisor of A's coefficients), g = U^T U, and mu = max|G - diag G|, the
     coherence.
     """
 
     u: np.ndarray
     norms: np.ndarray
+    least: float
     scale: np.ndarray
     g: np.ndarray
     mu: float
@@ -159,7 +161,8 @@ def _geometry(a: np.ndarray) -> _Geometry:
     scale = np.where(norms == 0.0, 1.0, norms)
     u = a / scale
     g = u.T @ u
-    return _Geometry(u, norms, scale, g, float(np.abs(g - np.diag(g.diagonal())).max()))
+    return _Geometry(u, norms, float(norms.min()), scale, g,
+                     float(np.abs(g - np.diag(g.diagonal())).max()))
 
 
 def _correlated(a) -> _Geometry:
@@ -168,7 +171,7 @@ def _correlated(a) -> _Geometry:
     if a.shape[1] < 2:
         raise BadShape("column correlations need at least two columns")
     geo = _geometry(a)
-    if not geo.norms.all():
+    if not geo.least:
         raise ZeroColumn("matrix has a zero column")
     return geo
 
@@ -365,7 +368,7 @@ def rip_check(a, k: int, normalize: bool = False, budget: int = DEFAULT_BUDGET) 
     if not normalize:
         return _rip(a, a.T @ a, k, budget)
     geo = _geometry(a)
-    if not geo.norms.all():
+    if not geo.least:
         raise ZeroColumn("cannot normalize a zero column")
     return _rip(geo.u, geo.g, k, budget)
 

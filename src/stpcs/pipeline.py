@@ -43,10 +43,15 @@ S from its Gram block (`_fit`): C = U^T Y is formed once per call, and
 one batched solve of G_S z = C_S fits a chunk of supports, or a step of
 pursuit.  A pursuit step costs the same fixed few numpy calls however
 many blocks it serves: the scores (|C| itself at the first pick, one
-product r^T U of the residuals after it), the pick, the gathers of G_S
-and C_S, one batched determinant and solve (a division at the first
-pick), and the residuals; blocks that finish are written out and leave
-the batch.  The residual y - U_S z is computed directly, not as
+product U^T R of the residuals after it), the pick, the gathers of G_S
+and C_S, one batched determinant and solve (at the first pick a
+division, and the residual a broadcast product), and the residuals;
+blocks that finish are written out and leave the batch.  Pursuit keeps
+the scores and C as (n, live) and the residuals as (m, live) arrays,
+one column per block still in the batch, so that each pick's max and
+lowest-index argmax, and each residual-norm test, reduce across the
+rows of a C-contiguous array instead of along its short last axis.
+The residual y - U_S z is computed directly, not as
 ||y||^2 - C_S^T z, which cancels at RESIDUAL_TOL.  A support with
 det G_S <= tau = 1e-2 (`_SOLVE_SCREEN`) is near-singular and refitted by
 numpy's lstsq, one call per support with all of its blocks as columns.
@@ -231,10 +236,13 @@ def _fit(u: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
     per support with all of its columns, whose default cutoff gives a
     rank-deficient support its minimum-norm fit, with a backward-stable
     residual.  Returns the coefficients (supports, size, cols) and the
-    residuals y - U_S z (supports, m, cols), computed directly.
+    residuals y - U_S z (supports, m, cols), computed directly: by one
+    batched matmul, or for one-column supports by a broadcast product.
     """
     size = idx.shape[1]
-    subs = u.T[idx].swapaxes(1, 2)  # (supports, m, size)
+    # (supports, m, size), stored as (m, supports, size): so the broadcast residual of
+    # pursuit's first pick comes out stored as its (m, live) layout, without a copy
+    subs = u.take(idx, axis=1).transpose(1, 0, 2)
     block = g[idx[:, :, None], idx[:, None, :]]  # G_S, (supports, size, size)
     # a zero column leaves a zero row, so det G_S = 0 and the block fails
     near = ((block[:, 0, 0] if size == 1 else np.linalg.det(block)) <= _SOLVE_SCREEN).nonzero()[0]
@@ -245,30 +253,34 @@ def _fit(u: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
     for i in near:  # one support, all of its blocks as columns
         yb = np.broadcast_to(ys, subs.shape[:-1] + ys.shape[-1:])[i]
         coef[i] = np.linalg.lstsq(subs[i], yb, rcond=None)[0]
-    return coef, ys - subs @ coef
+    # a one-column product has one term per entry: the broadcast forms it bit for bit
+    return coef, ys - (subs * coef if size == 1 else subs @ coef)
 
 
 def _omp(atom: _Geometry, ys: np.ndarray, k: int):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
     `atom` is the geometry of the atom (`_atom`): its unit-norm columns
-    U, the divisor of their coefficients, and g = U^T U.  C = Y^T U is formed
-    once, and its rows are the first pick's scores.  Each later step
-    scores every column still above the tolerance by |r^T U| from its
-    direct residual r, picks its most correlated unchosen column, and
-    refits all of them together by `_fit` from g and the gathered C_S; a
-    column stops once its residual beats the tolerance.  Stopped columns
-    leave the batch, so the supports of the columns still in it always
-    have the same size, and every step is the same fixed few numpy calls
-    whatever the number of columns: chosen atoms and C_S are addressed
-    by flat indices into the score rows.  A pick is the lowest-index
-    column scoring at least max * (1 - 1e-12), so exact ties on integer
-    atoms do not hang on the last bits of the product.  The lowest-index
-    column still above the tolerance after k picks raises NoSolution.
-    Returns (xs, used, alt) as `_sweep` does: `used` is each column's
-    pick count, and `alt` is the scalar k+1, no rival for any column.
-    Pursuit alone certifies no uniqueness; `recover` runs it as the
-    oracle only where the coherence does (module docstring).
+    U, the divisor of their coefficients, and g = U^T U.  C = U^T Y is
+    formed once, and its columns are the first pick's scores.  Each later
+    step scores every column still above the tolerance by |U^T r| from
+    its direct residual r, picks its most correlated unchosen atom column,
+    and refits all of them together by `_fit` from g and the gathered
+    C_S; a column stops once its residual beats the tolerance.  Stopped
+    columns leave the batch, so the supports of the columns still in it
+    always have the same size, and every step is the same fixed few numpy
+    calls whatever the number of columns.  The live columns lie along the
+    last axis of C, the scores and the residuals (module docstring), and
+    a live column's own entries of C and of the scores are addressed by
+    its chosen atom columns and its place in the batch.  A pick is the
+    lowest-index atom column scoring at least max * (1 - 1e-12), so exact
+    ties on integer atoms do not hang on the last bits of the product.
+    The lowest-index column still above the tolerance after k picks
+    raises NoSolution.  Returns (xs, used, alt) as `_sweep` does: `used`
+    is each column's pick count, and `alt` is the scalar k+1, no rival
+    for any column.  Pursuit alone certifies no uniqueness; `recover`
+    runs it as the oracle only where the coherence does (module
+    docstring).
     """
     u, g, scale = atom.u, atom.g, atom.scale
     n = u.shape[1]
@@ -278,22 +290,21 @@ def _omp(atom: _Geometry, ys: np.ndarray, k: int):
     live = (np.sqrt(np.add.reduce(ys * ys, axis=0)) >= RESIDUAL_TOL).nonzero()[0]
     if not live.size:
         return xs, used, k + 1
-    targets = ys[:, live].T  # (live, m)
-    c = targets @ u  # (live, n)
+    targets = ys.take(live, axis=1)  # (m, live)
+    c = u.T @ targets  # (n, live)
     scores = np.abs(c)
     support = np.empty((live.size, min(k, n)), dtype=np.intp)
-    rows = np.arange(0, c.size, n)[:, None]  # where each row starts in c.ravel()
+    col = np.arange(live.size)[:, None]  # each live column's own entry of c and the scores
     for size in range(1, support.shape[1] + 1):
         if size > 1:
-            scores = np.abs(resid @ u)
-            scores.put(flat, -1.0)  # the columns already chosen
-        best = scores >= scores.max(axis=1, keepdims=True) * (1 - 1e-12)
-        support[:, size - 1] = best.argmax(axis=1)  # the lowest-index best
+            scores = np.abs(u.T @ resid)
+            scores[support[:, :size - 1], col] = -1.0  # the columns already chosen
+        best = scores >= scores.max(axis=0) * (1 - 1e-12)
+        support[:, size - 1] = best.argmax(axis=0)  # the lowest-index best
         idx = support[:, :size]
-        flat = idx + rows
-        coef, resid = _fit(u, g, idx, c.take(flat)[:, :, None], targets[:, :, None])
-        coef, resid = coef[:, :, 0], resid[:, :, 0]
-        done = np.sqrt(np.add.reduce(resid * resid, axis=1)) < RESIDUAL_TOL
+        coef, resid = _fit(u, g, idx, c[idx, col][:, :, None], targets.T[:, :, None])
+        coef, resid = coef[:, :, 0], resid[:, :, 0].T  # (live, size), (m, live)
+        done = np.sqrt(np.add.reduce(resid * resid, axis=0)) < RESIDUAL_TOL
         finished = np.count_nonzero(done)
         if finished:
             out = slice(None) if finished == live.size else done
@@ -302,10 +313,9 @@ def _omp(atom: _Geometry, ys: np.ndarray, k: int):
             if finished == live.size:
                 return xs, used, k + 1
             keep = ~done
-            live, support, targets, c, resid = (
-                live[keep], support[keep], targets[keep], c[keep], resid[keep])
-            rows = rows[:live.size]
-            flat = support[:, :size] + rows
+            live, support = live[keep], support[keep]
+            targets, c, resid = (v.compress(keep, axis=1) for v in (targets, c, resid))
+            col = col[:live.size]
     raise NoSolution(
         f"matching pursuit residual stayed above {RESIDUAL_TOL:.1e} in block {live[0]}"
     )
@@ -362,18 +372,18 @@ def _certified(atom: _Geometry, k: int, residual_tol: float) -> bool:
     """True when the coherence of the atom's unit-norm columns certifies pursuit at sparsity k.
 
     `atom` is the memo entry (`_atom`), whose mu is `metrics.coherence`
-    of the atom bit for bit; it and the column norms are formed once per
-    distinct atom, and the decision is made here on every call.  The
+    of the atom bit for bit; it and the least column norm are formed once
+    per distinct atom, and the decision is made here on every call.  The
     certificate and its rival guard are set out in the module docstring.
     With residual_tol = 0 the guard is void and this is the uniqueness
     certificate spark >= 1 + 1/mu > 2k: True exactly when the atom has
     no zero column and k <= `metrics.max_sparsity`.
     """
     n = len(atom.g)
-    if n < 2 or not atom.norms.all() or k > _sparsity_bound(atom.mu, n):
+    if n < 2 or not atom.least or k > _sparsity_bound(atom.mu, n):
         return False
     sigma = sqrt(1.0 - (min(2 * k, n) - 1) * atom.mu)
-    return bool(2.0 * residual_tol <= _SAME_SOLUTION_ATOL * sigma * atom.norms.min())
+    return 2.0 * residual_tol <= _SAME_SOLUTION_ATOL * sigma * atom.least
 
 
 def _budget(used: np.ndarray, spec: SparsitySpec):
@@ -434,16 +444,25 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     y = as_signal(y)
     side = as_side(side)
     s = as_count(s, "lift factor", 1)
-    m, n = a.shape
-    if spec.block_len != n:
-        raise BadShape(f"sparsity block length {spec.block_len} != matrix columns {n}")
+    if spec.block_len != a.shape[1]:
+        raise BadShape(f"sparsity block length {spec.block_len} != matrix columns {a.shape[1]}")
+    return _recover(_atom(a), s, y, spec, side, method)
+
+
+def _recover(atom: _Geometry, s: int, y: np.ndarray, spec: SparsitySpec, side: Side,
+             method: str) -> np.ndarray:
+    """`recover` from the memo entry of its atom and its validated s, y, spec and side.
+
+    `recover` and `recover_signal` each validate their own arguments once
+    and share this core, which checks y against the atom and the method.
+    """
+    m = atom.u.shape[0]
     if y.size != m * s:
         raise BadShape(f"measurement dim {y.size} != rows*s = {m * s}")
     if method not in ("oracle", "omp"):
         raise BadShape(f"unknown recovery method {method!r}")
     k = spec.per_block_k
     ys = blocks(y, s, side)
-    atom = _atom(a)
     if method == "omp":
         found = _omp(atom, ys, k)
     else:
@@ -475,7 +494,7 @@ def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
     """
     pl = plan(a, p, side)
     spec = SparsitySpec(int(pl.atom.shape[1]), k)
-    xt = recover(pl.atom, pl.s, y, spec, pl.side, method)
+    xt = _recover(_atom(pl.atom), pl.s, as_signal(y), spec, pl.side, method)
     if pl.r == 1:
         return xt
     x = unlift(xt, pl.r, pl.side, RESIDUAL_TOL)

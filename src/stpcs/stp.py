@@ -14,8 +14,10 @@ b-th run of n consecutive entries (RIGHT).  A lifted matrix is s copies
 of its atom, copy b acting on block b; a lifted vector has s equal
 blocks.  `blocks` and `unblocks` hold this layout, and every product,
 reduction and recovery goes through them instead of building an identity
-lift: the lifted product is unblocks(A @ blocks(x, s)) on either side, in
-memory for the lifted signal, the result and the atom only.  `unlift`
+lift: the lifted product is unblocks(A @ blocks(x, s)) on either side,
+which reads x in place, so it holds the result and the atom only, plus
+the lifted signal when dim x is not a multiple of the atom's columns
+(`mv_stp`).  `unlift`
 tests a signal for s equal blocks by one max-abs comparison.  Projection
 and the inner product read `signal_space._generator_products`, and
 reduction compares block views of its input, so neither lifts anything.
@@ -146,7 +148,8 @@ def _lift(x: np.ndarray, t: int, side: Side) -> np.ndarray:
     r, rem = divmod(t, x.size)
     if rem:
         raise BadShape(f"cannot lift dim {x.size} to non-multiple {t}")
-    return np.repeat(x, r) if side is Side.LEFT else np.tile(x, r)
+    # RIGHT stacks r copies as the rows of one repeat, without np.tile's wrapper
+    return np.repeat(x, r) if side is Side.LEFT else x[None].repeat(r, 0).reshape(-1)
 
 
 def lift_matrix(a, s: int, side: Side = Side.LEFT) -> np.ndarray:
@@ -224,13 +227,14 @@ def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
     With s = lcm(a.cols, dim x), LEFT computes
     (A (x) I_{s/n}) (x (x) 1_{s/r}) and RIGHT the mirrored
     (I_{s/n} (x) A) (1_{s/r} (x) x).  Reduces to A @ x when n = dim x.
-    Applied in reshape form: O(ms) time, no memory beyond the lift and
-    the result.
+    Applied in reshape form: O(ms) time.  When n | dim x the atom reads
+    the validated signal itself, uncopied; otherwise the signal is first
+    lifted to dimension s.
     """
     a, x, side = as_matrix(a), as_signal(x), as_side(side)
     n = a.shape[1]
     s = lcm(n, x.size)
-    xl = _lift(x, s, side)
+    xl = x if s == x.size else _lift(x, s, side)
     return unblocks(a @ blocks(xl, s // n, side), side)
 
 

@@ -62,6 +62,14 @@ def test_generating_elements_compare_and_hash_by_label(n):
     assert {hash(e) for e in generating_layer(n)} == {hash(e) for e in generating_layer(n)}
 
 
+@pytest.mark.parametrize("side", list(Side))
+def test_orthonormal_bases_hash_as_they_compare(side):
+    for m in range(1, 9):
+        assert orthonormal_basis(m, side) == orthonormal_basis(m, side)
+        assert hash(orthonormal_basis(m, side)) == hash(orthonormal_basis(m, side))
+    assert len({orthonormal_basis(5, s) for s in Side}) == 2
+
+
 def test_basis_elements_are_distinct_set_members():
     elements = basis_up_to(30)
     assert len(set(elements)) == len(elements)

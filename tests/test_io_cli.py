@@ -342,6 +342,18 @@ def test_ragged_rows_are_a_bad_shape_naming_the_file(tmp_path, capsys, name, tex
     assert err.startswith("error: BadShape:") and str(path) in err
 
 
+@pytest.mark.parametrize("entries", [[[1, 2], 3], [3, [1, 2]], [[1, 2], [3, [4]]]])
+def test_json_rows_mixed_with_scalars_are_a_bad_shape_naming_the_row(tmp_path, capsys, entries):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+    assert main(["metrics", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadShape:") and f"{path}: row " in err
+    # a flat list is the one row of a one-row matrix
+    path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [1, 2]}))
+    assert np.array_equal(io.load_matrix(path)[0], [[1.0, 2.0]])
+
+
 def test_domain_error_exits_one(capsys):
     assert main(["gen", "aocm", "-t", "9"]) == 1
     assert "Unsupported" in capsys.readouterr().err

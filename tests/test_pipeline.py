@@ -422,29 +422,46 @@ def test_batched_omp_matches_per_column_reference(seed):
     # batched and the per-column products can break an exact tie differently,
     # and both picks are valid.  Columns are all-zero or up to k-sparse, one
     # atom column is zero, and half the cases get one column no k columns fit.
+    # A quarter of the cases take an integer atom instead, whose zero column 0
+    # and zero row leave that column orthogonal to every atom column: all its
+    # scores are 0, so its first pick is the zero column, whose 1x1 Gram block
+    # fails the determinant screen and is refitted by lstsq.  Its other
+    # columns are at most 1-sparse, which no tie can mislead.
     rng = np.random.default_rng(seed)
-    m, n, cols = int(rng.integers(3, 9)), int(rng.integers(4, 14)), int(rng.integers(1, 41))
+    m, n, cols = int(rng.integers(3, 9)), int(rng.integers(4, 14)), int(rng.integers(1, 257))
     k = int(rng.integers(0, 4))
-    a = rng.standard_normal((m, n))
-    a[:, rng.integers(n)] = 0.0
+    side = SIDES[rng.integers(2)]
+    integer = rng.integers(4) == 0
+    if integer:
+        a = rng.integers(-3, 4, size=(m, n)).astype(float)
+        row = rng.integers(m)
+        a[:, 0] = a[row] = 0.0
+    else:
+        a = rng.standard_normal((m, n))
+        a[:, rng.integers(n)] = 0.0
     xs = np.zeros((n, cols))
     for b in range(cols):
-        sup = rng.choice(n, size=int(rng.integers(0, k + 1)), replace=False)
-        xs[sup, b] = rng.standard_normal(sup.size)
+        sup = rng.choice(n, size=int(rng.integers(0, min(k, 1) + 1 if integer else k + 1)),
+                         replace=False)
+        xs[sup, b] = rng.integers(1, 10, sup.size) if integer else rng.standard_normal(sup.size)
     ys = a @ xs
-    if rng.integers(2):
+    if integer:
+        ys[:, rng.integers(cols)] = np.eye(m)[row]
+    elif rng.integers(2):
         ys[:, rng.integers(cols)] = rng.standard_normal(m)
-    # the left convention reads the measurement blocks as the columns of y.reshape(m, s)
+    # y is read back through the block layout of the drawn side
+    y = unblocks(ys, side)
+    assert np.array_equal(blocks(y, cols, side), ys)
     spec = SparsitySpec(n, k)
     try:
         expected = reference_omp(a, ys, k)
     except NoSolution as exc:
         with pytest.raises(NoSolution) as got:
-            recover(a, cols, ys.reshape(-1), spec, Side.LEFT, method="omp")
+            recover(a, cols, y, spec, side, method="omp")
         assert str(got.value) == str(exc)
     else:
-        xh = recover(a, cols, ys.reshape(-1), spec, Side.LEFT, method="omp")
-        assert np.allclose(xh.reshape(n, cols), expected, rtol=1e-9, atol=1e-9)
+        xh = recover(a, cols, y, spec, side, method="omp")
+        assert np.allclose(blocks(xh, cols, side), expected, rtol=1e-9, atol=1e-9)
 
 
 def test_omp_reports_failure_as_no_solution():
