@@ -54,15 +54,14 @@ def _write_matrix(args, a, kind="real", name=None, provenance=None) -> None:
     if args.output:
         io.save_matrix(args.output, a, kind=kind, name=name, provenance=provenance)
     else:
-        for row in np.atleast_2d(a):
-            print(io.format_row(row, kind))
+        print(io._csv_rows(a))
 
 
 def _write_signal(args, x) -> None:
     if args.output:
         io.save_signal(args.output, x)
     else:
-        print(",".join(repr(float(v)) for v in x))
+        print(",".join(map(repr, x.tolist())))
 
 
 def _emit_json(args, doc: dict) -> None:
@@ -109,16 +108,15 @@ def _cmd_gen(args) -> int:
 def _cmd_expand(args) -> int:
     from . import bibd
 
+    h, _ = io.load_matrix(args.input)
     if args.what == "vertical":
-        h, _ = io.load_matrix(args.input)
         out = bibd.vertical_expand(h)
         kind = "boolean"
     else:  # horizontal
-        hv, _ = io.load_matrix(args.input)
         b, _ = io.load_matrix(args.embed)
         if args.diag:
             b = bibd.make_embedding(b, [float(v) for v in args.diag.split(",")])
-        out = bibd.horizontal_expand(hv, b)
+        out = bibd.horizontal_expand(h, b)
         kind = "real"
     _write_matrix(args, out, kind=kind)
     return 0
@@ -146,7 +144,7 @@ def _cmd_basis(args) -> int:
         "side": ob.side.value,
         "count": ob.count,
         "labels": [list(l) for l in ob.labels],
-        "elements": [[float(v) for v in e] for e in ob.elements],
+        "elements": [e.tolist() for e in ob.elements],
     }
     _emit_json(args, doc)
     return 0

@@ -1,9 +1,13 @@
 """Matrix and signal file formats used by the CLI.
 
 CSV: a header line ``# rows,cols,kind`` followed by one comma-separated
-matrix row per line.  Floats are rendered with shortest-roundtrip repr,
-so integer matrices round-trip losslessly and reals bit-exactly.
-Signals are single-column CSVs.
+matrix row per line.  Signals are single-column CSVs.  One number rule
+holds for every kind: an integral entry is written as an integer
+(``str(int(v))``) and any other in shortest round-trip repr, so integer
+matrices round-trip losslessly (-0.0 reads back as 0.0) and reals
+bit-exactly.  The writer renders whole arrays, and the reader parses the
+whole text in one pass: blank lines are skipped, and whitespace around
+an entry or before the header's ``#`` is ignored.
 
 JSON: ``{"name", "rows", "cols", "kind", "provenance", "entries"}`` with
 the same kind vocabulary.  The kind constrains the entries and is
@@ -23,7 +27,6 @@ from .stp import as_matrix, as_signal
 
 __all__ = [
     "KINDS",
-    "format_row",
     "save_matrix",
     "load_matrix",
     "save_signal",
@@ -44,22 +47,29 @@ def _validate_kind(a: np.ndarray, kind: str) -> np.ndarray:
     return a
 
 
-def format_row(row, kind: str = "real") -> str:
-    """One matrix row as a CSV line, as save_matrix writes it.
+def _csv_rows(a: np.ndarray) -> str:
+    """The rows of a 2-D float array as CSV lines, without the header.
 
-    Entries of sign and boolean matrices and integral floats are written
-    as integers, other floats in shortest round-trip repr.
+    An integral entry is written as an integer, any other in shortest
+    round-trip repr.  `_validate_kind` admits only integral entries to a
+    sign or boolean matrix, so the rule needs no kind.  The rows are
+    rendered about 2^16 entries at a time, so that only one block's
+    strings are alive at once.
     """
-    whole = kind in ("sign", "boolean")
-    return ",".join(str(int(v)) if whole or float(v).is_integer() else repr(float(v))
-                    for v in row)
+    step = max(1, (1 << 16) // a.shape[1])
+    return "\n".join(_csv_block(a[i:i + step]) for i in range(0, len(a), step))
+
+
+def _csv_block(a: np.ndarray) -> str:
+    # a memoryview yields one Python float at a time: no list of all of them
+    cells = [str(int(v)) if v.is_integer() else repr(v) for v in memoryview(a.ravel())]
+    return "\n".join(map(",".join, zip(*[iter(cells)] * a.shape[1])))  # a.shape[1] cells a line
 
 
 def save_matrix(path, a, kind: str = "real", name: str | None = None,
                 provenance: dict | None = None) -> None:
     """Write a matrix as CSV or JSON depending on the file suffix."""
-    a = as_matrix(a)
-    _validate_kind(a, kind)
+    a = _validate_kind(as_matrix(a), kind)
     path = Path(path)
     if path.suffix.lower() == ".json":
         doc = {
@@ -68,13 +78,11 @@ def save_matrix(path, a, kind: str = "real", name: str | None = None,
             "cols": int(a.shape[1]),
             "kind": kind,
             "provenance": provenance,
-            "entries": [[float(v) for v in row] for row in a],
+            "entries": a.tolist(),
         }
         path.write_text(json.dumps(doc, indent=2) + "\n")
         return
-    lines = [f"# {a.shape[0]},{a.shape[1]},{kind}"]
-    lines.extend(format_row(row, kind) for row in a)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(f"# {a.shape[0]},{a.shape[1]},{kind}\n{_csv_rows(a)}\n")
 
 
 def _json_field(path, doc: dict, name: str, parse):
@@ -93,7 +101,7 @@ def _json_int(v) -> int:
 
 
 def _check_rows(path, entries, cols: int) -> None:
-    """BadShape naming the file and the row where a nested `entries` list is not all rows.
+    """BadShape naming the file and the row where a nested JSON `entries` list is not all rows.
 
     Once any item of the list `entries` is a list, every item must be a
     list of `cols` numbers.  A flat list (one row) and anything else are
@@ -112,7 +120,7 @@ def load_matrix(path):
     """Read a matrix (CSV or JSON); returns (array, metadata dict).
 
     Rows of a length other than the declared column count raise BadShape
-    naming the file.
+    naming the file and the row.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -131,29 +139,34 @@ def load_matrix(path):
         _check_rows(path, doc["entries"], meta["cols"])
         a = _json_field(path, doc, "entries", as_matrix)
     else:
-        lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+        lines = list(filter(None, map(str.strip, path.read_text().splitlines())))
         if not lines or not lines[0].startswith("#"):
             raise BadShape(f"{path}: missing '# rows,cols,kind' header")
         fields = [f.strip() for f in lines[0].lstrip("#").split(",")]
         if len(fields) != 3:
             raise BadShape(f"{path}: malformed header {lines[0]!r}")
         rows, cols, kind = int(fields[0]), int(fields[1]), fields[2]
-        entries = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        _check_rows(path, entries, cols)
-        a = as_matrix(entries)
+        body = lines[1:]
+        if not body:
+            raise BadShape(f"{path}: no matrix rows after the header")
+        # numpy parses each string with Python's float, so it takes what float(v) takes
+        cells = np.array(",".join(body).split(","), dtype=float)
+        widths = [row.count(",") + 1 for row in body]
+        if widths.count(cols) != len(body):
+            i = [n == cols for n in widths].index(False)
+            raise BadShape(f"{path}: row {i + 1} has {widths[i]} entries, declared cols {cols}")
+        a = as_matrix(cells.reshape(len(body), cols))
         meta = {"rows": rows, "cols": cols, "kind": kind, "name": None, "provenance": None}
     if a.shape != (meta["rows"], meta["cols"]):
         raise BadShape(
             f"{path}: declared shape {(meta['rows'], meta['cols'])} != parsed {a.shape}"
         )
-    _validate_kind(a, meta["kind"])
-    return a, meta
+    return _validate_kind(a, meta["kind"]), meta
 
 
 def save_signal(path, x) -> None:
     """Write a signal as a single-column real CSV/JSON matrix."""
-    x = as_signal(x)
-    save_matrix(path, x.reshape(-1, 1))
+    save_matrix(path, as_signal(x).reshape(-1, 1))
 
 
 def load_signal(path) -> np.ndarray:

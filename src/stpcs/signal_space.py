@@ -28,7 +28,9 @@ overflowed or lost bits to underflow.  `_plain_sum` makes that test and
 `basis.coordinates` and each column norm of `metrics._geometry`.  The
 generator products of `inner_v`, `project` and `basis.coordinates` are
 taken on the same rescaled signal and scaled back, so that no partial
-sum overflows while the answer is finite.
+sum overflows while the answer is finite.  `dist_v` retakes its
+difference on x / c and y / c, c the larger max|.|, where the plain
+difference overflows.
 `angle_v` needs no rule of its own: it takes the inner product of
 x / ||x|| and y / ||y||, which cannot overflow.
 """
@@ -276,8 +278,19 @@ def _norm(x: np.ndarray) -> float:
 
 
 def dist_v(x, y, side: Side = Side.LEFT) -> float:
-    """Distance between classes: zero exactly when x and y are equivalent."""
-    return norm_v(sta(x, y, side, subtract=True))
+    """Distance between classes: zero exactly when x and y are equivalent.
+
+    The difference is taken plainly.  Only where it overflows is it
+    retaken on x / c and y / c, with c the larger max|.|, and the norm
+    scaled back by c: the package's scale rule for a finite distance.
+    """
+    with np.errstate(over="ignore"):
+        d = sta(x, y, side, subtract=True)
+    if np.isfinite(d).all():
+        return _norm(d)
+    x, y = as_signal(x), as_signal(y)
+    c = max(_scale(x), _scale(y))
+    return c * _norm(sta(x / c, y / c, side, subtract=True))
 
 
 def angle_v(x, y, side: Side = Side.LEFT) -> float:

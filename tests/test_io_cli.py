@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stpcs import aocm, horizontal_expand, io, ocm, sign_matrix_check, vertical_expand_star
+from stpcs import (aocm, compress, horizontal_expand, io, ocm, sign_matrix_check,
+                   vertical_expand_star)
 from stpcs.bibd import SignKind
 from stpcs.cli import main
 from stpcs.errors import BadShape
@@ -102,6 +103,86 @@ def test_load_signal_rejects_wide_files(tmp_path):
     io.save_matrix(path, np.eye(2))
     with pytest.raises(BadShape):
         io.load_signal(path)
+
+
+def _row_by_entry(row, kind="real"):
+    """One CSV line by the per-entry rule the writers must reproduce byte for byte."""
+    whole = kind in ("sign", "boolean")
+    return ",".join(str(int(v)) if whole or float(v).is_integer() else repr(float(v))
+                    for v in row)
+
+
+# integral floats at and beyond 2^53 (written as all their digits), the
+# smallest subnormal, and -0.0, whose integer form is "0"
+EDGES = [-0.0, 0.1, 1e16, 2.0 ** 53, 2.0 ** 53 + 2, 1e300, -1e300, 5e-324, -7.0, 1 / 3]
+
+
+def _seeded_matrices():
+    rng = np.random.default_rng(26)
+    for shape in [(1, 1), (1, 9), (9, 1), (5, 7)]:
+        yield rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape), "real"
+        yield rng.choice(EDGES, shape), "real"
+        yield rng.integers(-1000, 1000, shape).astype(float), "real"
+        yield rng.choice([-1.0, 1.0], shape), "sign"
+        yield rng.integers(0, 2, shape).astype(float), "boolean"
+    # more than one of the writer's 2^16-entry blocks, as a matrix and as a signal
+    yield rng.choice(EDGES, (300, 250)), "real"
+
+
+@pytest.mark.parametrize("a,kind", list(_seeded_matrices()))
+def test_writers_match_the_per_entry_rule_byte_for_byte(tmp_path, a, kind):
+    csv, js, xf = tmp_path / "a.csv", tmp_path / "a.json", tmp_path / "x.csv"
+    io.save_matrix(csv, a, kind=kind)
+    rows = "".join(_row_by_entry(r, kind) + "\n" for r in a.tolist())
+    assert csv.read_text() == f"# {a.shape[0]},{a.shape[1]},{kind}\n" + rows
+    io.save_matrix(js, a, kind=kind, name="a", provenance={"seed": 26})
+    doc = {"name": "a", "rows": a.shape[0], "cols": a.shape[1], "kind": kind,
+           "provenance": {"seed": 26}, "entries": [[float(v) for v in r] for r in a]}
+    assert js.read_text() == json.dumps(doc, indent=2) + "\n"
+    x = a.ravel()
+    io.save_signal(xf, x)
+    assert xf.read_text() == f"# {x.size},1,real\n" + "".join(_row_by_entry([v]) + "\n"
+                                                              for v in x.tolist())
+    assert np.array_equal(io.load_matrix(csv)[0], a)
+    assert np.array_equal(io.load_signal(xf), x)
+
+
+@pytest.mark.parametrize("kind", io.KINDS)
+def test_gen_and_compress_print_the_per_entry_rule_byte_for_byte(tmp_path, capsys, kind):
+    af, xf = tmp_path / "A.csv", tmp_path / "x.csv"
+    gen = ["gen", "random", "--rows", "3", "--cols", "4", "--seed", "26", "--kind", kind]
+    assert main([*gen, "-o", str(af)]) == 0 and main(gen) == 0
+    a, _ = io.load_matrix(af)
+    assert capsys.readouterr().out == "".join(_row_by_entry(r, kind) + "\n" for r in a)
+    x = np.array([*EDGES[:7], 0.0]) * np.random.default_rng(26).standard_normal(8)
+    io.save_signal(xf, x)
+    assert main(["compress", "-A", str(af), "-x", str(xf)]) == 0
+    y = compress(a, x)
+    assert capsys.readouterr().out == ",".join(repr(float(v)) for v in y) + "\n"
+
+
+def test_csv_reader_skips_blank_lines_crlf_and_padding(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\r\n  # 2,3,real \r\n\r\n 1 , 2.5,-3\r\n   \r\n4,\t5 ,6  \r\n\n")
+    a, meta = io.load_matrix(path)
+    assert np.array_equal(a, [[1.0, 2.5, -3.0], [4.0, 5.0, 6.0]]) and meta["kind"] == "real"
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("# 2,2,real\n\n", BadShape, "no matrix rows after the header"),
+    ("# 3,2,real\n1,2\n\n3,4\n5\n", BadShape, "row 3 has 1 entries, declared cols 2"),
+    ("# 2,2,real\n1,2\n3,4,5\n", BadShape, "row 2 has 3 entries, declared cols 2"),
+    ("# 3,2,real\n1,2\n3,4\n", BadShape, r"declared shape \(3, 2\) != parsed \(2, 2\)"),
+    ("# 1,2,real\n1,2\n3,4\n", BadShape, r"declared shape \(1, 2\) != parsed \(2, 2\)"),
+    ("# 1,2,real\n1,2,\n", ValueError, "could not convert string to float: ''"),
+])
+def test_csv_reader_errors_name_what_is_wrong(tmp_path, capsys, text, error, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        io.load_matrix(path)
+    assert main(["metrics", "-i", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error.__name__}:")
 
 
 # --- CLI ----------------------------------------------------------------------

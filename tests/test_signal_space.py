@@ -493,6 +493,26 @@ def test_project_and_inner_v_keep_a_finite_answer_finite(side, scale):
     assert inner == pytest.approx(scale, rel=1e-12)
 
 
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("q,want", [(10000, 2e306), (5000, math.sqrt(5) * 1e306)])
+def test_dist_v_keeps_a_finite_distance_finite(side, q, want):
+    # 1e308 - (-1e308) overflows, though the distance is finite; with q = 5000
+    # the lift of y meets x's 1e308 once and a zero once
+    x = np.r_[1e308, np.zeros(9999)]
+    y = np.r_[-1e308, np.zeros(q - 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dist_v(x, y, side)
+        assert dist_v(x, lift_signal(x, 20000, side), side) == 0.0
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(float_signals, float_signals)
+def test_dist_v_is_the_norm_of_the_plain_difference_in_the_normal_range(side, x, y):
+    assert dist_v(x, y, side) == norm_v(sta(x, y, side, subtract=True))
+
+
 def test_project_keeps_small_entries_next_to_a_large_one():
     # a difference of prefix sums would read the second and third cells as 0
     got = project([1e17, 1.0, 1.0, 1.0, 1.0, 1.0], 3)
