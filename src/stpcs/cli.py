@@ -35,6 +35,7 @@ import numpy as np
 
 from . import io
 from .errors import StpcsError
+from .stp import as_matrix, as_signal
 
 __all__ = ["main"]
 
@@ -53,15 +54,15 @@ def _budget(default: int):
 def _write_matrix(args, a, kind="real", name=None, provenance=None) -> None:
     if args.output:
         io.save_matrix(args.output, a, kind=kind, name=name, provenance=provenance)
-    else:
-        print(io._csv_rows(a))
+    else:  # what save_matrix checks
+        print(io._csv_rows(io._validate_kind(as_matrix(a), kind)))
 
 
 def _write_signal(args, x) -> None:
     if args.output:
         io.save_signal(args.output, x)
     else:
-        print(",".join(map(repr, x.tolist())))
+        print(",".join(map(repr, as_signal(x).tolist())))  # what save_signal checks
 
 
 def _emit_json(args, doc: dict) -> None:

@@ -5,9 +5,11 @@ matrix row per line.  Signals are single-column CSVs.  One number rule
 holds for every kind: an integral entry is written as an integer
 (``str(int(v))``) and any other in shortest round-trip repr, so integer
 matrices round-trip losslessly (-0.0 reads back as 0.0) and reals
-bit-exactly.  The writer renders whole arrays, and the reader parses the
-whole text in one pass: blank lines are skipped, and whitespace around
-an entry or before the header's ``#`` is ignored.
+bit-exactly.  The writer renders whole arrays, 2^16 entries at a time.
+The reader reads the file a line at a time and parses blocks of lines
+holding about 2^16 entries each, so it never holds the text of the whole
+file.  Blank lines are skipped, and whitespace around an entry or before
+the header's ``#`` is ignored.
 
 JSON: ``{"name", "rows", "cols", "kind", "provenance", "entries"}`` with
 the same kind vocabulary.  The kind constrains the entries and is
@@ -18,6 +20,7 @@ validated on load: ``boolean`` means {0,1}, ``sign`` means {-1,+1},
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -139,23 +142,28 @@ def load_matrix(path):
         _check_rows(path, doc["entries"], meta["cols"])
         a = _json_field(path, doc, "entries", as_matrix)
     else:
-        lines = list(filter(None, map(str.strip, path.read_text().splitlines())))
-        if not lines or not lines[0].startswith("#"):
-            raise BadShape(f"{path}: missing '# rows,cols,kind' header")
-        fields = [f.strip() for f in lines[0].lstrip("#").split(",")]
-        if len(fields) != 3:
-            raise BadShape(f"{path}: malformed header {lines[0]!r}")
-        rows, cols, kind = int(fields[0]), int(fields[1]), fields[2]
-        body = lines[1:]
-        if not body:
+        with open(path) as fh:  # the lines of read_text().splitlines(), read as needed
+            lines = filter(None, map(str.strip, chain.from_iterable(map(str.splitlines, fh))))
+            head = next(lines, "")
+            if not head.startswith("#"):
+                raise BadShape(f"{path}: missing '# rows,cols,kind' header")
+            fields = [f.strip() for f in head.lstrip("#").split(",")]
+            if len(fields) != 3:
+                raise BadShape(f"{path}: malformed header {head!r}")
+            rows, cols, kind = int(fields[0]), int(fields[1]), fields[2]
+            cells, n, bad = [], 0, None
+            while body := list(islice(lines, max(1, (1 << 16) // max(1, cols)))):
+                # numpy parses each string with Python's float, so it takes what float(v) takes
+                cells.append(np.array(",".join(body).split(","), dtype=float))
+                if bad is None:  # the first ragged row, numbered in the whole file
+                    widths = (row.count(",") + 1 for row in body)
+                    bad = next(((n + i, w) for i, w in enumerate(widths, 1) if w != cols), None)
+                n += len(body)
+        if not n:
             raise BadShape(f"{path}: no matrix rows after the header")
-        # numpy parses each string with Python's float, so it takes what float(v) takes
-        cells = np.array(",".join(body).split(","), dtype=float)
-        widths = [row.count(",") + 1 for row in body]
-        if widths.count(cols) != len(body):
-            i = [n == cols for n in widths].index(False)
-            raise BadShape(f"{path}: row {i + 1} has {widths[i]} entries, declared cols {cols}")
-        a = as_matrix(cells.reshape(len(body), cols))
+        if bad:
+            raise BadShape(f"{path}: row {bad[0]} has {bad[1]} entries, declared cols {cols}")
+        a = as_matrix(np.concatenate(cells).reshape(n, cols))
         meta = {"rows": rows, "cols": cols, "kind": kind, "name": None, "provenance": None}
     if a.shape != (meta["rows"], meta["cols"]):
         raise BadShape(

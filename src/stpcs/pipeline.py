@@ -19,7 +19,13 @@ same way: each step picks and refits for all blocks at once.
 ``method="omp"`` is the uncertified greedy override: pursuit alone,
 whatever the coherence.  GLOBAL sparsity, k nonzeros in all of x, is a
 budget the blocks share, decided from the same per-block fits as
-BLOCKWISE.  Recovery builds no lifted or swap matrix; those stay in
+BLOCKWISE.  The core (`_recover`) takes k and the mode and makes every
+budget decision itself (there is no separate budget helper): a block's
+budget is k, or under GLOBAL what the other blocks' fits leave of it,
+and certified pursuit meets a GLOBAL budget exactly when its fits spend
+at most k nonzeros in all.  `recover_signal` validates its arguments
+once and builds no plan or spec; it and `plan` share one helper for the
+lift factors.  Recovery builds no lifted or swap matrix; those stay in
 `stp` as reference constructions.
 
 Sweep and pursuit fit the unit-norm columns U of the atom and scale
@@ -46,8 +52,10 @@ many blocks it serves: the scores (|C| itself at the first pick, one
 product U^T R of the residuals after it), the pick, the gathers of G_S
 and C_S, one batched determinant and solve (at the first pick a
 division, and the residual a broadcast product), and the residuals;
-blocks that finish are written out and leave the batch.  Pursuit keeps
-the scores and C as (n, live) and the residuals as (m, live) arrays,
+blocks that finish are written out and leave the batch.  Every pick,
+the first included, is fitted by `_fit`, the one fitting kernel of sweep
+and pursuit, so both fit a support bit for bit alike.  Pursuit keeps the
+scores and C as (n, live) and the residuals as (m, live) arrays,
 one column per block still in the batch, so that each pick's max and
 lowest-index argmax, and each residual-norm test, reduce across the
 rows of a C-contiguous array instead of along its short last axis.
@@ -162,10 +170,18 @@ class SparsitySpec:
 
     def __post_init__(self):
         n = as_count(self.block_len, "block length", 1)
-        blockwise = self.mode is not SparsityMode.GLOBAL
-        k = as_count(self.per_block_k, "per-block sparsity" if blockwise else "sparsity", 0)
-        if blockwise and k > n:
-            raise BadShape(f"per-block sparsity {k} out of range for block {n}")
+        if self.mode is SparsityMode.GLOBAL:
+            as_count(self.per_block_k, "sparsity", 0)
+        else:
+            _per_block_k(self.per_block_k, n)
+
+
+def _per_block_k(k, n: int) -> int:
+    """`k` as a count of nonzeros in a block of n entries, else BadShape."""
+    k = as_count(k, "per-block sparsity", 0)
+    if k > n:
+        raise BadShape(f"per-block sparsity {k} out of range for block {n}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -209,12 +225,18 @@ def plan(a, p: int, side: Side = Side.LEFT) -> CompressionPlan:
     The reduction is made on every call; the plan's atom is a read-only
     view, of `a` itself when `a` is irreducible.
     """
-    atom, lifts = reduce_matrix(a, side)
-    side, p = as_side(side), as_count(p, "signal dimension", 1)
+    atom, *lifts = _lifts(a, p, side)
     atom = atom.view()
     atom.flags.writeable = False
+    return CompressionPlan(atom, *lifts)
+
+
+def _lifts(a, p, side):
+    """The fields of `plan(a, p, side)`, atom first, with the atom as `reduce_matrix` gives it."""
+    atom, lifts = reduce_matrix(a, side)
+    side, p = as_side(side), as_count(p, "signal dimension", 1)
     t = lcm(atom.shape[1] * lifts, p)  # a's own columns, as compress lifts them
-    return CompressionPlan(atom, side, p, t // atom.shape[1], t // p, t)
+    return atom, side, p, t // atom.shape[1], t // p, t
 
 
 def compress(a, x, side: Side = Side.LEFT) -> np.ndarray:
@@ -386,30 +408,6 @@ def _certified(atom: _Geometry, k: int, residual_tol: float) -> bool:
     return 2.0 * residual_tol <= _SAME_SOLUTION_ATOL * sigma * atom.least
 
 
-def _budget(used: np.ndarray, spec: SparsitySpec):
-    """Nonzeros each block may spend: k, or under GLOBAL what the other blocks' fits leave."""
-    k = spec.per_block_k
-    if spec.mode is SparsityMode.GLOBAL:
-        return np.maximum(k - (used.sum() - used), 0)
-    return k
-
-
-def _certified_pursuit(atom: _Geometry, ys: np.ndarray, spec: SparsitySpec):
-    """Pursuit's (xs, used, alt) where it decides for the oracle, else None.
-
-    That is where the coherence certifies k and pursuit fits every block
-    within its budget; anywhere else the sweep decides (module docstring).
-    """
-    k = spec.per_block_k
-    if not _certified(atom, k, RESIDUAL_TOL):
-        return None
-    try:
-        xs, used, alt = _omp(atom, ys, k)
-    except NoSolution:
-        return None
-    return (xs, used, alt) if (used <= _budget(used, spec)).all() else None
-
-
 def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
             method: str = "oracle") -> np.ndarray:
     """Exact sparse recovery from y = lift_s(a) @ x.
@@ -446,12 +444,12 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     s = as_count(s, "lift factor", 1)
     if spec.block_len != a.shape[1]:
         raise BadShape(f"sparsity block length {spec.block_len} != matrix columns {a.shape[1]}")
-    return _recover(_atom(a), s, y, spec, side, method)
+    return _recover(_atom(a), s, y, spec.per_block_k, spec.mode, side, method)
 
 
-def _recover(atom: _Geometry, s: int, y: np.ndarray, spec: SparsitySpec, side: Side,
+def _recover(atom: _Geometry, s: int, y: np.ndarray, k: int, mode: SparsityMode, side: Side,
              method: str) -> np.ndarray:
-    """`recover` from the memo entry of its atom and its validated s, y, spec and side.
+    """`recover` from the memo entry of its atom and its validated s, y, k, mode and side.
 
     `recover` and `recover_signal` each validate their own arguments once
     and share this core, which checks y against the atom and the method.
@@ -461,16 +459,19 @@ def _recover(atom: _Geometry, s: int, y: np.ndarray, spec: SparsitySpec, side: S
         raise BadShape(f"measurement dim {y.size} != rows*s = {m * s}")
     if method not in ("oracle", "omp"):
         raise BadShape(f"unknown recovery method {method!r}")
-    k = spec.per_block_k
+    blockwise = mode is not SparsityMode.GLOBAL
     ys = blocks(y, s, side)
-    if method == "omp":
-        found = _omp(atom, ys, k)
-    else:
-        found = _certified_pursuit(atom, ys, spec)
-        if found is None:
-            found = _sweep(atom, ys, k)
-    xs, used, alt = found
-    budget = _budget(used, spec)
+    found = _omp(atom, ys, k) if method == "omp" else None
+    if method == "oracle" and _certified(atom, k, RESIDUAL_TOL):  # pursuit, where it decides
+        try:
+            found = _omp(atom, ys, k)
+        except NoSolution:
+            pass
+        if found is not None and not blockwise and found[1].sum() > k:
+            found = None
+    xs, used, alt = found or _sweep(atom, ys, k)
+    # under GLOBAL, what the other blocks' sparsest fits leave of k
+    budget = k if blockwise else np.maximum(k - (used.sum() - used), 0)
     short = used > budget
     bad = short | (alt <= budget)
     if bad.any():
@@ -492,16 +493,14 @@ def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
     it does not correspond to any p-dimensional signal and NoSolution is
     raised.
     """
-    pl = plan(a, p, side)
-    spec = SparsitySpec(int(pl.atom.shape[1]), k)
-    xt = _recover(_atom(pl.atom), pl.s, as_signal(y), spec, pl.side, method)
-    if pl.r == 1:
+    atom, side, p, s, r, _ = _lifts(a, p, side)
+    k = _per_block_k(k, atom.shape[1])
+    xt = _recover(_atom(atom), s, as_signal(y), k, SparsityMode.BLOCKWISE, side, method)
+    if r == 1:
         return xt
-    x = unlift(xt, pl.r, pl.side, RESIDUAL_TOL)
+    x = unlift(xt, r, side, RESIDUAL_TOL)
     if x is None:
-        raise NoSolution(
-            f"lifted solution is not {pl.r}-fold replicated; no dim-{p} signal matches"
-        )
+        raise NoSolution(f"lifted solution is not {r}-fold replicated; no dim-{p} signal matches")
     return x
 
 

@@ -13,18 +13,27 @@ s blocks of n entries, the interleaved entries b, b+s, ... (LEFT) or the
 b-th run of n consecutive entries (RIGHT).  A lifted matrix is s copies
 of its atom, copy b acting on block b; a lifted vector has s equal
 blocks.  `blocks` and `unblocks` hold this layout, and every product,
-reduction and recovery goes through them instead of building an identity
-lift: the lifted product is unblocks(A @ blocks(x, s)) on either side,
-which reads x in place, so it holds the result and the atom only, plus
-the lifted signal when dim x is not a multiple of the atom's columns
-(`mv_stp`).  `unlift`
-tests a signal for s equal blocks by one max-abs comparison.  Projection
-and the inner product read `signal_space._generator_products`, and
-reduction compares block views of its input, so neither lifts anything.
+reduction and recovery but one goes through them instead of building an
+identity lift.  The lifted product is unblocks(A @ blocks(x, s)) on
+either side; `mv_stp`, the one exception, applies the layout itself, in
+reshape form, as one product of A with x.reshape(n, -1) (LEFT) or with
+the transpose of x.reshape(-1, n) (RIGHT), whose columns are the blocks.
+It reads x in place, so it holds the result and the atom only, plus the
+lifted signal when dim x is not a multiple of the atom's columns.
+`unlift` tests a signal for s equal blocks by one max-abs comparison.
+Projection and the inner product read `signal_space._generator_products`,
+and reduction compares block views of its input, so neither lifts
+anything.
 `lift_matrix` and `swap_matrix` build the dense matrices and serve as
 reference constructions and test oracles.  The one other dense lift is
 `mm_stp`'s right factor, B (x) I_{t/p} or I_{t/p} (x) B, which it
 broadcasts in place; its operands are small atoms.
+
+`as_matrix` and `as_signal` test the finiteness of a C- or
+Fortran-contiguous array by one BLAS dot of the entries with themselves,
+read in memory order without a copy, and test the entries one by one
+only when that sum of squares is not finite (a NaN, an infinity, or
+finite entries whose squares overflow) or when the array is strided.
 
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent use is safe.
@@ -33,7 +42,7 @@ state, so concurrent use is safe.
 from __future__ import annotations
 
 from enum import Enum
-from math import lcm
+from math import isfinite, lcm
 from operator import index
 
 import numpy as np
@@ -86,7 +95,7 @@ def as_matrix(a) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise BadShape(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -96,9 +105,24 @@ def as_signal(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.size < 1:
         raise BadShape("expected a nonempty vector")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise ValueError("signal entries must be finite")
     return arr
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """True iff every entry of the float array `arr` is finite.
+
+    For a C- or Fortran-contiguous array one BLAS dot, which raises no
+    warning, settles the common case: a finite sum of squares has finite
+    terms.  It reads the entries in memory order, without a copy.  Only
+    when the sum is not finite (a NaN or an infinity, or squares that
+    overflow) are the entries tested one by one, as they are for any other
+    layout, where a flat view would be a copy.
+    """
+    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        return bool(np.isfinite(arr).all())
+    return isfinite(np.vdot(v := arr.ravel("K"), v)) or bool(np.isfinite(v).all())
 
 
 def as_count(value, what: str, least: int) -> int:
@@ -148,8 +172,9 @@ def _lift(x: np.ndarray, t: int, side: Side) -> np.ndarray:
     r, rem = divmod(t, x.size)
     if rem:
         raise BadShape(f"cannot lift dim {x.size} to non-multiple {t}")
-    # RIGHT stacks r copies as the rows of one repeat, without np.tile's wrapper
-    return np.repeat(x, r) if side is Side.LEFT else x[None].repeat(r, 0).reshape(-1)
+    # RIGHT stacks r copies as the rows of one repeat: neither side pays np.tile's or
+    # np.repeat's wrapper
+    return x.repeat(r) if side is Side.LEFT else x[None].repeat(r, 0).reshape(-1)
 
 
 def lift_matrix(a, s: int, side: Side = Side.LEFT) -> np.ndarray:
@@ -227,7 +252,8 @@ def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
     With s = lcm(a.cols, dim x), LEFT computes
     (A (x) I_{s/n}) (x (x) 1_{s/r}) and RIGHT the mirrored
     (I_{s/n} (x) A) (1_{s/r} (x) x).  Reduces to A @ x when n = dim x.
-    Applied in reshape form: O(ms) time.  When n | dim x the atom reads
+    Applied in reshape form, one product of the atom with the blocks of
+    the signal as a matrix: O(ms) time.  When n | dim x the atom reads
     the validated signal itself, uncopied; otherwise the signal is first
     lifted to dimension s.
     """
@@ -235,7 +261,12 @@ def mv_stp(a, x, side: Side = Side.LEFT) -> np.ndarray:
     n = a.shape[1]
     s = lcm(n, x.size)
     xl = x if s == x.size else _lift(x, s, side)
-    return unblocks(a @ blocks(xl, s // n, side), side)
+    # unblocks(a @ blocks(xl, s // n, side), side) without the side dispatch: the blocks are
+    # the columns of xl.reshape(n, -1) (LEFT) or the rows of xl.reshape(-1, n) (RIGHT).
+    # RIGHT keeps the operand order, as the transposed product may round differently.
+    if side is Side.LEFT:
+        return (a @ xl.reshape(n, -1)).reshape(-1)
+    return (a @ xl.reshape(-1, n).T).T.reshape(-1)
 
 
 def sta(x, y, side: Side = Side.LEFT, subtract: bool = False) -> np.ndarray:

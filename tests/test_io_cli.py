@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from argparse import Namespace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stpcs import (aocm, compress, horizontal_expand, io, ocm, sign_matrix_check,
+from stpcs import (aocm, cli, compress, horizontal_expand, io, ocm, sign_matrix_check,
                    vertical_expand_star)
 from stpcs.bibd import SignKind
 from stpcs.cli import main
@@ -185,6 +190,55 @@ def test_csv_reader_errors_name_what_is_wrong(tmp_path, capsys, text, error, mes
     assert capsys.readouterr().err.startswith(f"error: {error.__name__}:")
 
 
+@pytest.mark.parametrize("cols", [0, -2])
+def test_csv_reader_takes_a_header_with_no_columns_as_a_ragged_row(tmp_path, cols):
+    path = tmp_path / "m.csv"
+    path.write_text(f"# 1,{cols},real\n1\n")
+    with pytest.raises(BadShape, match=f"row 1 has 1 entries, declared cols {cols}"):
+        io.load_matrix(path)
+
+
+def test_csv_reader_numbers_rows_across_its_blocks_and_parses_before_it_counts(tmp_path):
+    # more rows than one block of 2^16 entries: the ragged row is named by its place
+    # in the file, and an unparsable entry anywhere wins over it, as in one pass
+    rows = ["1.5"] * 70000
+    rows[69998] = "1,2"
+    path = tmp_path / "m.csv"
+    path.write_text("# 70000,1,real\n" + "\n".join(rows) + "\n")
+    with pytest.raises(BadShape, match="row 69999 has 2 entries, declared cols 1"):
+        io.load_matrix(path)
+    rows[3] = "1,2"
+    path.write_text("# 70000,1,real\n" + "\n".join(rows) + "\n")
+    with pytest.raises(BadShape, match="row 4 has 2 entries, declared cols 1"):
+        io.load_matrix(path)
+    rows[69999] = "x"
+    path.write_text("# 70000,1,real\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        io.load_matrix(path)
+
+
+def test_csv_reader_peak_memory_is_a_fraction_of_a_long_file(tmp_path):
+    # 2^20 Gaussian entries: a 20 MB file, whose lines and entries all held as strings
+    # at once took about 9 times its size.  The peak is the growth of the peak RSS
+    # (VmHWM, which exec resets) of a fresh interpreter over the load: tracemalloc,
+    # which sees the same allocations, makes this load about 20 times slower.
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status")
+    x = np.random.default_rng(0).standard_normal(1 << 20)
+    path = tmp_path / "x.csv"
+    io.save_signal(path, x)
+    assert path.stat().st_size > 19 << 20
+    assert io.load_signal(path).tobytes() == x.tobytes()
+    code = ("from stpcs import io\n"
+            f"peak = lambda: int(open({str(status)!r}).read().split('VmHWM:')[1].split()[0])\n"
+            f"before = peak(); io.load_signal({str(path)!r}); print(peak() - before)")
+    env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) << 10 < 32 << 20  # VmHWM is in kB
+
+
 # --- CLI ----------------------------------------------------------------------
 
 def test_gen_bibd_star_writes_reference_design(tmp_path):
@@ -341,6 +395,32 @@ def test_signal_verbs_print_to_stdout_without_output(tmp_path, capsys):
     ]:
         assert main(argv) == 0
         assert capsys.readouterr().out == printed + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("to_file", [False, True])
+def test_compress_refuses_an_overflowing_result_on_stdout_as_in_a_file(tmp_path, capsys,
+                                                                       to_file):
+    a, xf = tmp_path / "A.csv", tmp_path / "x.csv"
+    io.save_matrix(a, np.array([[1e300, 1e300]]))
+    io.save_signal(xf, np.array([1e100, 1e100]))
+    out = ["-o", str(tmp_path / "y.csv")] if to_file else []
+    assert main(["compress", "-A", str(a), "-x", str(xf), *out]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: ValueError: signal entries must be finite\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_writers_check_before_they_print_as_before_they_save(tmp_path, capsys, to_file):
+    args = Namespace(output=str(tmp_path / "m.csv") if to_file else None)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        cli._write_matrix(args, np.array([[1.0, np.inf]]))
+    with pytest.raises(BadShape, match="boolean matrix must contain only 0 and 1"):
+        cli._write_matrix(args, np.array([[1.0, 2.0]]), kind="boolean")
+    with pytest.raises(ValueError, match="^signal entries must be finite$"):
+        cli._write_signal(args, np.array([np.nan, 1.0]))
+    assert capsys.readouterr().out == "" and not (tmp_path / "m.csv").exists()
 
 
 def test_basis_cli_json(tmp_path):

@@ -28,10 +28,10 @@ from stpcs import (
     vertical_expand_star,
 )
 from stpcs import metrics, pipeline
-from stpcs.errors import BadShape, BudgetExceeded, NoSolution, NotUnique
+from stpcs.errors import BadShape, BudgetExceeded, NoSolution, NotUnique, StpcsError
 from stpcs.golden import SENSING_7X16
-from stpcs.pipeline import _SAME_SOLUTION_ATOL, _atom, _certified, _fit
-from stpcs.stp import as_matrix, blocks, unblocks
+from stpcs.pipeline import _SAME_SOLUTION_ATOL, RESIDUAL_TOL, _atom, _certified, _fit
+from stpcs.stp import as_matrix, blocks, unblocks, unlift
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -358,6 +358,71 @@ def test_recover_signal_through_a_reducible_matrix(side, lifts, p, pos, value):
     assert plan(a, p, side).output_dim == y.size
     for method in ("oracle", "omp"):
         assert np.allclose(recover_signal(a, y, p, 1, side, method=method), x, atol=1e-8)
+
+
+def _recover_signal_by_plan(a, y, p, k, side=Side.LEFT, method="oracle"):
+    """recover_signal through a CompressionPlan, a SparsitySpec and `recover`."""
+    pl = plan(a, p, side)
+    spec = SparsitySpec(int(pl.atom.shape[1]), k)
+    xt = recover(pl.atom, pl.s, y, spec, pl.side, method)
+    if pl.r == 1:
+        return xt
+    x = unlift(xt, pl.r, pl.side, RESIDUAL_TOL)
+    if x is None:
+        raise NoSolution(
+            f"lifted solution is not {pl.r}-fold replicated; no dim-{p} signal matches"
+        )
+    return x
+
+
+def _bits_or_error(solve, *args):
+    """The solution's dtype, shape and bytes, or the type and message of the error raised."""
+    try:
+        x = solve(*args)
+    except (StpcsError, ValueError) as exc:
+        return type(exc), str(exc)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _signal_case(rng, atoms):
+    """Arguments of recover_signal: valid ones mostly, an invalid one now and then."""
+    side = SIDES[rng.integers(2)]
+    atom = atoms[rng.integers(len(atoms))]
+    n0 = atom.shape[1]
+    # a lift on the recovery side, which plan reduces, or on the other side
+    lift_side = side if rng.random() < 0.7 else SIDES[side is Side.LEFT]
+    a = lift_matrix(atom, rng.integers(1, 3), lift_side)
+    p = int(rng.choice([rng.integers(1, n0), n0 * rng.integers(1, 5), rng.integers(1, 5 * n0)]))
+    x = np.zeros(p)
+    x[rng.integers(p, size=rng.integers(0, 3))] = rng.integers(-3, 4, size=1)
+    y = compress(a, x, side)
+    if rng.random() < 0.2:
+        y[rng.integers(y.size)] += rng.choice([1e-3, 1e-12])
+    k = int(rng.integers(0, 3))
+    method = ("oracle", "omp")[rng.integers(2)]
+    bad = rng.integers(12)
+    if bad == 0:
+        k = plan(a, 1, side).atom.shape[1] + 1
+    elif bad == 1:
+        y = y[:-1] if y.size > 1 else np.zeros(3)
+    elif bad == 2:
+        method = "lstsq"
+    elif bad == 3:
+        p = 0
+    return a, y, p, k, side, method
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recover_signal_is_plan_spec_and_recover_bit_for_bit(phi, phi30, seed):
+    # both sides and methods, p < n0, n0 not dividing p, reducible and irreducible
+    # matrices, and invalid arguments: the same bits, or the same error and message
+    rng = np.random.default_rng(seed)
+    atoms = [phi, phi30, rng.integers(-2, 3, size=(4, 6)).astype(float),
+             np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]  # the last has a duplicate column
+    for _ in range(150):
+        case = _signal_case(rng, atoms)
+        expected = _bits_or_error(_recover_signal_by_plan, *case)
+        assert _bits_or_error(recover_signal, *case) == expected
 
 
 def test_mv_stp_is_the_compression_map(phi):

@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from math import lcm
 
 import numpy as np
@@ -19,7 +21,7 @@ from stpcs import (
 )
 from stpcs.errors import BadShape
 from stpcs.golden import SENSING_7X16
-from stpcs.stp import as_side, blocks, unblocks, unlift
+from stpcs.stp import as_matrix, as_side, as_signal, blocks, unblocks, unlift
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -206,6 +208,27 @@ def test_mv_matches_dense_lift_oracle(side, ax):
     assert np.array_equal(mv_stp(a, x, side), expected)
 
 
+def _mv_stp_by_blocks(a, x, side):
+    """mv_stp as the block round trip it applies in reshape form."""
+    n = a.shape[1]
+    s = lcm(n, x.size)
+    xl = x if s == x.size else lift_signal(x, s, side)
+    return unblocks(a @ blocks(xl, s // n, side), side)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 20), st.integers(1, 400), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(12, 15, 241, False, 0)  # m >= 12 and a long lift: where BLAS kernels change
+def test_mv_stp_is_the_block_round_trip_bit_for_bit(side, m, n, q, divisible, seed):
+    # p = n*q (n | p) or p = q (n | p only by chance); columns scaled over 1e-6..1e6
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-6, 6, n)
+    x = rng.standard_normal(n * q if divisible else q) * 10.0 ** rng.uniform(-6, 6)
+    assert mv_stp(a, x, side).tobytes() == _mv_stp_by_blocks(a, x, side).tobytes()
+
+
 # --- block layout -----------------------------------------------------------
 
 # (n, s, trailing axes) of an integer array with n*s rows
@@ -278,6 +301,29 @@ def test_unlift_reads_equal_infinities_as_equal(side):
 
 
 @pytest.mark.parametrize("side", SIDES)
+def test_unlift_warns_of_nothing(side):
+    rng = np.random.default_rng(5)
+    inf, nan = np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two = np.array([inf, 2.0])
+        lifted = np.repeat(two, 2) if side is Side.LEFT else np.tile(two, 2)
+        assert np.array_equal(unlift(lifted, 2, side), two)
+        assert np.array_equal(unlift(np.array([-inf, -inf, -inf]), 3, side), [-inf])
+        assert unlift(np.array([nan, nan]), 2, side) is None
+        assert unlift(np.array([1.0, nan]), 2, side) is None
+        assert unlift(np.array([1e200, 1e200]), 2, side)[0] == 1e200  # squares overflow
+        for _ in range(200):
+            n, r = rng.integers(1, 9, size=2)
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300)
+            x = lift_signal(y, n * r, side)
+            assert unlift(x, r, side).tobytes() == y.tobytes()
+            if r > 1:
+                x[rng.integers(n, x.size) if side is Side.RIGHT else 1] = rng.choice([inf, nan])
+                assert unlift(x, r, side) is None
+
+
+@pytest.mark.parametrize("side", SIDES)
 def test_outputs_never_share_memory_with_inputs(side):
     x = np.array([1.0, -2.0, 3.0, 1.0, -2.0, 3.0])
     outs = [(lift_signal(x, 6, side), x), (lift_signal(x, 12, side), x),
@@ -324,6 +370,61 @@ def test_sta_commutes(side, x, y):
 def test_rejects_non_finite_entries():
     with pytest.raises(ValueError):
         mv_stp([[1.0, np.nan]], [1.0], Side.LEFT)
+
+
+@pytest.mark.parametrize("big", [1e200, -1e200, 1e308, -1e308])
+def test_finite_entries_whose_squares_overflow_pass_without_a_warning(big):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(as_signal([big, 1.0]), [big, 1.0])
+        assert np.array_equal(as_matrix([[big], [big]]), [[big], [big]])
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                 [1e200, np.nan], [1.0, 2.0, np.inf]])
+def test_non_finite_entries_are_refused_with_their_message(bad):
+    with pytest.raises(ValueError, match="^signal entries must be finite$"):
+        as_signal(bad)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        as_matrix([bad, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_strided_inputs_get_the_same_finite_check(bad):
+    a = np.arange(24.0).reshape(4, 6)
+    x = np.arange(12.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(as_matrix(a[:, ::2]), a[:, ::2])
+        assert np.array_equal(as_signal(x[::-3]), x[::-3])
+        assert np.array_equal(as_signal(np.full(6, 1e300)[::2]), [1e300] * 3)
+    a[1, 2], x[3] = bad, bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        as_matrix(a[:, ::2])
+    with pytest.raises(ValueError, match="^signal entries must be finite$"):
+        as_signal(x[::3])
+
+
+def test_the_finite_check_copies_no_strided_input():
+    x = np.random.default_rng(0).standard_normal(2 ** 22)[::2]
+    tracemalloc.start()
+    try:
+        assert np.shares_memory(as_signal(x), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 4  # at most the elementwise mask, never a float copy
+
+
+def test_the_finite_check_reads_a_fortran_matrix_in_place():
+    a = np.asfortranarray(np.random.default_rng(0).standard_normal((2048, 2048)))
+    tracemalloc.start()
+    try:
+        assert as_matrix(a) is a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 64  # no copy, and no elementwise mask either
 
 
 def test_rejects_empty_shapes():
