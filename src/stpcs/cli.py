@@ -14,11 +14,12 @@ pattern itself (no expansion) or one of its expansions:
     stpcs recover -A Phi.csv -y y.csv --k 1 --side left -o xhat.csv
     stpcs paper-examples --outdir out/
 
-Exit codes: 0 success, 1 domain error (the error class name is echoed),
-2 usage error.  The environment variable STPCS_BUDGET overrides the
-subset-enumeration budget used by spark/RIP computations; spark applies
-it only to the subset sizes its bounds leave open; a value that is not
-a non-negative integer is a BadShape error.
+Exit codes: 0 success, 1 domain, input or I/O error (a StpcsError,
+ValueError or OSError, whose class name is echoed), 2 usage error.  The
+environment variable STPCS_BUDGET overrides the subset-enumeration
+budget used by spark/RIP computations; spark applies it only to the
+subset sizes its bounds leave open; a value that is not a non-negative
+integer is a BadShape error.
 
 Each verb imports only the modules it calls, so a launch pays for the
 code it runs: `gen` loads `bibd`, not the recovery or metrics code.
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import io
 from .errors import StpcsError
-from .stp import as_matrix, as_signal
+from .stp import as_matrix, as_signal, mv_stp
 
 __all__ = ["main"]
 
@@ -86,12 +87,9 @@ def _cmd_gen(args) -> int:
         _write_matrix(args, h, kind="boolean",
                       name=f"bibd-alpha{args.alpha}-{args.expansion}",
                       provenance={"alpha": args.alpha, "expansion": args.expansion})
-    elif args.what == "ocm":
-        _write_matrix(args, bibd.ocm(args.t), kind="sign", name=f"ocm-{args.t}",
-                      provenance={"t": args.t})
-    elif args.what == "aocm":
-        _write_matrix(args, bibd.aocm(args.t), kind="sign", name=f"aocm-{args.t}",
-                      provenance={"t": args.t})
+    elif args.what in ("ocm", "aocm"):
+        _write_matrix(args, getattr(bibd, args.what)(args.t), kind="sign",
+                      name=f"{args.what}-{args.t}", provenance={"t": args.t})
     elif args.what == "random":
         rng = np.random.default_rng(args.seed)
         if args.kind == "real":
@@ -161,12 +159,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    from .pipeline import compress
-
     a, _ = io.load_matrix(args.matrix)
-    x = io.load_signal(args.signal)
-    y = compress(a, x, args.side)
-    _write_signal(args, y)
+    _write_signal(args, mv_stp(a, io.load_signal(args.signal), args.side))
     return 0
 
 
@@ -335,11 +329,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StpcsError as exc:
+    except (StpcsError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: ValueError: {exc}", file=sys.stderr)
         return 1
 
 

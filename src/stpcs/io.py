@@ -6,10 +6,12 @@ holds for every kind: an integral entry is written as an integer
 (``str(int(v))``) and any other in shortest round-trip repr, so integer
 matrices round-trip losslessly (-0.0 reads back as 0.0) and reals
 bit-exactly.  The writer renders whole arrays, 2^16 entries at a time.
-The reader reads the file a line at a time and parses blocks of lines
+The reader reads the file a line at a time, a line ending at ``\n``,
+``\r\n`` or ``\r`` (Python's text mode), and parses blocks of lines
 holding about 2^16 entries each, so it never holds the text of the whole
 file.  Blank lines are skipped, and whitespace around an entry or before
-the header's ``#`` is ignored.
+the header's ``#`` is ignored.  Text, a header or an entry that does not
+parse is a ValueError whose message starts with the file's path.
 
 JSON: ``{"name", "rows", "cols", "kind", "provenance", "entries"}`` with
 the same kind vocabulary.  The kind constrains the entries and is
@@ -20,7 +22,7 @@ validated on load: ``boolean`` means {0,1}, ``sign`` means {-1,+1},
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -126,45 +128,48 @@ def load_matrix(path):
     naming the file and the row.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        doc = json.loads(path.read_text())
-        missing = [f for f in ("rows", "cols", "entries")
-                   if not isinstance(doc, dict) or f not in doc]
-        if missing:
-            raise BadShape(f"{path}: JSON matrix lacks field(s) {', '.join(missing)}")
-        meta = {
-            "rows": _json_field(path, doc, "rows", _json_int),
-            "cols": _json_field(path, doc, "cols", _json_int),
-            "kind": doc.get("kind", "real"),
-            "name": doc.get("name"),
-            "provenance": doc.get("provenance"),
-        }
-        _check_rows(path, doc["entries"], meta["cols"])
-        a = _json_field(path, doc, "entries", as_matrix)
-    else:
-        with open(path) as fh:  # the lines of read_text().splitlines(), read as needed
-            lines = filter(None, map(str.strip, chain.from_iterable(map(str.splitlines, fh))))
-            head = next(lines, "")
-            if not head.startswith("#"):
-                raise BadShape(f"{path}: missing '# rows,cols,kind' header")
-            fields = [f.strip() for f in head.lstrip("#").split(",")]
-            if len(fields) != 3:
-                raise BadShape(f"{path}: malformed header {head!r}")
-            rows, cols, kind = int(fields[0]), int(fields[1]), fields[2]
-            cells, n, bad = [], 0, None
-            while body := list(islice(lines, max(1, (1 << 16) // max(1, cols)))):
-                # numpy parses each string with Python's float, so it takes what float(v) takes
-                cells.append(np.array(",".join(body).split(","), dtype=float))
-                if bad is None:  # the first ragged row, numbered in the whole file
-                    widths = (row.count(",") + 1 for row in body)
-                    bad = next(((n + i, w) for i, w in enumerate(widths, 1) if w != cols), None)
-                n += len(body)
-        if not n:
-            raise BadShape(f"{path}: no matrix rows after the header")
-        if bad:
-            raise BadShape(f"{path}: row {bad[0]} has {bad[1]} entries, declared cols {cols}")
-        a = as_matrix(np.concatenate(cells).reshape(n, cols))
-        meta = {"rows": rows, "cols": cols, "kind": kind, "name": None, "provenance": None}
+    try:
+        if path.suffix.lower() == ".json":
+            doc = json.loads(path.read_text())
+            missing = [f for f in ("rows", "cols", "entries")
+                       if not isinstance(doc, dict) or f not in doc]
+            if missing:
+                raise BadShape(f"{path}: JSON matrix lacks field(s) {', '.join(missing)}")
+            meta = {
+                "rows": _json_field(path, doc, "rows", _json_int),
+                "cols": _json_field(path, doc, "cols", _json_int),
+                "kind": doc.get("kind", "real"),
+                "name": doc.get("name"),
+                "provenance": doc.get("provenance"),
+            }
+            _check_rows(path, doc["entries"], meta["cols"])
+            a = _json_field(path, doc, "entries", as_matrix)
+        else:
+            with open(path) as fh:  # text mode ends a line at \n, \r\n or \r
+                lines = filter(None, map(str.strip, fh))
+                head = next(lines, "")
+                if not head.startswith("#"):
+                    raise BadShape(f"{path}: missing '# rows,cols,kind' header")
+                fields = [f.strip() for f in head.lstrip("#").split(",")]
+                if len(fields) != 3:
+                    raise BadShape(f"{path}: malformed header {head!r}")
+                rows, cols, kind = int(fields[0]), int(fields[1]), fields[2]
+                cells, n, bad = [], 0, None
+                while body := list(islice(lines, max(1, (1 << 16) // max(1, cols)))):
+                    # numpy parses each string with Python's float, so it takes what float(v) takes
+                    cells.append(np.array(",".join(body).split(","), dtype=float))
+                    if bad is None:  # the first ragged row, numbered in the whole file
+                        widths = enumerate((row.count(",") + 1 for row in body), n + 1)
+                        bad = next(((i, w) for i, w in widths if w != cols), None)
+                    n += len(body)
+            if not n:
+                raise BadShape(f"{path}: no matrix rows after the header")
+            if bad:
+                raise BadShape(f"{path}: row {bad[0]} has {bad[1]} entries, declared cols {cols}")
+            a = as_matrix(np.concatenate(cells).reshape(n, cols))
+            meta = {"rows": rows, "cols": cols, "kind": kind, "name": None, "provenance": None}
+    except ValueError as exc:  # every ValueError here is about the file's text: name the file
+        raise ValueError(f"{path}: {exc}") from None
     if a.shape != (meta["rows"], meta["cols"]):
         raise BadShape(
             f"{path}: declared shape {(meta['rows'], meta['cols'])} != parsed {a.shape}"

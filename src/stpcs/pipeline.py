@@ -161,7 +161,9 @@ class SparsitySpec:
     """Block length n and sparsity bound k.
 
     k bounds the nonzeros of each length-n block under BLOCKWISE and of
-    the whole vector under GLOBAL.
+    the whole vector under GLOBAL.  The mode is read as `stp.as_side`
+    reads a side: a member, or its name in any case; anything else raises
+    BadShape.
     """
 
     block_len: int
@@ -170,6 +172,12 @@ class SparsitySpec:
 
     def __post_init__(self):
         n = as_count(self.block_len, "block length", 1)
+        if self.mode.__class__ is not SparsityMode:
+            name = self.mode.lower() if isinstance(self.mode, str) else None
+            if name not in ("global", "blockwise"):
+                raise BadShape(f"unknown sparsity mode {self.mode!r}; "
+                               "expected 'global' or 'blockwise'")
+            object.__setattr__(self, "mode", SparsityMode(name))
         if self.mode is SparsityMode.GLOBAL:
             as_count(self.per_block_k, "sparsity", 0)
         else:

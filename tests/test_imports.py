@@ -67,8 +67,7 @@ VERBS = {
     "expand horizontal": (["expand", "horizontal", "-i", "H5.csv", "--embed", "U4.csv",
                            "-o", "Phi.csv"], {"stpcs.bibd"}),
     "metrics": (["metrics", "-i", "Phi5.csv", "--rip-k", "2", "-o", "m.json"], GEOMETRY),
-    "compress": (["compress", "-A", "Phi5.csv", "-x", "x.csv", "-o", "y.csv"],
-                 {"stpcs.pipeline", *GEOMETRY}),
+    "compress": (["compress", "-A", "Phi5.csv", "-x", "x.csv", "-o", "y.csv"], set()),
     "recover": (["recover", "-A", "Phi5.csv", "-y", "y40.csv", "--k", "2", "-s", "2",
                  "-o", "xhat.csv"], {"stpcs.pipeline", *GEOMETRY}),
     "project": (["project", "-i", "x.csv", "-n", "7", "-o", "p.csv"], {"stpcs.signal_space"}),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from argparse import Namespace
@@ -168,9 +169,11 @@ def test_gen_and_compress_print_the_per_entry_rule_byte_for_byte(tmp_path, capsy
 
 def test_csv_reader_skips_blank_lines_crlf_and_padding(tmp_path):
     path = tmp_path / "m.csv"
-    path.write_bytes(b"\r\n  # 2,3,real \r\n\r\n 1 , 2.5,-3\r\n   \r\n4,\t5 ,6  \r\n\n")
-    a, meta = io.load_matrix(path)
-    assert np.array_equal(a, [[1.0, 2.5, -3.0], [4.0, 5.0, 6.0]]) and meta["kind"] == "real"
+    for text in (b"\r\n  # 2,3,real \r\n\r\n 1 , 2.5,-3\r\n   \r\n4,\t5 ,6  \r\n\n",
+                 b"\r  # 2,3,real \r\r 1 , 2.5,-3\r   \r4,\t5 ,6  \r\r"):  # lone CR ends
+        path.write_bytes(text)
+        a, meta = io.load_matrix(path)
+        assert np.array_equal(a, [[1.0, 2.5, -3.0], [4.0, 5.0, 6.0]]) and meta["kind"] == "real"
 
 
 @pytest.mark.parametrize("text,error,message", [
@@ -489,6 +492,53 @@ def test_unparsable_csv_header_exits_one(tmp_path, capsys):
     path.write_text("# a,1,real\n1\n")
     assert main(["metrics", "-i", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
+# text, a header count or an entry that does not parse, and the message it used to give
+UNREADABLE = {
+    "header.csv": (b"# a,1,real\n1\n", "invalid literal for int() with base 10: 'a'"),
+    "entry.csv": (b"# 2,1,real\n1\nx\n", "could not convert string to float: 'x'"),
+    "broken.json": (b'{"rows": 1,}', "Expecting property name enclosed in double quotes"),
+    "bytes.csv": (b"# 1,1,real\n\xff\n", "codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("name", list(UNREADABLE))
+def test_read_errors_name_their_file(tmp_path, capsys, name):
+    text, message = UNREADABLE[name]
+    bad = tmp_path / name
+    bad.write_bytes(text)
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        io.load_matrix(bad)
+    assert type(exc.value) is ValueError and str(exc.value).startswith(f"{bad}: ")
+    io.save_matrix(tmp_path / "A.csv", SENSING_7X16)
+    io.save_signal(tmp_path / "x.csv", np.ones(16))
+    for matrix, signal in ((bad, tmp_path / "x.csv"), (tmp_path / "A.csv", bad)):
+        assert main(["compress", "-A", str(matrix), "-x", str(signal)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {bad}: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [["metrics", "-i", "missing.csv"],
+                                  ["gen", "ocm", "-t", "4", "-o", "no-such-dir/O.csv"]])
+def test_io_failures_exit_one_with_one_line_naming_the_path(tmp_path, capsys, argv):
+    path = str(tmp_path / argv[-1])
+    assert main([*argv[:-1], path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FileNotFoundError: ") and path in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Singular matrix"),
+                                 BrokenPipeError(32, "Broken pipe")])
+def test_main_echoes_the_class_of_a_value_or_os_error(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_basis", fail)
+    assert main(["basis", "-m", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 @pytest.mark.parametrize("name, text", [

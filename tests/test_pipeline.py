@@ -650,6 +650,29 @@ def test_sparsity_spec_bounds_depend_on_the_mode():
     assert "per-block" not in str(exc.value)
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_sparsity_mode_is_read_by_name_in_any_case(side):
+    # one nonzero in each of two blocks: two nonzeros, over a GLOBAL budget of one
+    x = np.zeros(32)
+    x[[0, 1] if side is Side.LEFT else [0, 16]] = [1.0, 2.0]
+    y = mv_stp(SENSING_7X16, x, side)
+    for mode in (SparsityMode.GLOBAL, "global", "Global", "GLOBAL"):
+        spec = SparsitySpec(16, 1, mode)
+        assert spec.mode is SparsityMode.GLOBAL and spec == SparsitySpec(16, 1, "global")
+        with pytest.raises(NoSolution):
+            recover(SENSING_7X16, 2, y, spec, side)
+    for mode in (SparsityMode.BLOCKWISE, "blockwise", "BLOCKWISE"):
+        spec = SparsitySpec(16, 1, mode)
+        assert spec.mode is SparsityMode.BLOCKWISE
+        assert np.allclose(recover(SENSING_7X16, 2, y, spec, side), x, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["nonsense", None, "", 1, SparsityMode])
+def test_an_unknown_sparsity_mode_is_a_bad_shape(mode):
+    with pytest.raises(BadShape, match="unknown sparsity mode"):
+        SparsitySpec(16, 2, mode)
+
+
 def test_global_recovery_allocates_no_lifted_matrix(phi):
     # I_256 (x) A is 1792 x 4096 floats, about 59 MB
     s = 256
