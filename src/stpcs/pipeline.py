@@ -116,7 +116,7 @@ import numpy as np
 from .errors import BadShape, NoSolution, NotUnique
 from .metrics import DEFAULT_BUDGET, _Geometry, _geometry, _spark, _sparsity_bound, _subsets
 from .signal_space import _class_atom, reduce_matrix
-from .stp import Side, as_count, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
+from .stp import Side, _choice, as_count, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
 
 __all__ = [
     "SparsityMode",
@@ -161,9 +161,9 @@ class SparsitySpec:
     """Block length n and sparsity bound k.
 
     k bounds the nonzeros of each length-n block under BLOCKWISE and of
-    the whole vector under GLOBAL.  The mode is read as `stp.as_side`
-    reads a side: a member, or its name in any case; anything else raises
-    BadShape.
+    the whole vector under GLOBAL.  The mode is read by the rule that
+    reads a side (`stp._choice`): a member, or its name in any case;
+    anything else raises BadShape naming both modes.
     """
 
     block_len: int
@@ -173,10 +173,7 @@ class SparsitySpec:
     def __post_init__(self):
         n = as_count(self.block_len, "block length", 1)
         if self.mode.__class__ is not SparsityMode:
-            name = self.mode.lower() if isinstance(self.mode, str) else None
-            if name not in ("global", "blockwise"):
-                raise BadShape(f"unknown sparsity mode {self.mode!r}; "
-                               "expected 'global' or 'blockwise'")
+            name = _choice(self.mode, ("global", "blockwise"), "sparsity mode")
             object.__setattr__(self, "mode", SparsityMode(name))
         if self.mode is SparsityMode.GLOBAL:
             as_count(self.per_block_k, "sparsity", 0)
@@ -444,7 +441,9 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     its budget raises NoSolution, or whose rival fits within it
     NotUnique.  In both modes each block's residual must beat
     `RESIDUAL_TOL`.  What the atom alone fixes is formed once per
-    distinct atom (module docstring).
+    distinct atom (module docstring).  The method is a name read in any
+    case, as a side is (`stp._choice`); anything else raises BadShape
+    naming both methods.
     """
     a = as_matrix(a)
     y = as_signal(y)
@@ -465,8 +464,7 @@ def _recover(atom: _Geometry, s: int, y: np.ndarray, k: int, mode: SparsityMode,
     m = atom.u.shape[0]
     if y.size != m * s:
         raise BadShape(f"measurement dim {y.size} != rows*s = {m * s}")
-    if method not in ("oracle", "omp"):
-        raise BadShape(f"unknown recovery method {method!r}")
+    method = _choice(method, ("oracle", "omp"), "recovery method")
     blockwise = mode is not SparsityMode.GLOBAL
     ys = blocks(y, s, side)
     found = _omp(atom, ys, k) if method == "omp" else None

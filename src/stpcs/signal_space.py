@@ -13,7 +13,10 @@ block by block, and `reduce_matrix` reads the diagonal blocks of a
 reshaped view of its input.  Reductions and equivalence tests all use
 the one tolerance REDUCE_RTOL: entries count as equal within REDUCE_RTOL
 times the largest |entry|, so a reduction gives the same answer when the
-input is scaled.
+input is scaled.  They also share one comparison rule: each takes its
+differences by `stp._gap`, under which a difference beyond the float
+range reads as inf, so finite entries near the float maximum compare as
+far apart, with no warning.
 
 The inner product of x in R^m and y in R^n lifts both to t = lcm(m, n)
 and scales by 1/t, which makes it invariant under replacing either
@@ -42,7 +45,7 @@ from math import gcd, inf, isqrt, lcm, sqrt
 import numpy as np
 
 from .errors import ZeroVector
-from .stp import Side, as_count, as_matrix, as_side, as_signal, sta, unlift
+from .stp import Side, _gap, as_count, as_matrix, as_side, as_signal, sta, unlift
 
 __all__ = [
     "reduce_signal",
@@ -110,7 +113,7 @@ def _diagonal_within(diag: np.ndarray, atom: np.ndarray, tol: float) -> bool:
     """max |diag - atom[:, :, None]| <= tol, over chunks of rows of about _REDUCE_CHUNK floats."""
     step = max(1, _REDUCE_CHUNK // diag[0].size)
     for i in range(0, len(diag), step):
-        if np.abs(diag[i:i + step] - atom[i:i + step, :, None]).max() > tol:
+        if _gap(diag[i:i + step], atom[i:i + step, :, None]).max() > tol:
             return False
     return True
 
@@ -140,11 +143,11 @@ def reduce_signal(x, side: Side = Side.LEFT):
         return x.copy(), 1
     tol = REDUCE_RTOL * _scale(x)
     if side is Side.LEFT:
-        far = np.abs(x - x[0]) > tol
+        far = _gap(x, x[0]) > tol
         first = int(far.argmax()) or p  # far[0] is False: argmax 0 means none is far
         divs = [s for s in divs if s <= first]
     else:
-        near = np.abs(x[p // np.array(divs)] - x[0]) <= tol
+        near = _gap(x[p // np.array(divs)], x[0]) <= tol
         divs = [s for s, ok in zip(divs, near) if ok]
     for s in divs:
         atom = unlift(x, s, side, tol)
@@ -195,7 +198,7 @@ def reduce_matrix(a, side: Side = Side.LEFT):
 def _same_atom(p: np.ndarray, q: np.ndarray) -> bool:
     """Same shape, and max|p - q| <= REDUCE_RTOL times the larger of max|p| and max|q|."""
     tol = REDUCE_RTOL * max(_scale(p), _scale(q))
-    return p.shape == q.shape and np.abs(p - q).max() <= tol
+    return p.shape == q.shape and _gap(p, q).max() <= tol
 
 
 def equivalent(x, y, side: Side = Side.LEFT) -> bool:

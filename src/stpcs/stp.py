@@ -21,6 +21,10 @@ the transpose of x.reshape(-1, n) (RIGHT), whose columns are the blocks.
 It reads x in place, so it holds the result and the atom only, plus the
 lifted signal when dim x is not a multiple of the atom's columns.
 `unlift` tests a signal for s equal blocks by one max-abs comparison.
+Every tolerance comparison, there and in `signal_space`'s reductions and
+equivalence tests, takes its differences through `_gap`: a difference
+beyond the float range reads as inf, so finite entries near the float
+maximum compare as far apart and warn of nothing.
 Projection and the inner product read `signal_space._generator_products`,
 and reduction compares block views of its input, so neither lifts
 anything.
@@ -34,6 +38,11 @@ Fortran-contiguous array by one BLAS dot of the entries with themselves,
 read in memory order without a copy, and test the entries one by one
 only when that sum of squares is not finite (a NaN, an infinity, or
 finite entries whose squares overflow) or when the array is strided.
+
+A named choice (a side here, a sparsity mode or a recovery method in
+`pipeline`) is read by one rule, `_choice`: its name in any case, or, for
+a side or a mode, the member itself; anything else raises BadShape
+naming both choices.
 
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent use is safe.
@@ -81,11 +90,18 @@ def as_side(side) -> Side:
     name is parsed in one place and anything else raises BadShape instead
     of silently meaning one convention here and the other there.
     """
-    if side.__class__ is Side:
-        return side
-    if isinstance(side, str) and side.lower() in ("left", "right"):
-        return Side(side.lower())
-    raise BadShape(f"unknown side {side!r}; expected 'left' or 'right'")
+    return side if side.__class__ is Side else Side(_choice(side, ("left", "right"), "side"))
+
+
+def _choice(value, names: tuple[str, str], what: str) -> str:
+    """`value` lower-cased, if it is a string naming one of `names` in any case, else BadShape.
+
+    The one reader of a named choice: a side, a sparsity mode, a recovery
+    method.  `what` names the choice in the message.
+    """
+    if isinstance(value, str) and value.lower() in names:
+        return value.lower()
+    raise BadShape(f"unknown {what} {value!r}; expected {names[0]!r} or {names[1]!r}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -212,16 +228,23 @@ def unlift(x, r: int, side: Side = Side.LEFT, atol: float = 0.0):
     """Return y with x == lift_signal(y, x.size, side) within `atol`, or None.
 
     `x` is a 1-D array and `r` divides its size; y is a copy of block 0.
-    The input is not validated: equal infinities count as equal, and a NaN
-    entry refuses the lift.
+    Entries are compared by `_gap`, so a difference beyond the float range
+    is far and warns of nothing.  The input is not validated: a non-finite
+    entry, a NaN or an infinity, refuses the lift.
     """
     g = blocks(x, r, side)  # validates the side
-    y = g[:, 0]
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, settled below
-        gap = np.abs(g - y[:, None]).max()
-    if gap != gap:  # NaN: equal infinities or a NaN entry, which allclose tells apart
-        return y.copy() if np.allclose(g, y[:, None], rtol=0.0, atol=atol) else None
-    return y.copy() if gap <= atol else None
+    return g[:, 0].copy() if _gap(g, g[:, :1]).max() <= atol else None
+
+
+def _gap(a, b) -> np.ndarray:
+    """|a - b| elementwise; a difference beyond the float range reads as inf, with no warning.
+
+    The one comparison behind every tolerance test of `unlift` and of
+    reduction and equivalence in `signal_space`: an overflowing difference
+    is far, and a NaN (from a NaN or from inf - inf) fails every `<=` test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(a - b)
 
 
 def mm_stp(a, b, side: Side = Side.LEFT) -> np.ndarray:

@@ -443,6 +443,8 @@ def test_omp_fast_path_matches_oracle(phi, side, s):
         oracle = recover(phi, s, y, spec, side)
         fast = recover(phi, s, y, spec, side, method="omp")
         assert np.allclose(fast, oracle, atol=1e-8)
+        # the method is a name read in any case
+        assert np.array_equal(recover(phi, s, y, spec, side, method="OMP"), fast)
 
 
 def test_omp_two_sparse_on_low_coherence_design(phi30):
@@ -535,7 +537,7 @@ def test_omp_reports_failure_as_no_solution():
 
 
 def test_recover_rejects_unknown_method(phi):
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match="unknown recovery method 'lasso'; expected 'oracle' or 'omp'"):
         recover(phi, 1, np.zeros(7), SparsitySpec(16, 1), Side.LEFT, method="lasso")
 
 

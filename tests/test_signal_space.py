@@ -285,6 +285,22 @@ def test_reduction_answers_the_same_at_every_scale(side, scale):
     assert matrices_equivalent(a, lift_matrix(a, 2, side), side)
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_reduction_and_equivalence_at_the_float_maximum(side):
+    # 1e308 - (-1e308) overflows: the difference reads as far, with no warning
+    left = side is Side.LEFT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        atom, mult = reduce_signal([1e308, -1e308, 1e308, -1e308], side)
+        assert mult == (1 if left else 2)
+        assert np.array_equal(atom, [1e308, -1e308, 1e308, -1e308] if left else [1e308, -1e308])
+        assert not equivalent([1e308], [-1e308], side)
+        assert not matrices_equivalent([[1e308]], [[-1e308]], side)
+        assert reduce_matrix(np.kron([[1e308, -1e308]], np.eye(2)), side)[1] == (2 if left else 1)
+        assert reduce_matrix([[1e308, 0.0], [0.0, -1e308]], side)[1] == 1
+        assert equivalent([1e308, 1e308], [1e308], side)
+
+
 # --- equivalence ------------------------------------------------------------
 
 def test_equivalent_examples():
