@@ -49,16 +49,29 @@ S from its Gram block (`_fit`): C = U^T Y is formed once per call, and
 one batched solve of G_S z = C_S fits a chunk of supports, or a step of
 pursuit.  A pursuit step costs the same fixed few numpy calls however
 many blocks it serves: the scores (|C| itself at the first pick, one
-product U^T R of the residuals after it), the pick, the gathers of G_S
-and C_S, one batched determinant and solve (at the first pick a
-division, and the residual a broadcast product), and the residuals;
-blocks that finish are written out and leave the batch.  Every pick,
-the first included, is fitted by `_fit`, the one fitting kernel of sweep
-and pursuit, so both fit a support bit for bit alike.  Pursuit keeps the
-scores and C as (n, live) and the residuals as (m, live) arrays,
-one column per block still in the batch, so that each pick's max and
-lowest-index argmax, and each residual-norm test, reduce across the
-rows of a C-contiguous array instead of along its short last axis.
+product U^T R of the residuals after it), the pick, the fit and the
+residuals; blocks that finish are written out and leave the batch, and
+the rest carry their support into the next pick.  The first pick j_b of
+block b is fitted in place, as z_b = C[j_b, b] / G[j_b, j_b] and
+r_b = y_b - u_{j_b} z_b, without a gathered Gram block, a determinant
+or views back.  That is `_fit`'s arithmetic for a one-column support
+(a 1x1 block is its own determinant and its solve one division, and
+the residual's one-term product is a broadcast in both), so a first
+pick fits bit for bit as the sweep fits it.  Of the one-column supports
+`_fit` screens out only a zero column, whose G[j, j] = 0 <= tau (every
+other unit column has G[j, j] within rounding of 1), and lstsq refits
+it to the minimum-norm coefficient 0 and the residual y_b.  A first
+pick lands on a zero column only when that is column 0 and the block is
+orthogonal to every column (all scores are 0, and the lowest index
+wins), so C[j, b] = 0: dividing by max(G[j, j], tau) gives the same
+coefficient 0 and residual y_b, and never evaluates 0/0.  Supports of
+two or more columns, and every support of the sweep, are fitted by
+`_fit`, the one fitting kernel; a first pick is never refitted alone.
+Pursuit keeps the scores and C as (n, live) and the residuals as
+(m, live) arrays, one column per block still in the batch, so that each
+pick's max and lowest-index argmax, and each residual-norm test, reduce
+across the rows of a C-contiguous array instead of along its short last
+axis.
 The residual y - U_S z is computed directly, not as
 ||y||^2 - C_S^T z, which cancels at RESIDUAL_TOL.  A support with
 det G_S <= tau = 1e-2 (`_SOLVE_SCREEN`) is near-singular and refitted by
@@ -267,9 +280,7 @@ def _fit(u: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
     batched matmul, or for one-column supports by a broadcast product.
     """
     size = idx.shape[1]
-    # (supports, m, size), stored as (m, supports, size): so the broadcast residual of
-    # pursuit's first pick comes out stored as its (m, live) layout, without a copy
-    subs = u.take(idx, axis=1).transpose(1, 0, 2)
+    subs = u.take(idx, axis=1).transpose(1, 0, 2)  # (supports, m, size)
     block = g[idx[:, :, None], idx[:, None, :]]  # G_S, (supports, size, size)
     # a zero column leaves a zero row, so det G_S = 0 and the block fails
     near = ((block[:, 0, 0] if size == 1 else np.linalg.det(block)) <= _SOLVE_SCREEN).nonzero()[0]
@@ -284,30 +295,41 @@ def _fit(u: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
     return coef, ys - (subs * coef if size == 1 else subs @ coef)
 
 
+def _pick(scores: np.ndarray) -> np.ndarray:
+    """Per column of `scores`, the lowest row scoring at least its max * (1 - 1e-12).
+
+    Pursuit's pick rule: exact ties on integer atoms do not hang on the
+    last bits of the product.
+    """
+    return (scores >= scores.max(axis=0) * (1 - 1e-12)).argmax(axis=0)
+
+
 def _omp(atom: _Geometry, ys: np.ndarray, k: int):
     """Orthogonal matching pursuit with at most k picks per column, all columns at once.
 
     `atom` is the geometry of the atom (`_atom`): its unit-norm columns
     U, the divisor of their coefficients, and g = U^T U.  C = U^T Y is
-    formed once, and its columns are the first pick's scores.  Each later
-    step scores every column still above the tolerance by |U^T r| from
-    its direct residual r, picks its most correlated unchosen atom column,
-    and refits all of them together by `_fit` from g and the gathered
-    C_S; a column stops once its residual beats the tolerance.  Stopped
-    columns leave the batch, so the supports of the columns still in it
-    always have the same size, and every step is the same fixed few numpy
-    calls whatever the number of columns.  The live columns lie along the
-    last axis of C, the scores and the residuals (module docstring), and
-    a live column's own entries of C and of the scores are addressed by
-    its chosen atom columns and its place in the batch.  A pick is the
-    lowest-index atom column scoring at least max * (1 - 1e-12), so exact
-    ties on integer atoms do not hang on the last bits of the product.
-    The lowest-index column still above the tolerance after k picks
-    raises NoSolution.  Returns (xs, used, alt) as `_sweep` does: `used`
-    is each column's pick count, and `alt` is the scalar k+1, no rival
-    for any column.  Pursuit alone certifies no uniqueness; `recover`
-    runs it as the oracle only where the coherence does (module
-    docstring).
+    formed once, and its columns are the first pick's scores.  The first
+    pick is fitted in place, by `_fit`'s one-column arithmetic (module
+    docstring): the columns it fits are written out at once, and the
+    rest go into the loop at the second pick, with their first atom
+    column carried in their support.  Each later step scores every column
+    still above the tolerance by |U^T r| from its direct residual r,
+    picks its most correlated unchosen atom column, and refits all of
+    them together by `_fit` from g and the gathered C_S; a column stops
+    once its residual beats the tolerance.  Stopped columns leave the
+    batch, so the supports of the columns still in it always have the
+    same size, and every step is the same fixed few numpy calls whatever
+    the number of columns.  The live columns lie along the last axis of
+    C, the scores and the residuals (module docstring), and a live
+    column's own entries of C and of the scores are addressed by its
+    chosen atom columns and its place in the batch.  Every pick follows
+    one rule (`_pick`).  The lowest-index column still above the
+    tolerance after k picks raises NoSolution.  Returns (xs, used, alt)
+    as `_sweep` does: `used` is each column's pick count, and `alt` is
+    the scalar k+1, no rival for any column.  Pursuit alone certifies no
+    uniqueness; `recover` runs it as the oracle only where the coherence
+    does (module docstring).
     """
     u, g, scale = atom.u, atom.g, atom.scale
     n = u.shape[1]
@@ -317,17 +339,31 @@ def _omp(atom: _Geometry, ys: np.ndarray, k: int):
     live = (np.sqrt(np.add.reduce(ys * ys, axis=0)) >= RESIDUAL_TOL).nonzero()[0]
     if not live.size:
         return xs, used, k + 1
-    targets = ys.take(live, axis=1)  # (m, live)
-    c = u.T @ targets  # (n, live)
-    scores = np.abs(c)
-    support = np.empty((live.size, min(k, n)), dtype=np.intp)
-    col = np.arange(live.size)[:, None]  # each live column's own entry of c and the scores
-    for size in range(1, support.shape[1] + 1):
-        if size > 1:
-            scores = np.abs(u.T @ resid)
-            scores[support[:, :size - 1], col] = -1.0  # the columns already chosen
-        best = scores >= scores.max(axis=0) * (1 - 1e-12)
-        support[:, size - 1] = best.argmax(axis=0)  # the lowest-index best
+    if k:
+        targets = ys.take(live, axis=1)  # (m, live)
+        c = u.T @ targets  # (n, live)
+        first = _pick(np.abs(c))
+        # `_fit`'s one-column arithmetic; tau stands in only for a zero column's G[j, j]
+        coef = c[first, np.arange(live.size)] / np.maximum(g.diagonal(), _SOLVE_SCREEN).take(first)
+        resid = targets - u.take(first, axis=1) * coef  # (m, live)
+        done = np.sqrt(np.add.reduce(resid * resid, axis=0)) < RESIDUAL_TOL
+        finished = np.count_nonzero(done)
+        if finished:
+            out = slice(None) if finished == live.size else done
+            xs[first[out], live[out]] = coef[out] / scale.take(first[out])
+            used[live[out]] = 1
+            if finished == live.size:
+                return xs, used, k + 1
+            keep = ~done
+            live, first = live[keep], first[keep]
+            targets, c, resid = (v.compress(keep, axis=1) for v in (targets, c, resid))
+        support = np.empty((live.size, min(k, n)), dtype=np.intp)
+        support[:, 0] = first  # carried into the later picks, never refitted alone
+        col = np.arange(live.size)[:, None]  # each live column's own entry of c and the scores
+    for size in range(2, min(k, n) + 1):
+        scores = np.abs(u.T @ resid)
+        scores[support[:, :size - 1], col] = -1.0  # the columns already chosen
+        support[:, size - 1] = _pick(scores)
         idx = support[:, :size]
         coef, resid = _fit(u, g, idx, c[idx, col][:, :, None], targets.T[:, :, None])
         coef, resid = coef[:, :, 0], resid[:, :, 0].T  # (live, size), (m, live)

@@ -20,7 +20,9 @@ reshape form, as one product of A with x.reshape(n, -1) (LEFT) or with
 the transpose of x.reshape(-1, n) (RIGHT), whose columns are the blocks.
 It reads x in place, so it holds the result and the atom only, plus the
 lifted signal when dim x is not a multiple of the atom's columns.
-`unlift` tests a signal for s equal blocks by one max-abs comparison.
+`unlift` tests a signal for s equal blocks by one max-abs comparison of
+blocks 1..s-1 with block 0; only a lone block is compared with itself,
+so that a non-finite entry still refuses it.
 Every tolerance comparison, there and in `signal_space`'s reductions and
 equivalence tests, takes its differences through `_gap`: a difference
 beyond the float range reads as inf, so finite entries near the float
@@ -228,12 +230,14 @@ def unlift(x, r: int, side: Side = Side.LEFT, atol: float = 0.0):
     """Return y with x == lift_signal(y, x.size, side) within `atol`, or None.
 
     `x` is a 1-D array and `r` divides its size; y is a copy of block 0.
-    Entries are compared by `_gap`, so a difference beyond the float range
-    is far and warns of nothing.  The input is not validated: a non-finite
-    entry, a NaN or an infinity, refuses the lift.
+    Blocks 1..r-1 are compared with block 0 by `_gap`, so a difference
+    beyond the float range is far and warns of nothing; a lone block
+    (r = 1) is compared with itself.  The input is not validated: with a
+    finite `atol`, a non-finite entry, a NaN or an infinity, refuses the
+    lift, since its difference with any entry is a NaN or an infinity.
     """
     g = blocks(x, r, side)  # validates the side
-    return g[:, 0].copy() if _gap(g, g[:, :1]).max() <= atol else None
+    return g[:, 0].copy() if _gap(g[:, 1:] if r > 1 else g, g[:, :1]).max() <= atol else None
 
 
 def _gap(a, b) -> np.ndarray:

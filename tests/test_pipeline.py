@@ -536,6 +536,127 @@ def test_omp_reports_failure_as_no_solution():
         recover(np.eye(2), 1, [1.0, 1.0], SparsitySpec(2, 1), Side.LEFT, method="omp")
 
 
+class _Products(np.ndarray):
+    """An atom's U that keeps a copy of the right operand of every product U^T @ R."""
+
+    seen: list = []
+
+    def __matmul__(self, other):
+        if self.ndim == 2:  # U^T itself, not `_fit`'s stacked column subsets
+            _Products.seen.append(np.ascontiguousarray(other))
+        return np.asarray(self) @ other
+
+
+def _first_pick_atom(atom, phi, phi30, rng):
+    """The atom and the row orthogonal to every column: none for the benchmark atoms.
+
+    A Gaussian atom gets a zero column 0 and a zero row, so the unit vector
+    along that row is orthogonal to every column.
+    """
+    if atom == "7x16":
+        return phi, None
+    if atom == "15x30":
+        return phi30, None
+    a = rng.standard_normal((int(rng.integers(4, 9)), int(rng.integers(6, 17))))
+    row = int(rng.integers(a.shape[0]))
+    a[:, 0] = a[row] = 0.0
+    return a, row
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("atom", ["7x16", "15x30", "gaussian"])
+def test_first_pick_is_the_one_column_fit_bit_for_bit(phi, phi30, atom, side):
+    # Pursuit fits its first pick in place; its coefficients (k = 1, on blocks
+    # one column fits) and its residuals (k = 2, read from the second pick's
+    # product U^T R) must be `_fit`'s for the one-column support, bit for bit.
+    # A block orthogonal to every column picks the zero column 0, whose 1x1
+    # Gram block fails the determinant screen: `_fit` refits it by lstsq, to
+    # the residual y_b, and the in-place fit must get there without a 0/0.
+    # (That block never fits, so its coefficient never reaches the output.)
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 0 if side is Side.LEFT else 1])
+        a, row = _first_pick_atom(atom, phi, phi30, rng)
+        geo = _atom(as_matrix(a))
+        u, g = geo.u, geo.g
+        m, n, s = *a.shape, int(rng.integers(1, 60))
+
+        def one_column_fits(ys):
+            # `_omp`'s live blocks and C, its first picks by plain argmax (no ties here)
+            live = np.linalg.norm(ys, axis=0) >= RESIDUAL_TOL
+            targets = ys.take(live.nonzero()[0], axis=1)
+            c = u.T @ targets
+            j = np.abs(c).argmax(axis=0)
+            coef, resid = _fit(u, g, j[:, None], c[j, np.arange(j.size)][:, None, None],
+                               targets.T[:, :, None])
+            return live, j, coef[:, 0, 0], resid[:, :, 0].T
+
+        # k = 1: one nonzero in about two blocks of three, on a nonzero column
+        xs = np.zeros((n, s))
+        hit = (rng.random(s) < 2 / 3).nonzero()[0]
+        xs[rng.integers(1 if row is not None else 0, n, hit.size), hit] = (
+            rng.integers(1, 10, hit.size) * rng.choice([-1.0, 1.0], hit.size))
+        ys = blocks(unblocks(a @ xs, side), s, side)
+        live, j, coef, _ = one_column_fits(ys)
+        expected = np.zeros((n, s))
+        expected[j, live.nonzero()[0]] = coef / geo.scale[j]
+        got, used, _ = pipeline._omp(geo, ys, 1)
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(used, live)
+
+        # k = 2: Gaussian blocks, none of which one column fits, and the orthogonal block
+        ys = rng.standard_normal((m, s))
+        if row is not None:
+            ys[:, rng.integers(s)] = np.eye(m)[row]
+        ys = blocks(unblocks(ys, side), s, side)
+        _, j, _, resid = one_column_fits(ys)
+        if row is not None:
+            assert j.min() == 0 and np.abs(u[:, 0]).max() == 0.0  # the zero column is picked
+        _Products.seen.clear()
+        with pytest.raises(NoSolution):  # no two columns fit a Gaussian block either
+            pipeline._omp(geo._replace(u=u.view(_Products)), ys, 2)
+        assert _Products.seen[1].tobytes() == np.ascontiguousarray(resid).tobytes()
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_pursuit_carries_unfinished_blocks_into_the_second_pick(phi30, side):
+    # recover-search's s = 3 planting: blocks 0, 1, 2 hold 0, 1, 2 nonzeros, so
+    # in one call block 1 finishes at its first pick and block 2 at its second
+    geo = _atom(phi30)
+    for seed in range(8):
+        x = _bench_plant(np.random.default_rng(seed), 3, 30, 2, side, tie=False)
+        ys = blocks(compress(phi30, x, side), 3, side)
+        xs, used, alt = pipeline._omp(geo, ys, 2)
+        assert used.tolist() == [0, 1, 2] and alt == 3
+        assert np.allclose(xs, reference_omp(phi30, ys, 2), rtol=0.0, atol=1e-12)
+        assert np.allclose(xs, blocks(x, 3, side), rtol=0.0, atol=1e-12)
+        got = recover(phi30, 3, compress(phi30, x, side), SparsitySpec(30, 2), side, method="omp")
+        assert np.array_equal(got, unblocks(xs, side))
+
+
+def test_pursuit_errors_name_the_lowest_block_left_above_the_tolerance(phi30):
+    geo = _atom(phi30)
+    one, two = phi30[:, 3], phi30[:, 5] - 2.0 * phi30[:, 17]
+    tiny = 1e-10 * phi30[:, 7]  # nonzero, but below the tolerance
+    message = "matching pursuit residual stayed above 1.0e-08 in block {}"
+    # k = 0 picks nothing: the lowest block above the tolerance fails
+    ys = np.column_stack([one, np.zeros(15), two])
+    with pytest.raises(NoSolution, match=message.format(0)):
+        pipeline._omp(geo, ys, 0)
+    with pytest.raises(NoSolution, match=message.format(1)):
+        pipeline._omp(geo, np.column_stack([tiny, two, one]), 0)
+    # k = 1: block 1 finishes at its first pick, blocks 2 and 3 are carried and fail
+    ys = np.column_stack([tiny, one, two, two, one])
+    with pytest.raises(NoSolution, match=message.format(2)):
+        pipeline._omp(geo, ys, 1)
+    # blocks below the tolerance take no pick: `used` stays 0 and their solution 0
+    xs, used, _ = pipeline._omp(geo, ys, 2)
+    assert used.tolist() == [0, 1, 2, 2, 1]
+    assert not xs[:, 0].any()
+    assert np.allclose(xs[[3, 5, 17], 1:], [[1, 0, 0, 1], [0, 1, 1, 0], [0, -2, -2, 0]],
+                       rtol=0.0, atol=1e-12)
+
+
 def test_recover_rejects_unknown_method(phi):
     with pytest.raises(BadShape, match="unknown recovery method 'lasso'; expected 'oracle' or 'omp'"):
         recover(phi, 1, np.zeros(7), SparsitySpec(16, 1), Side.LEFT, method="lasso")
