@@ -15,6 +15,7 @@ the 15x30 design is not certified at k = 2.
 """
 
 import sys
+from math import lcm
 
 import numpy as np
 
@@ -23,14 +24,14 @@ from stpcs import (
     SparsityMode,
     SparsitySpec,
     aocm,
-    compress,
     horizontal_expand,
     incidence_matrix,
     make_embedding,
     max_sparsity,
-    plan,
+    mv_stp,
     recover,
     recover_signal,
+    reduce_matrix,
     uniqueness_guarantee,
     vertical_expand,
     vertical_expand_star,
@@ -63,7 +64,7 @@ def main():
                 planted = np.zeros(p)
                 for u in range(s):
                     planted[rng.integers(phi.shape[1]) * s + u] = rng.choice([-2.0, 1.0, 2.0])
-            y = compress(phi, planted, side)
+            y = mv_stp(phi, planted, side)
             xh = recover(phi, s, y, spec, side)
             ok = np.allclose(xh, planted, atol=1e-8)
             exact.append(ok)
@@ -73,14 +74,15 @@ def main():
     # non-divisible case: signal length 45 against 30 columns
     phi6 = horizontal_expand(vertical_expand_star(6), aocm(5))
     p = 45
-    pl = plan(phi6, p, Side.RIGHT)
+    atom, lifts = reduce_matrix(phi6, Side.RIGHT)
+    t = lcm(atom.shape[1] * lifts, p)  # mv_stp lifts the atom t/n0 times, the signal t/p
     x = np.zeros(p)
     x[11] = 2.0
-    y = compress(phi6, x, Side.RIGHT)
+    y = mv_stp(phi6, x, Side.RIGHT)
     xh = recover_signal(phi6, y, p, 1, Side.RIGHT)
     exact.append(np.allclose(xh, x, atol=1e-8))
-    print(f"non-divisible: atom {pl.atom.shape}, p={p}, lift s={pl.s}, "
-          f"replication r={pl.r}; exact={exact[-1]}")
+    print(f"non-divisible: atom {atom.shape}, p={p}, lift s={t // atom.shape[1]}, "
+          f"replication r={t // p}; exact={exact[-1]}")
 
     # global sparsity: two nonzeros in all, in two of 64 blocks
     s, n = 64, phi.shape[1]
@@ -89,7 +91,7 @@ def main():
         xs[rng.integers(n), b] = v
     for side in (Side.LEFT, Side.RIGHT):
         x = unblocks(xs, side)  # column b of xs is block b of x
-        y = compress(phi, x, side)
+        y = mv_stp(phi, x, side)
         xh = recover(phi, s, y, SparsitySpec(n, 2, SparsityMode.GLOBAL), side)
         exact.append(np.allclose(xh, x, atol=1e-8))
         print(f"global k=2 s={s} side={side.value:<5} dim {x.size} -> {y.size}: "
@@ -110,7 +112,7 @@ def main():
     for side in (Side.LEFT, Side.RIGHT):
         x = unblocks(xs, side)
         weight = unblocks(np.repeat(norms[:, None], s, axis=1), side)
-        y = compress(scaled, x, side)
+        y = mv_stp(scaled, x, side)
         for method in ("oracle", "omp"):
             xh = recover(scaled, s, y, SparsitySpec(n, 1), side, method=method)
             exact.append(np.allclose(xh * weight, x * weight, atol=1e-8))
@@ -127,7 +129,7 @@ def main():
             xs[rng.choice(n, size=2, replace=False), b] = rng.choice([-2.0, -1.0, 1.0, 3.0], size=2)
         for side in (Side.LEFT, Side.RIGHT):
             x = unblocks(xs, side)
-            y = compress(phi6, x, side)
+            y = mv_stp(phi6, x, side)
             for method in ("oracle", "omp"):
                 xh = recover(phi6, s, y, SparsitySpec(n, 2), side, method=method)
                 exact.append(np.allclose(xh, x, atol=1e-8))

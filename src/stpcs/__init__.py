@@ -6,9 +6,11 @@ Modules by theme:
   and swap matrices as reference constructions.
 - ``signal_space``: equivalence classes, quotient geometry, projection.
 - ``basis``: generating layers, the ordered basis, orthonormalization.
-- ``metrics``: coherence, Welch bound, spark, RIP certification.
+- ``metrics``: coherence, Welch bound, spark, RIP certification, and
+  one report for a matrix's class.
 - ``bibd``: block-design incidence matrices and sensing-matrix expansions.
-- ``pipeline``: compression plans and exact sparse recovery.
+- ``pipeline``: exact sparse recovery, through any lift of the atom and
+  for any signal dimension.
 - ``io``/``cli``: file formats and the command-line surface.
 
 Names load on first use (PEP 562): ``import stpcs`` imports neither numpy
@@ -39,12 +41,10 @@ _EXPORTS = {
     "io": (),
     "metrics": (
         "DEFAULT_BUDGET", "CsReport", "RipResult", "class_metrics", "coherence",
-        "component_metrics", "max_sparsity", "rip_check", "signed_coherence", "spark",
-        "welch_bound",
+        "max_sparsity", "rip_check", "signed_coherence", "spark", "welch_bound",
     ),
     "pipeline": (
-        "CompressionPlan", "SparsityMode", "SparsitySpec", "compress", "plan", "recover",
-        "recover_signal", "uniqueness_guarantee",
+        "SparsityMode", "SparsitySpec", "recover", "recover_signal", "uniqueness_guarantee",
     ),
     "signal_space": (
         "angle_v", "dist_v", "equivalent", "inner_v", "matrices_equivalent", "norm_v",

@@ -14,6 +14,10 @@ pattern itself (no expansion) or one of its expansions:
     stpcs recover -A Phi.csv -y y.csv --k 1 --side left -o xhat.csv
     stpcs paper-examples --outdir out/
 
+`metrics` reports the class of its matrix: the matrix and all of its
+identity lifts on either side, read on the class atom, so a lift and
+its atom give one report.
+
 Exit codes: 0 success, 1 domain, input or I/O error (a StpcsError,
 ValueError or OSError, whose class name is echoed), 2 usage error.  The
 environment variable STPCS_BUDGET overrides the subset-enumeration
@@ -126,10 +130,7 @@ def _cmd_metrics(args) -> int:
 
     a, _ = io.load_matrix(args.input)
     budget = _budget(metrics.DEFAULT_BUDGET)
-    if args.class_metrics:
-        report = metrics.class_metrics(a, rip_k=args.rip_k, budget=budget)
-    else:
-        report = metrics.component_metrics(a, rip_k=args.rip_k, budget=budget)
+    report = metrics.class_metrics(a, rip_k=args.rip_k, budget=budget)
     _emit_json(args, report.to_json_dict())
     return 0
 
@@ -272,11 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output")
     e.set_defaults(func=_cmd_expand)
 
-    m = sub.add_parser("metrics", help="coherence/spark/bounds report as JSON")
+    m = sub.add_parser("metrics", help="coherence/spark/bounds report of the class atom as JSON")
     m.add_argument("-i", "--input", required=True)
     m.add_argument("--rip-k", type=int, default=None)
-    m.add_argument("--class", dest="class_metrics", action="store_true",
-                   help="reduce to the class atom first, the smaller of the two sides' atoms")
     m.add_argument("-o", "--output")
     m.set_defaults(func=_cmd_metrics)
 

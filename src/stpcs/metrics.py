@@ -63,12 +63,17 @@ so B is taken at least 1.  Enumeration stops after the chunk in which
 the running delta reaches B - 1e-14: the delta returned is a real
 subset's value, within 1e-14 of the full maximum.
 
-`class_metrics` answers for a class: a matrix and all of its identity
-lifts A (x) I_s and I_s (x) A.  Spark, coherence, the sparsity bound and
-the RIP constant are invariant under both lifts, so it reduces the
-matrix on both sides and reads the smaller atom, as
-`pipeline.uniqueness_guarantee` does (`signal_space._class_atom`); the
-answer needs no side from the caller.
+`class_metrics` is the one report, and it answers for a class: a matrix
+and all of its identity lifts A (x) I_s and I_s (x) A.  Spark,
+coherence, the sparsity bound and the RIP constant are invariant under
+both lifts, so it reduces the matrix on both sides and reads the
+smaller atom, as `pipeline.uniqueness_guarantee` does
+(`signal_space._class_atom`); the answer needs no side from the caller.
+An irreducible matrix is its own atom.  The Welch bound and `spark_by`
+are the atom's: a proper lift's Welch bound lies strictly below the
+atom's, and both bound the same coherence.  A class whose atom has one
+column (I_n, c I_n, v (x) I_s, I_s (x) v) has no column pair to
+correlate, and its report raises BadShape, as `coherence` does.
 """
 
 from __future__ import annotations
@@ -407,7 +412,7 @@ def _rip(a: np.ndarray, g: np.ndarray, k: int, budget: int) -> RipResult:
 
 @dataclass
 class CsReport:
-    """Quality metrics of a sensing matrix (or of its irreducible atom)."""
+    """Quality metrics of the class of a sensing matrix, read on its atom (`class_metrics`)."""
 
     coherence: float
     signed_coherence: float
@@ -436,18 +441,12 @@ def class_metrics(a, rip_k: int | None = None, budget: int = DEFAULT_BUDGET) -> 
     """Metrics of the class of `a`, `a` and all of its lifts on either side.
 
     They are computed on the class atom, the smaller of a's LEFT and RIGHT
-    atoms (`signal_space._class_atom`), so they equal `component_metrics`
-    of A for both A (x) I_s and I_s (x) A, and no side is asked for.
+    atoms (`signal_space._class_atom`), so A, A (x) I_s and I_s (x) A all
+    get one report, and no side is asked for.  The atom needs at least two
+    columns and no zero column, as `coherence` does.
     """
     budget = as_count(budget, "budget", 0)
-    return component_metrics(_class_atom(a), rip_k=rip_k, budget=budget)
-
-
-def component_metrics(a, rip_k: int | None = None,
-                      budget: int = DEFAULT_BUDGET) -> CsReport:
-    """Metrics of a fixed matrix, no reduction."""
-    budget = as_count(budget, "budget", 0)
-    geo = _correlated(a)
+    geo = _correlated(_class_atom(a))
     m, n = geo.u.shape
     spark_value, spark_by = _spark(geo, budget)
     report = CsReport(

@@ -1,10 +1,12 @@
-"""Dimension-free compression and exact desk-scale sparse recovery.
+"""Exact desk-scale sparse recovery from dimension-free compression.
 
-Compression is just the matrix-vector semi-tensor product: an m0-by-n0
-atom compresses a signal of any dimension p.  When n0 | p the model is
-the familiar identity-lifted product; otherwise both the matrix and the
-signal are lifted to t = lcm(n0, p) and the effective unknown is the
-replicated signal, so that case reduces to the divisible one.
+Compression is the matrix-vector semi-tensor product `stp.mv_stp`: an
+m0-by-n0 atom compresses a signal of any dimension p.  When n0 | p the
+model is the familiar identity-lifted product; otherwise both the
+matrix and the signal are lifted to t = lcm(n0, p) and the effective
+unknown is the replicated signal, so that case reduces to the divisible
+one.  `recover_signal` works out those lift factors itself, from the
+atom `signal_space.reduce_matrix` gives, on every call.
 
 Recovery splits the lifted system into s independent copies of the
 atom, one per block of y and of x (`stp.blocks` sets out the block
@@ -24,9 +26,8 @@ budget decision itself (there is no separate budget helper): a block's
 budget is k, or under GLOBAL what the other blocks' fits leave of it,
 and certified pursuit meets a GLOBAL budget exactly when its fits spend
 at most k nonzeros in all.  `recover_signal` validates its arguments
-once and builds no plan or spec; it and `plan` share one helper for the
-lift factors.  Recovery builds no lifted or swap matrix; those stay in
-`stp` as reference constructions.
+once and builds no spec.  Recovery builds no lifted or swap matrix;
+those stay in `stp` as reference constructions.
 
 Sweep and pursuit fit the unit-norm columns U of the atom and scale
 the coefficients back, so column scale sways no decision.  None of what
@@ -40,14 +41,12 @@ shape and bytes, never by identity, and keeps the _MEMO_SIZE atoms used
 last: at most _MEMO_SIZE (mn + n^2 + 2n) floats for m-by-n atoms, plus
 the keys (mn floats each).  Each entry is built from a read-only copy
 of its key, and its arrays are read-only, so no caller's buffer is held
-and no caller can change an entry.  `plan` keeps nothing: it reduces
-its matrix on every call, and hands back its atom as a read-only view.
-Every input check still runs on every call, and every decision on every
-call: the memo holds only what the atom fixes, and answers are bit for
-bit those of a cold one.  Both fit a support
-S from its Gram block (`_fit`): C = U^T Y is formed once per call, and
-one batched solve of G_S z = C_S fits a chunk of supports, or a step of
-pursuit.  A pursuit step costs the same fixed few numpy calls however
+and no caller can change an entry.  Every input check still runs on
+every call, and every decision on every call: the memo holds only what
+the atom fixes, and answers are bit for bit those of a cold one.  Both
+fit a support S from its Gram block (`_fit`): C = U^T Y is formed once
+per call, and one batched solve of G_S z = C_S fits a chunk of
+supports, or a step of pursuit.  A pursuit step costs the same fixed few numpy calls however
 many blocks it serves: the scores (|C| itself at the first pick, one
 product U^T R of the residuals after it), the pick, the fit and the
 residuals; blocks that finish are written out and leave the batch, and
@@ -119,7 +118,7 @@ _SAME_SOLUTION_ATOL, and those go to the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import lcm, sqrt
@@ -129,14 +128,11 @@ import numpy as np
 from .errors import BadShape, NoSolution, NotUnique
 from .metrics import DEFAULT_BUDGET, _Geometry, _geometry, _spark, _sparsity_bound, _subsets
 from .signal_space import _class_atom, reduce_matrix
-from .stp import Side, _choice, as_count, as_matrix, as_side, as_signal, blocks, mv_stp, unblocks, unlift
+from .stp import Side, _choice, as_count, as_matrix, as_side, as_signal, blocks, unblocks, unlift
 
 __all__ = [
     "SparsityMode",
     "SparsitySpec",
-    "CompressionPlan",
-    "plan",
-    "compress",
     "recover",
     "recover_signal",
     "uniqueness_guarantee",
@@ -202,28 +198,6 @@ def _per_block_k(k, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class CompressionPlan:
-    """Shape bookkeeping for compressing a p-dimensional signal by a matrix.
-
-    The matrix, n columns, is the atom (n0 columns) lifted n/n0 times,
-    and the product lifts both to t = lcm(n, p) = s*n0 = r*p: y is s
-    copies of the atom applied to the signal replicated r times.  r == 1
-    is the divisible case.
-    """
-
-    atom: np.ndarray = field(repr=False)
-    side: Side
-    signal_dim: int
-    s: int
-    r: int
-    t: int
-
-    @property
-    def output_dim(self) -> int:
-        return int(self.atom.shape[0]) * self.s
-
-
 def _atom(a: np.ndarray) -> _Geometry:
     """The memo entry of the validated float64 atom `a`, keyed by its contents."""
     return _atom_of(a.shape, a.tobytes())
@@ -235,31 +209,6 @@ def _atom_of(shape: tuple[int, int], data: bytes) -> _Geometry:
     for arr in (geo.u, geo.norms, geo.scale, geo.g):
         arr.flags.writeable = False
     return geo
-
-
-def plan(a, p: int, side: Side = Side.LEFT) -> CompressionPlan:
-    """Reduce `a` to its atom and work out the lift factors for dim-p input.
-
-    The reduction is made on every call; the plan's atom is a read-only
-    view, of `a` itself when `a` is irreducible.
-    """
-    atom, *lifts = _lifts(a, p, side)
-    atom = atom.view()
-    atom.flags.writeable = False
-    return CompressionPlan(atom, *lifts)
-
-
-def _lifts(a, p, side):
-    """The fields of `plan(a, p, side)`, atom first, with the atom as `reduce_matrix` gives it."""
-    atom, lifts = reduce_matrix(a, side)
-    side, p = as_side(side), as_count(p, "signal dimension", 1)
-    t = lcm(atom.shape[1] * lifts, p)  # a's own columns, as compress lifts them
-    return atom, side, p, t // atom.shape[1], t // p, t
-
-
-def compress(a, x, side: Side = Side.LEFT) -> np.ndarray:
-    """Compress a signal of arbitrary dimension: the semi-tensor product a*x."""
-    return mv_stp(a, x, side)
 
 
 def _fit(u: np.ndarray, g: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
@@ -529,14 +478,21 @@ def recover_signal(a, y, p: int, k: int, side: Side = Side.LEFT,
                    method: str = "oracle") -> np.ndarray:
     """Recover the original p-dimensional signal behind y = a * x.
 
-    Plans the lift, recovers the (possibly replicated) unknown, and in
-    the non-divisible case strips the replication: the lifted solution
-    must be an r-fold lift within RESIDUAL_TOL (`stp.unlift`), otherwise
-    it does not correspond to any p-dimensional signal and NoSolution is
-    raised.
+    `a` is its atom (n0 columns) lifted `lifts` times on `side`
+    (`signal_space.reduce_matrix`), and `mv_stp` lifts a and the signal
+    to t = lcm(n0 * lifts, p) = s * n0 = r * p: y is s copies of the atom
+    applied to the signal replicated r times.  This
+    recovers the (possibly replicated) unknown, and in the non-divisible
+    case, r > 1, strips the replication: the lifted solution must be an
+    r-fold lift within RESIDUAL_TOL (`stp.unlift`), otherwise it does not
+    correspond to any p-dimensional signal and NoSolution is raised.
     """
-    atom, side, p, s, r, _ = _lifts(a, p, side)
-    k = _per_block_k(k, atom.shape[1])
+    atom, lifts = reduce_matrix(a, side)
+    side, p = as_side(side), as_count(p, "signal dimension", 1)
+    n0 = atom.shape[1]
+    t = lcm(n0 * lifts, p)  # a's own columns, as mv_stp lifts them
+    s, r = t // n0, t // p
+    k = _per_block_k(k, n0)
     xt = _recover(_atom(atom), s, as_signal(y), k, SparsityMode.BLOCKWISE, side, method)
     if r == 1:
         return xt

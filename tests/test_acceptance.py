@@ -16,11 +16,11 @@ from stpcs import (
     basis_up_to,
     canonical_sign_form,
     coherence,
-    compress,
     dist_v,
     horizontal_expand,
     incidence_matrix,
     inner_v,
+    mv_stp,
     ocm,
     orthonormal_basis,
     project,
@@ -193,7 +193,7 @@ def test_criterion_9_recovery_round_trip():
                     for amp in (1.0, -1.0, 2.0, -2.0):
                         x = np.zeros(p)
                         x[pos] = amp
-                        y = compress(phi, x, side)
+                        y = mv_stp(phi, x, side)
                         try:
                             xh = recover(phi, s, y, spec, side)
                         except NotUnique:
@@ -211,7 +211,7 @@ def test_criterion_9_recovery_round_trip():
             x[:] = 0.0
             for pos, amp in zip(positions, (1.0, -2.0, 2.0)):
                 x[pos] = amp
-            y = compress(phi, x, side)
+            y = mv_stp(phi, x, side)
             xh = recover(phi, s, y, spec, side)
             c.check(np.allclose(xh, x, rtol=0.0, atol=1e-8)
                     and int(np.count_nonzero(x)) == 3,

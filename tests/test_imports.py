@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import stpcs
-from stpcs import bibd, compress, io
+from stpcs import bibd, io, mv_stp
 
 SRC = str(Path(stpcs.__file__).resolve().parent.parent)
 
@@ -27,10 +27,9 @@ PUBLIC = {
                "NoSolution", "NotBibd", "NotExpandable", "NotUnique", "StpcsError",
                "Unsupported", "ZeroColumn", "ZeroVector"],
     "metrics": ["DEFAULT_BUDGET", "CsReport", "RipResult", "class_metrics", "coherence",
-                "component_metrics", "max_sparsity", "rip_check", "signed_coherence", "spark",
-                "welch_bound"],
-    "pipeline": ["CompressionPlan", "SparsityMode", "SparsitySpec", "compress", "plan",
-                 "recover", "recover_signal", "uniqueness_guarantee"],
+                "max_sparsity", "rip_check", "signed_coherence", "spark", "welch_bound"],
+    "pipeline": ["SparsityMode", "SparsitySpec", "recover", "recover_signal",
+                 "uniqueness_guarantee"],
     "signal_space": ["angle_v", "dist_v", "equivalent", "inner_v", "matrices_equivalent",
                      "norm_v", "project", "projection_matrix", "reduce_matrix", "reduce_signal"],
     "stp": ["Side", "lift_matrix", "lift_signal", "mm_stp", "mv_stp", "sta", "swap_matrix"],
@@ -87,7 +86,7 @@ def workdir(tmp_path_factory):
     io.save_matrix(d / "U4.csv", bibd.aocm(4), kind="sign")
     io.save_matrix(d / "Phi5.csv", phi)
     io.save_signal(d / "x.csv", x)
-    io.save_signal(d / "y40.csv", compress(phi, x))
+    io.save_signal(d / "y40.csv", mv_stp(phi, x))
     return d
 
 
@@ -106,7 +105,7 @@ def test_every_public_name_resolves_to_its_module(module, name):
 
 
 def test_all_is_the_public_names_and_the_submodules():
-    assert len(NAMES) == 69
+    assert len(NAMES) == 65
     assert sorted(stpcs.__all__) == sorted([n for _, n in NAMES] + SUBMODULES)
 
 

@@ -19,7 +19,6 @@ from stpcs import (
     mv_stp,
     ocm,
     orthonormal_basis,
-    plan,
     project,
     projection_matrix,
     recover,
@@ -73,7 +72,8 @@ CASES = {
     "rip_check k > n": (lambda t: rip_check(np.eye(2), 3), BadShape, "k=3 out of range"),
     "rip_check zero column": (lambda t: rip_check([[1.0, 0.0], [0.0, 0.0]], 1, normalize=True),
                               ZeroColumn, "zero column"),
-    "plan(a, 0)": (lambda t: plan(SENSING_7X16, 0), BadShape, "signal dimension"),
+    "recover_signal p = 0": (lambda t: recover_signal(SENSING_7X16, np.zeros(7), 0, 1), BadShape,
+                             "signal dimension"),
     "projection_matrix(0, 3)": (lambda t: projection_matrix(0, 3), BadShape, "positive"),
     "project(x, 0)": (lambda t: project(np.ones(3), 0), BadShape, "positive"),
     "as_side('up')": (lambda t: as_side("up"), BadShape, "unknown side 'up'"),
@@ -106,8 +106,8 @@ CASES = {
                               "block length 16.0 must be an integer"),
     "SparsitySpec n = 0": (lambda t: SparsitySpec(0, 0), BadShape,
                            "block length 0 must be positive"),
-    "plan(a, 16.5)": (lambda t: plan(SENSING_7X16, 16.5), BadShape,
-                      "signal dimension 16.5 must be an integer"),
+    "recover_signal p = 16.5": (lambda t: recover_signal(SENSING_7X16, np.zeros(7), 16.5, 1),
+                                BadShape, "signal dimension 16.5 must be an integer"),
     "recover_signal p = 16.0": (lambda t: recover_signal(SENSING_7X16, np.zeros(7), 16.0, 1),
                                 BadShape, "signal dimension 16.0 must be an integer"),
     "lift_matrix(a, 0)": (lambda t: lift_matrix(SENSING_7X16, 0), BadShape,

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stpcs import (aocm, cli, compress, horizontal_expand, io, ocm, sign_matrix_check,
-                   vertical_expand_star)
+from stpcs import (aocm, cli, horizontal_expand, io, mv_stp, ocm, sign_matrix_check,
+                   vertical_expand_star, welch_bound)
 from stpcs.bibd import SignKind
 from stpcs.cli import main
 from stpcs.errors import BadShape
@@ -163,7 +163,7 @@ def test_gen_and_compress_print_the_per_entry_rule_byte_for_byte(tmp_path, capsy
     x = np.array([*EDGES[:7], 0.0]) * np.random.default_rng(26).standard_normal(8)
     io.save_signal(xf, x)
     assert main(["compress", "-A", str(af), "-x", str(xf)]) == 0
-    y = compress(a, x)
+    y = mv_stp(a, x)
     assert capsys.readouterr().out == ",".join(repr(float(v)) for v in y) + "\n"
 
 
@@ -314,12 +314,30 @@ def test_metrics_reports_which_bound_decided_spark(tmp_path, capsys, monkeypatch
 
 
 def test_metrics_class_reduction(tmp_path, capsys):
-    lifted = tmp_path / "A.csv"
+    # the report is the class's: a lift reads as its atom, the atom's Welch bound included
+    lifted, atom = tmp_path / "A.csv", tmp_path / "A0.csv"
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     io.save_matrix(lifted, np.kron(a, np.eye(2)))
-    assert main(["metrics", "-i", str(lifted), "--class"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["spark"] == 3
+    io.save_matrix(atom, a)
+    docs = []
+    for path in (lifted, atom):
+        assert main(["metrics", "-i", str(path)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
+    assert docs[0]["spark"] == 3 and docs[0]["welch_bound"] == welch_bound(2, 3)
+    with pytest.raises(SystemExit) as exc:  # no --class flag: every report is the class's
+        main(["metrics", "-i", str(lifted), "--class"])
+    assert exc.value.code == 2
+
+
+def test_metrics_refuses_a_class_with_a_one_column_atom(tmp_path, capsys):
+    # I_3 is I_1 lifted three times: its atom has no column pair to correlate
+    path = tmp_path / "I3.csv"
+    io.save_matrix(path, np.eye(3))
+    assert main(["metrics", "-i", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: BadShape: column correlations need at least two columns"]
 
 
 def test_compress_recover_round_trip_via_files(tmp_path):

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from stpcs import (
     Side,
     aocm,
+    CsReport,
     class_metrics,
     coherence,
-    component_metrics,
     horizontal_expand,
     incidence_matrix,
     lift_matrix,
@@ -271,7 +271,6 @@ def test_the_budget_is_a_count(budget, message):
     calls = [
         lambda: spark(np.eye(3), budget=budget),
         lambda: rip_check(np.eye(3), 1, budget=budget),
-        lambda: component_metrics(SENSING_7X16, budget=budget),
         lambda: class_metrics(SENSING_7X16, budget=budget),
         lambda: uniqueness_guarantee(SENSING_7X16, 1, budget=budget),
     ]
@@ -447,24 +446,49 @@ def test_class_metrics_reduce_to_the_atom():
     assert rep.max_k == max_sparsity(a)
 
 
+def _direct_report(a):
+    """The report of `a` itself, from the standalone metric functions."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    spark_by = metrics._spark(metrics._geometry(a), metrics.DEFAULT_BUDGET)[1]
+    return CsReport(coherence(a), signed_coherence(a), welch_bound(m, n) if n > m else None,
+                    spark(a), spark_by, max_sparsity(a))
+
+
 def test_class_metrics_of_irreducible_input_match_component_metrics():
+    # an irreducible matrix is its own class atom: the report of the matrix itself
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 5))
-    rc = class_metrics(a)
-    rp = component_metrics(a)
-    assert rc == rp
+    assert class_metrics(a) == _direct_report(a)
 
 
 @pytest.mark.parametrize("s", [2, 3])
 def test_class_metrics_of_either_lift_are_the_atom_metrics(s):
     a = np.random.default_rng(3).standard_normal((3, 5))
-    want = component_metrics(a)
+    want = _direct_report(a)
     assert class_metrics(np.kron(a, np.eye(s))) == want
     assert class_metrics(np.kron(np.eye(s), a)) == want
 
 
+@pytest.mark.parametrize("matrix", [
+    np.eye(3),
+    -2.5 * np.eye(4),
+    np.kron([[1.0], [-2.0], [3.0]], np.eye(2)),
+    np.kron(np.eye(2), [[1.0], [-2.0], [3.0]]),
+], ids=["I_3", "c I_4", "v (x) I_2", "I_2 (x) v"])
+def test_class_metrics_refuse_a_one_column_atom(matrix):
+    # the class atom has one column and so no column pair: refused as coherence refuses it
+    with pytest.raises(BadShape, match="column correlations need at least two columns"):
+        class_metrics(matrix)
+    with pytest.raises(BadShape, match="column correlations need at least two columns"):
+        coherence(metrics._class_atom(matrix))
+    # uniqueness needs no column pair: one nonzero column recovers at any k
+    assert all(uniqueness_guarantee(matrix, k) for k in range(4))
+
+
 def test_report_json_dict_round_trip():
-    rep = component_metrics(np.eye(3), rip_k=2)
+    # orthogonal and irreducible: spark is infinite, and with n = m there is no Welch bound
+    rep = class_metrics(np.diag([1.0, 2.0, 3.0]), rip_k=2)
     doc = rep.to_json_dict()
     assert doc["spark"] is None and doc["spark_infinite"] is True
     assert doc["welch_bound"] is None
@@ -481,7 +505,7 @@ def test_report_json_dict_takes_a_numpy_rip_k():
 def test_report_invariants_on_random_wide_matrices(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((3, 6))
-    rep = component_metrics(a)
+    rep = class_metrics(a)
     assert rep.coherence <= 1.0 + 1e-12
     assert rep.coherence >= rep.welch_bound - 1e-12
     assert rep.signed_coherence <= rep.coherence + 1e-15

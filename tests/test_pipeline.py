@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,17 +12,17 @@ from stpcs import (
     SparsityMode,
     SparsitySpec,
     aocm,
-    compress,
     equivalent,
     horizontal_expand,
     incidence_matrix,
     lift_matrix,
+    lift_signal,
     max_sparsity,
     mv_stp,
     ocm,
-    plan,
     recover,
     recover_signal,
+    reduce_matrix,
     swap_matrix,
     uniqueness_guarantee,
     vertical_expand,
@@ -31,7 +32,7 @@ from stpcs import metrics, pipeline
 from stpcs.errors import BadShape, BudgetExceeded, NoSolution, NotUnique, StpcsError
 from stpcs.golden import SENSING_7X16
 from stpcs.pipeline import _SAME_SOLUTION_ATOL, RESIDUAL_TOL, _atom, _certified, _fit
-from stpcs.stp import as_matrix, blocks, unblocks, unlift
+from stpcs.stp import as_count, as_matrix, as_side, blocks, unblocks, unlift
 
 SIDES = [Side.LEFT, Side.RIGHT]
 
@@ -47,50 +48,55 @@ def phi30():
     return horizontal_expand(vertical_expand_star(6), aocm(5))
 
 
-# --- planning -----------------------------------------------------------------
+# --- lift factors -----------------------------------------------------------------
+
+def _check_lifts(a, p, s, r, t, side=Side.LEFT):
+    """`mv_stp` lifts a's atom s times and a dim-p signal r times, to t = s*n0 = r*p."""
+    atom = reduce_matrix(a, side)[0]
+    m0, n0 = atom.shape
+    assert t == s * n0 == r * p
+    x = place_block_sparse(p, [p // 2], [2.0])
+    y = mv_stp(a, x, side)
+    assert y.size == m0 * s
+    xt = recover(atom, s, y, SparsitySpec(n0, 1), side)
+    assert np.allclose(xt, lift_signal(x, t, side), rtol=0, atol=1e-12)
+    assert np.allclose(recover_signal(a, y, p, 1, side), x, rtol=0, atol=1e-12)
+
 
 def test_plan_divisible_case():
-    a = np.arange(12.0).reshape(3, 4)
-    pl = plan(a, 8, Side.LEFT)
-    assert (pl.s, pl.r, pl.t) == (2, 1, 8)
-    assert pl.output_dim == 6
+    _check_lifts(np.arange(12.0).reshape(3, 4), 8, 2, 1, 8)
 
 
 def test_plan_non_divisible_case():
-    a = np.arange(12.0).reshape(3, 4)
-    pl = plan(a, 6, Side.LEFT)
-    assert (pl.s, pl.r, pl.t) == (3, 2, 12)
+    _check_lifts(np.arange(12.0).reshape(3, 4), 6, 3, 2, 12)
 
 
 def test_plan_conventional_case():
-    a = np.arange(12.0).reshape(3, 4)
-    pl = plan(a, 4, Side.LEFT)
-    assert (pl.s, pl.r, pl.t) == (1, 1, 4)
+    _check_lifts(np.arange(12.0).reshape(3, 4), 4, 1, 1, 4)
 
 
 def test_plan_reduces_to_the_atom():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     big = np.kron(a, np.eye(3))
-    pl = plan(big, 4, Side.LEFT)
-    # compress lifts the 6-column matrix and the signal to lcm(6, 4) = 12
-    assert pl.atom.shape == (2, 2) and (pl.s, pl.r, pl.t) == (6, 3, 12)
-    assert pl.output_dim == compress(big, np.arange(4.0), Side.LEFT).size
+    # mv_stp lifts the 6-column matrix and the signal to lcm(6, 4) = 12
+    assert reduce_matrix(big, Side.LEFT)[0].shape == (2, 2)
+    _check_lifts(big, 4, 6, 3, 12)
 
 
 # --- compression ----------------------------------------------------------------
 
 def test_compress_left_example():
-    assert np.array_equal(compress([[1, 1]], [1, 2, 3, 4], Side.LEFT), [4.0, 6.0])
+    assert np.array_equal(mv_stp([[1, 1]], [1, 2, 3, 4], Side.LEFT), [4.0, 6.0])
 
 
 def test_compress_right_example():
-    assert np.array_equal(compress([[1, 1]], [1, 2, 3, 4], Side.RIGHT), [3.0, 7.0])
+    assert np.array_equal(mv_stp([[1, 1]], [1, 2, 3, 4], Side.RIGHT), [3.0, 7.0])
 
 
 @pytest.mark.parametrize("side", SIDES)
 def test_compress_by_identity_is_noop(side):
     x = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(compress(np.eye(3), x, side), x)
+    assert np.array_equal(mv_stp(np.eye(3), x, side), x)
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -107,7 +113,7 @@ def test_compress_respects_signal_equivalence(side, seed, r1, r2):
     ones = np.ones(r1) if side is Side.LEFT else np.ones(r2)
     x1 = np.kron(x, np.ones(r1)) if side is Side.LEFT else np.kron(np.ones(r1), x)
     x2 = np.kron(x, np.ones(r2)) if side is Side.LEFT else np.kron(np.ones(r2), x)
-    assert equivalent(compress(a, x1, side), compress(a, x2, side), side)
+    assert equivalent(mv_stp(a, x1, side), mv_stp(a, x2, side), side)
 
 
 def test_swap_conjugation_identity_exact():
@@ -140,7 +146,7 @@ def test_round_trip_one_sparse(phi, side, s):
     rng = np.random.default_rng(s)
     for pos in rng.choice(16 * s, size=6, replace=False):
         x = place_block_sparse(16 * s, [pos], [2.0])
-        y = compress(phi, x, side)
+        y = mv_stp(phi, x, side)
         xh = recover(phi, s, y, spec, side)
         assert np.allclose(xh, x, atol=1e-8)
 
@@ -154,7 +160,7 @@ def test_round_trip_weight_exceeds_global_bound(phi, side):
     else:
         positions = [0, 3 + 1, 6 + 2]  # one per interleaved phase
     x = place_block_sparse(16 * s, positions, [1.0, -2.0, 2.0])
-    y = compress(phi, x, side)
+    y = mv_stp(phi, x, side)
     xh = recover(phi, s, y, SparsitySpec(16, 1), side)
     assert np.allclose(xh, x, atol=1e-8)
 
@@ -169,7 +175,7 @@ def test_recover_global_mode(phi):
     spec = SparsitySpec(16, 1, SparsityMode.GLOBAL)
     for s, pos in ((1, 4), (2, 21)):
         x = place_block_sparse(16 * s, [pos], [1.5])
-        y = compress(phi, x, Side.RIGHT)
+        y = mv_stp(phi, x, Side.RIGHT)
         for method in ("oracle", "omp"):
             xh = recover(phi, s, y, spec, Side.RIGHT, method=method)
             assert np.allclose(xh, x, atol=1e-8)
@@ -244,7 +250,7 @@ def test_batched_sweep_matches_per_block_reference(side, seed):
         sup = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
         xs[sup, b] = rng.choice([-2.0, -1.0, 1.0, 3.0], size=sup.size)
     x = xs.reshape(-1) if side is Side.LEFT else xs.T.reshape(-1)
-    y = compress(a, x, side)
+    y = mv_stp(a, x, side)
     k = int(rng.integers(1, 3))
     spec = SparsitySpec(n, k)
     try:
@@ -289,7 +295,7 @@ def test_large_lift_allocates_no_dense_matrices(phi):
     xs = np.zeros((16, p // 16))
     xs[np.arange(p // 16) % 16, np.arange(p // 16)] = 2.0
     x = xs.reshape(-1)
-    y = compress(phi, x, Side.LEFT)
+    y = mv_stp(phi, x, Side.LEFT)
     assert _traced_peak(lambda: mv_stp(phi, x, Side.LEFT)) < 1_000_000
     assert _traced_peak(lambda: recover_signal(phi, y, p, 1, Side.LEFT)) < 1_000_000
     assert np.allclose(recover_signal(phi, y, p, 1, Side.LEFT), x, atol=1e-8)
@@ -308,7 +314,7 @@ def test_recover_validates_shapes(phi):
 def test_recover_signal_divisible(phi, side):
     p = 32
     x = place_block_sparse(p, [17], [2.0])
-    y = compress(phi, x, side)
+    y = mv_stp(phi, x, side)
     assert np.allclose(recover_signal(phi, y, p, 1, side), x, atol=1e-8)
 
 
@@ -316,7 +322,7 @@ def test_recover_signal_non_divisible_right(phi30):
     # p = 45, atom columns 30: lift t = 90, signal replicated r = 2 times
     p = 45
     x = place_block_sparse(p, [7], [3.0])
-    y = compress(phi30, x, Side.RIGHT)
+    y = mv_stp(phi30, x, Side.RIGHT)
     assert np.allclose(recover_signal(phi30, y, p, 1, Side.RIGHT), x, atol=1e-8)
 
 
@@ -326,7 +332,7 @@ def test_recover_signal_non_divisible_left(phi30):
     # the per-block bound 2 is loose: k = 1 recovers x as well
     p = 45
     x = place_block_sparse(p, [7], [3.0])
-    y = compress(phi30, x, Side.LEFT)
+    y = mv_stp(phi30, x, Side.LEFT)
     assert np.allclose(recover_signal(phi30, y, p, 2, Side.LEFT), x, atol=1e-8)
 
 
@@ -349,28 +355,30 @@ def test_recover_signal_rejects_unliftable_solution(phi30):
     st.sampled_from([-2.0, 1.0, 3.0]),
 )
 def test_recover_signal_through_a_reducible_matrix(side, lifts, p, pos, value):
-    # a = the atom lifted `lifts` times: compress lifts a, not its atom, to
+    # a = the atom lifted `lifts` times: mv_stp lifts a, not its atom, to
     # lcm(columns, p); for these p the r copies of a nonzero land in
     # distinct blocks, so one nonzero per block is the unique fit
     a = lift_matrix(SENSING_7X16, lifts, side)
     x = place_block_sparse(p, [pos % p], [value])
-    y = compress(a, x, side)
-    assert plan(a, p, side).output_dim == y.size
+    y = mv_stp(a, x, side)
+    assert y.size == 7 * (lcm(16 * lifts, p) // 16)
     for method in ("oracle", "omp"):
         assert np.allclose(recover_signal(a, y, p, 1, side, method=method), x, atol=1e-8)
 
 
-def _recover_signal_by_plan(a, y, p, k, side=Side.LEFT, method="oracle"):
-    """recover_signal through a CompressionPlan, a SparsitySpec and `recover`."""
-    pl = plan(a, p, side)
-    spec = SparsitySpec(int(pl.atom.shape[1]), k)
-    xt = recover(pl.atom, pl.s, y, spec, pl.side, method)
-    if pl.r == 1:
+def _recover_signal_by_parts(a, y, p, k, side=Side.LEFT, method="oracle"):
+    """recover_signal from reduce_matrix, lcm, a SparsitySpec, `recover` and `unlift`."""
+    atom, lifts = reduce_matrix(a, side)
+    side, p = as_side(side), as_count(p, "signal dimension", 1)
+    n0 = atom.shape[1]
+    t = lcm(n0 * lifts, p)
+    xt = recover(atom, t // n0, y, SparsitySpec(n0, k), side, method)
+    if t == p:
         return xt
-    x = unlift(xt, pl.r, pl.side, RESIDUAL_TOL)
+    x = unlift(xt, t // p, side, RESIDUAL_TOL)
     if x is None:
         raise NoSolution(
-            f"lifted solution is not {pl.r}-fold replicated; no dim-{p} signal matches"
+            f"lifted solution is not {t // p}-fold replicated; no dim-{p} signal matches"
         )
     return x
 
@@ -389,20 +397,20 @@ def _signal_case(rng, atoms):
     side = SIDES[rng.integers(2)]
     atom = atoms[rng.integers(len(atoms))]
     n0 = atom.shape[1]
-    # a lift on the recovery side, which plan reduces, or on the other side
+    # a lift on the recovery side, which recover_signal reduces, or on the other side
     lift_side = side if rng.random() < 0.7 else SIDES[side is Side.LEFT]
     a = lift_matrix(atom, rng.integers(1, 3), lift_side)
     p = int(rng.choice([rng.integers(1, n0), n0 * rng.integers(1, 5), rng.integers(1, 5 * n0)]))
     x = np.zeros(p)
     x[rng.integers(p, size=rng.integers(0, 3))] = rng.integers(-3, 4, size=1)
-    y = compress(a, x, side)
+    y = mv_stp(a, x, side)
     if rng.random() < 0.2:
         y[rng.integers(y.size)] += rng.choice([1e-3, 1e-12])
     k = int(rng.integers(0, 3))
     method = ("oracle", "omp")[rng.integers(2)]
     bad = rng.integers(12)
     if bad == 0:
-        k = plan(a, 1, side).atom.shape[1] + 1
+        k = reduce_matrix(a, side)[0].shape[1] + 1
     elif bad == 1:
         y = y[:-1] if y.size > 1 else np.zeros(3)
     elif bad == 2:
@@ -421,13 +429,17 @@ def test_recover_signal_is_plan_spec_and_recover_bit_for_bit(phi, phi30, seed):
              np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]  # the last has a duplicate column
     for _ in range(150):
         case = _signal_case(rng, atoms)
-        expected = _bits_or_error(_recover_signal_by_plan, *case)
+        expected = _bits_or_error(_recover_signal_by_parts, *case)
         assert _bits_or_error(recover_signal, *case) == expected
 
 
 def test_mv_stp_is_the_compression_map(phi):
-    x = np.arange(32.0)
-    assert np.array_equal(compress(phi, x, Side.LEFT), mv_stp(phi, x, Side.LEFT))
+    # y = (A lifted t/16 times) (x lifted t/p times), t = lcm(16, p); integers, so exact
+    for side in SIDES:
+        for p, t in ((32, 32), (24, 48)):
+            x = np.arange(1.0, p + 1.0)
+            want = lift_matrix(phi, t // 16, side) @ lift_signal(x, t, side)
+            assert np.array_equal(mv_stp(phi, x, side), want)
 
 
 # --- matching-pursuit fast path --------------------------------------------------------
@@ -439,7 +451,7 @@ def test_omp_fast_path_matches_oracle(phi, side, s):
     rng = np.random.default_rng(13)
     for pos in rng.choice(16 * s, size=8, replace=False):
         x = place_block_sparse(16 * s, [pos], [float(rng.choice([-2, -1, 1, 2]))])
-        y = compress(phi, x, side)
+        y = mv_stp(phi, x, side)
         oracle = recover(phi, s, y, spec, side)
         fast = recover(phi, s, y, spec, side, method="omp")
         assert np.allclose(fast, oracle, atol=1e-8)
@@ -452,7 +464,7 @@ def test_omp_two_sparse_on_low_coherence_design(phi30):
     spec = SparsitySpec(30, 2)
     x = np.zeros(30)
     x[3], x[17] = 2.0, -1.0
-    y = compress(phi30, x, Side.RIGHT)
+    y = mv_stp(phi30, x, Side.RIGHT)
     assert np.allclose(recover(phi30, 1, y, spec, Side.RIGHT, method="omp"), x, atol=1e-8)
 
 
@@ -625,12 +637,12 @@ def test_pursuit_carries_unfinished_blocks_into_the_second_pick(phi30, side):
     geo = _atom(phi30)
     for seed in range(8):
         x = _bench_plant(np.random.default_rng(seed), 3, 30, 2, side, tie=False)
-        ys = blocks(compress(phi30, x, side), 3, side)
+        ys = blocks(mv_stp(phi30, x, side), 3, side)
         xs, used, alt = pipeline._omp(geo, ys, 2)
         assert used.tolist() == [0, 1, 2] and alt == 3
         assert np.allclose(xs, reference_omp(phi30, ys, 2), rtol=0.0, atol=1e-12)
         assert np.allclose(xs, blocks(x, 3, side), rtol=0.0, atol=1e-12)
-        got = recover(phi30, 3, compress(phi30, x, side), SparsitySpec(30, 2), side, method="omp")
+        got = recover(phi30, 3, mv_stp(phi30, x, side), SparsitySpec(30, 2), side, method="omp")
         assert np.array_equal(got, unblocks(xs, side))
 
 
@@ -705,7 +717,7 @@ def test_global_recovery_matches_the_kron_path(method, seed):
     xs = np.zeros((n, s))
     for _ in range(int(rng.integers(0, k + 2))):
         xs[rng.integers(n), rng.integers(s)] = rng.choice([-2.0, -1.0, 1.0, 3.0])
-    y = compress(a, unblocks(xs, side), side)
+    y = mv_stp(a, unblocks(xs, side), side)
     if rng.integers(5) == 0:
         y = y + rng.standard_normal(y.size)
     spec = SparsitySpec(n, k, SparsityMode.GLOBAL)
@@ -723,7 +735,7 @@ def test_global_recovery_matches_the_kron_path(method, seed):
         assert _outcome(kron_global_recover, a, s, y, k, side, "oracle") is NotUnique
         if not isinstance(got, type):
             assert np.count_nonzero(np.abs(got) > 1e-9) <= k
-            assert np.linalg.norm(compress(a, got, side) - y) < 1e-8
+            assert np.linalg.norm(mv_stp(a, got, side) - y) < 1e-8
         return
     assert same
 
@@ -741,7 +753,7 @@ def test_global_budget_is_what_the_other_blocks_leave():
     # also has a distinct 2-sparse fit
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     x = np.array([2.0, 0.0, 0.0, 0.0, -1.0, 0.0])  # RIGHT: one nonzero per block
-    y = compress(a, x, Side.RIGHT)
+    y = mv_stp(a, x, Side.RIGHT)
     with pytest.raises(NotUnique):
         recover(a, 2, y, SparsitySpec(3, 2), Side.RIGHT)
     # two nonzeros in all leave each block one: only the sparsest fits count
@@ -758,7 +770,7 @@ def test_global_sparsity_may_exceed_the_block_length(side, method):
     xs = np.zeros((3, 4))
     xs[[0, 2, 1, 0], [0, 1, 2, 3]] = [1.0, -2.0, 3.0, 0.5]
     x = unblocks(xs, side)
-    y = compress(np.eye(3), x, side)
+    y = mv_stp(np.eye(3), x, side)
     spec = SparsitySpec(3, 4, SparsityMode.GLOBAL)
     assert np.array_equal(recover(np.eye(3), 4, y, spec, side, method=method), x)
     with pytest.raises(NoSolution):
@@ -800,7 +812,7 @@ def test_global_recovery_allocates_no_lifted_matrix(phi):
     # I_256 (x) A is 1792 x 4096 floats, about 59 MB
     s = 256
     x = place_block_sparse(16 * s, [16 * 100 + 3], [2.0])
-    y = compress(phi, x, Side.RIGHT)
+    y = mv_stp(phi, x, Side.RIGHT)
     spec = SparsitySpec(16, 1, SparsityMode.GLOBAL)
     assert _traced_peak(lambda: recover(phi, s, y, spec, Side.RIGHT)) < 1_000_000
     assert np.allclose(recover(phi, s, y, spec, Side.RIGHT), x, atol=1e-8)
@@ -816,7 +828,7 @@ def test_support_sweep_memory_is_bounded_by_the_fit_chunk(phi, side):
     xs = np.zeros((16, s))
     xs[np.arange(s) % 16, np.arange(s)] = 2.0
     x = unblocks(xs, side)
-    y = compress(phi, x, side)
+    y = mv_stp(phi, x, side)
     spec = SparsitySpec(16, 2)
     assert _traced_peak(lambda: recover(phi, s, y, spec, side)) < 1_000_000
     assert np.array_equal(recover(phi, s, y, spec, side), x)
@@ -895,7 +907,7 @@ def _gram_fit_case(seed):
         xs[sup, b] = rng.choice([-2.0, -1.0, 1.5, 3.0], size=sup.size, replace=False) / norms[sup]
     if mode is SparsityMode.GLOBAL:
         xs[:, 1:] *= rng.integers(2)
-    y = compress(a, unblocks(xs, side), side)
+    y = mv_stp(a, unblocks(xs, side), side)
     if rng.integers(7) == 0:
         y = y + 1e-10 * rng.standard_normal(y.size)
     return rng, kind, a, norms, s, y, SparsitySpec(n, k, mode), side
@@ -931,7 +943,7 @@ def test_gram_fits_match_the_lstsq_reference(method, seed):
         np.fill_diagonal(cosines, 0.0)
         assert cosines.max() > 1.0 - 1e-12
         if not isinstance(got, type):
-            resid = blocks(compress(a, got, side) - y, s, side)
+            resid = blocks(mv_stp(a, got, side) - y, s, side)
             assert np.linalg.norm(resid, axis=0).max() < 1e-8
         return
     # Near-duplicate columns fit a superset of the solution with a coefficient
@@ -976,7 +988,7 @@ def test_recovery_ignores_column_scale(side, method, seed):
     for b in range(s):
         sup = rng.choice(n, size=int(rng.integers(0, min(k, n) + 1)), replace=False)
         xs[sup, b] = rng.choice([-2.0, -1.0, 1.5, 3.0], size=sup.size, replace=False)
-    y = compress(a, unblocks(xs, side), side)
+    y = mv_stp(a, unblocks(xs, side), side)
     if rng.integers(4) == 0:
         y = rng.standard_normal(y.size)
     spec = SparsitySpec(n, k, mode)
@@ -1088,7 +1100,7 @@ def test_near_singular_fits_over_many_blocks_match_the_lstsq_reference(kind, met
 
     for side in SIDES:
         x = unblocks(xs, side)
-        y = compress(a, x, side)
+        y = mv_stp(a, x, side)
         fallbacks.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "lstsq", counted_lstsq)
@@ -1117,10 +1129,10 @@ def test_spark_six_design_fits_every_support_without_an_svd(phi30, monkeypatch, 
     spec = SparsitySpec(30, 2)
     for side in SIDES:
         x = place_block_sparse(90, [3, 17, 40, 88], [2.0, -1.0, 3.0, 1.0])
-        y = compress(phi30, x, side)
+        y = mv_stp(phi30, x, side)
         assert np.allclose(recover(phi30, 3, y, spec, side, method=method), x, atol=1e-8)
     x = place_block_sparse(60, [5, 44], [2.0, -1.0])
-    y = compress(phi30, x, Side.LEFT)
+    y = mv_stp(phi30, x, Side.LEFT)
     global_spec = SparsitySpec(30, 2, SparsityMode.GLOBAL)
     assert np.allclose(recover(phi30, 2, y, global_spec, Side.LEFT, method=method), x, atol=1e-8)
 
@@ -1136,12 +1148,12 @@ def test_certified_oracle_enumerates_no_support(phi30, monkeypatch):
     monkeypatch.setattr(pipeline, "_subsets", refuse)
     x = place_block_sparse(90, [3, 17, 40, 88], [2.0, -1.0, 3.0, 1.0])
     for side in SIDES:
-        y = compress(phi30, x, side)
+        y = mv_stp(phi30, x, side)
         assert np.allclose(recover(phi30, 3, y, SparsitySpec(30, 2), side), x, atol=1e-8)
         with pytest.raises(AssertionError, match="enumerated"):
             recover(phi30, 3, y, SparsitySpec(30, 3), side)
     x = place_block_sparse(60, [5, 44], [2.0, -1.0])
-    y = compress(phi30, x, Side.RIGHT)
+    y = mv_stp(phi30, x, Side.RIGHT)
     global_spec = SparsitySpec(30, 2, SparsityMode.GLOBAL)
     assert np.allclose(recover(phi30, 2, y, global_spec, Side.RIGHT), x, atol=1e-8)
 
@@ -1218,7 +1230,7 @@ def _pursuit_case(seed):
         for b in range(s):
             sup = rng.choice(n, size=int(rng.integers(0, min(k, n) + 1)), replace=False)
             xs[sup, b] = rng.choice([-2.0, -1.0, 1.5, 3.0], size=sup.size, replace=False) / norms[sup]
-    y = compress(a, unblocks(xs, side), side)
+    y = mv_stp(a, unblocks(xs, side), side)
     case = int(rng.integers(8))
     if case == 0:
         y = y + 1e-10 * rng.standard_normal(y.size)
@@ -1287,7 +1299,7 @@ def test_pursuit_returns_the_sweeps_answer_on_the_benchmark_atoms(phi, phi30, at
     x[rng.choice(s * n, size=k, replace=False)] = rng.choice([-4.0, 4.0, 7.0], size=k)
     cases.append((SparsitySpec(n, k, SparsityMode.GLOBAL), x))
     for spec, x in cases:
-        y = compress(a, x, side)
+        y = mv_stp(a, x, side)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "_certified", lambda *args: False)
             expected = recover(a, s, y, spec, side)
@@ -1349,7 +1361,7 @@ def test_memo_holds_no_caller_buffer(phi30, side):
     # that kept the caller's array would read the overwrite below
     _clear_memo()
     x = place_block_sparse(90, [3, 40, 88], [2.0, -1.0, 3.0])
-    y = compress(phi30, x, side)
+    y = mv_stp(phi30, x, side)
     spec = SparsitySpec(30, 2)
     a = phi30.copy()
     first = (recover_signal(a, y, 90, 2, side), recover(a, 3, y, spec, side),
@@ -1373,7 +1385,7 @@ def test_short_lived_atoms_answer_as_cold_ones():
         a = rng.integers(-3, 4, size=(4, 6)).astype(float)
         x = np.zeros(12)
         x[rng.integers(12)] = 2.0
-        y = compress(a, x, Side.LEFT)
+        y = mv_stp(a, x, Side.LEFT)
         seen.append((a.copy(), y, _exact(recover, a, 2, y, spec, Side.LEFT),
                      _exact(recover_signal, a, y, 12, 1, Side.LEFT)))
         del a
@@ -1388,7 +1400,7 @@ def test_memo_keeps_at_most_its_size():
     rng = np.random.default_rng(11)
     for _ in range(100):
         a = rng.standard_normal((3, 4))
-        recover_signal(a, compress(a, np.eye(4)[1], Side.RIGHT), 4, 1, Side.RIGHT)
+        recover_signal(a, mv_stp(a, np.eye(4)[1], Side.RIGHT), 4, 1, Side.RIGHT)
     info = pipeline._atom_of.cache_info()
     assert info.maxsize == pipeline._MEMO_SIZE and info.currsize <= pipeline._MEMO_SIZE
 
@@ -1402,7 +1414,7 @@ def test_equal_values_in_any_layout_give_identical_answers(phi30):
     x = place_block_sparse(60, [5, 44, 51], [2.0, -1.0, 3.0])
     spec = SparsitySpec(30, 2)
     for side in SIDES:
-        y = compress(phi30, x, side)
+        y = mv_stp(phi30, x, side)
         for method in ("oracle", "omp"):
             _clear_memo()
             expected = (recover(phi30, 2, y, spec, side, method),
@@ -1416,26 +1428,13 @@ def test_equal_values_in_any_layout_give_identical_answers(phi30):
 
 
 @pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("lifts", [1, 2])
-def test_plan_atom_cannot_change_a_later_call(phi30, side, lifts):
-    a = lift_matrix(phi30, lifts, side)
-    x = place_block_sparse(60, [5, 44], [2.0, -1.0])
-    y = compress(a, x, side)
-    atom = plan(a, 60, side).atom
-    with pytest.raises(ValueError, match="read-only"):
-        atom[0, 0] = 5.0
-    assert np.array_equal(plan(a, 60, side).atom, phi30)
-    assert np.allclose(recover_signal(a, y, 60, 1, side), x, rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("side", SIDES)
 def test_recovery_keeps_no_copy_of_a_lifted_matrix(phi, side):
     # the 448x1024 lift is 3.5 MiB; only the 7x16 atom's geometry stays
     a = lift_matrix(phi, 64, side)
     xs = np.zeros((16, 64))
     xs[np.arange(64) % 16, np.arange(64)] = 2.0
     x = unblocks(xs, side)
-    y = compress(a, x, side)
+    y = mv_stp(a, x, side)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1479,11 +1478,17 @@ def test_warm_memo_answers_bit_for_bit_as_a_cold_one(generator):
 @pytest.mark.parametrize("side", SIDES)
 def test_a_side_name_means_its_member(phi30, side):
     x = place_block_sparse(90, [3, 40, 88], [2.0, -1.0, 3.0])
-    y = compress(phi30, x, side.value)
-    assert np.array_equal(y, compress(phi30, x, side))
+    y = mv_stp(phi30, x, side.value)
+    assert np.array_equal(y, mv_stp(phi30, x, side))
     spec = SparsitySpec(30, 2)
     assert np.array_equal(recover(phi30, 3, y, spec, side.value), recover(phi30, 3, y, spec, side))
     xh = recover_signal(phi30, y, 90, 2, side.value.upper())
     assert np.array_equal(xh, recover_signal(phi30, y, 90, 2, side))
     assert np.allclose(xh, x, rtol=0.0, atol=1e-12)
-    assert plan(phi30, 45, side.value).side is side
+    # p = 45: two copies of each entry, unlifted on the named side
+    x45 = place_block_sparse(45, [40], [2.0])
+    y45 = mv_stp(phi30, x45, side)
+    assert y45.size == 15 * 3
+    xh45 = recover_signal(phi30, y45, 45, 1, side.value)
+    assert np.array_equal(xh45, recover_signal(phi30, y45, 45, 1, side))
+    assert np.allclose(xh45, x45, rtol=0.0, atol=1e-12)
