@@ -12,7 +12,8 @@ formed: an element is a short sum of cells d(n', j'), standard basis
 vectors that need not be generators.  `elements` builds the atoms from
 those sums, and `coordinates` combines the inner products <x, d(n', j')>
 from the one lift-free kernel that also gives `inner_v` and `project`
-(`signal_space._generator_products`).
+(`signal_space._generator_products`), its integer half, fixed by the
+cells and dim x, from `signal_space`'s memo of read plans.
 
 LEFT keeps every generator (rank sum(phi(n)), with phi(1) = 1): d(n, j)
 is the indicator of [(j-1)/n, j/n), and every generator before it is
@@ -80,7 +81,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import BadShape, InsufficientBasis
-from .signal_space import _generator_products, _unit_scale
+from .signal_space import _cell_products, _unit_scale
 from .stp import Side, as_count, as_side, as_signal
 
 __all__ = [
@@ -275,7 +276,11 @@ def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
 
     The inner products <x, d(n, j)> with the cells of the elements' sums
     come from `signal_space._generator_products`, without a lift, each cell
-    read once, and xi[i] is element i's sum of them.  By Parseval
+    read once, and xi[i] is element i's sum of them.  The kernel's integer
+    work depends on the cells and dim x alone, so it is planned once per
+    (cells, dim x, side) and kept in `signal_space`'s bounded memo of
+    read plans (`_plan_of`); expanding many signals of a few lengths in
+    one basis plans each length once.  By Parseval
     ||xi||^2 equals ||x||^2 exactly when the basis spans x; unless the
     deficit ||x||^2 - ||xi||^2 is at most _PARSEVAL_TOL * ||x||^2 (a
     relative, squared quantity) InsufficientBasis is raised.  Both are
@@ -285,7 +290,7 @@ def coordinates(x, basis: OrthonormalBasis) -> np.ndarray:
     """
     x, c, ss = _unit_scale(as_signal(x))
     norm2 = ss / x.size
-    products = _generator_products(x, *basis.cells, basis.side)
+    products = _cell_products(x, basis.cells, basis.side)
     xi = np.bincount(basis.terms[0], basis.coefs * products[basis.terms[1]], basis.count)
     deficit = norm2 - float(xi @ xi)
     if not deficit <= _PARSEVAL_TOL * norm2:  # a NaN deficit fails too

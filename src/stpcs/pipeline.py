@@ -32,7 +32,8 @@ those stay in `stp` as reference constructions.
 Sweep and pursuit fit the unit-norm columns U of the atom and scale
 the coefficients back, so column scale sways no decision.  None of what
 recovery derives from the atom depends on the signal, so it is formed
-once per distinct atom, and the package keeps one memo (`_atom`): the
+once per distinct atom and kept in a memo (`_atom`; the package's other
+memo is `signal_space`'s read plans of `basis.coordinates`): the
 atom's column geometry (`metrics._geometry`), U, its column norms and
 their zero-safe divisor, G = U^T U and the coherence mu that the
 certificate reads, equal to `metrics.coherence` of the atom bit for bit.

@@ -27,9 +27,9 @@ Every tolerance comparison, there and in `signal_space`'s reductions and
 equivalence tests, takes its differences through `_gap`: a difference
 beyond the float range reads as inf, so finite entries near the float
 maximum compare as far apart and warn of nothing.
-Projection and the inner product read `signal_space._generator_products`,
-and reduction compares block views of its input, so neither lifts
-anything.
+Projection and the inner product read their products with standard
+basis vectors in closed form (`signal_space._layer`), and reduction
+compares block views of its input, so neither lifts anything.
 `lift_matrix` and `swap_matrix` build the dense matrices and serve as
 reference constructions and test oracles.  The one other dense lift is
 `mm_stp`'s right factor, B (x) I_{t/p} or I_{t/p} (x) B, which it
@@ -46,8 +46,11 @@ A named choice (a side here, a sparsity mode or a recovery method in
 a side or a mode, the member itself; anything else raises BadShape
 naming both choices.
 
-All functions are pure: they never mutate their arguments and hold no
-state, so concurrent use is safe.
+All functions here are pure: they never mutate their arguments and hold
+no state, so concurrent use is safe.  The package holds state in two
+memos, both bounded `functools.lru_cache`s keyed by contents, with
+read-only entries: `pipeline`'s atom geometries and `signal_space`'s
+read plans of `basis.coordinates`.
 """
 
 from __future__ import annotations

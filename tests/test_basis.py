@@ -22,6 +22,7 @@ from stpcs import (
     orthonormal_basis,
     sta,
 )
+from stpcs import signal_space
 from stpcs.basis import _gram as closed_form_gram
 from stpcs.basis import _kept_layer, largest_square_divisor
 from stpcs.errors import InsufficientBasis
@@ -446,3 +447,60 @@ def test_basis_at_m100_and_its_coordinates_stay_small(side):
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert abs(xi @ xi - norm_v(x) ** 2) <= 1e-12
+
+
+# --- the read-plan memo of `coordinates` ------------------------------------------
+
+def _spanned_signals(m, side):
+    """Lifted generators of every layer up to m, dims 1..2m, each in the span of the m-basis."""
+    return [lift_signal(delta(n, j), n * r, side) for n in range(1, m + 1)
+            for j in range(1, n + 1) if math.gcd(j, n) == 1 for r in (1, 2)]
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_warm_coordinates_are_the_cold_ones_byte_for_byte(side):
+    ob = orthonormal_basis(12, side)
+    signals = _spanned_signals(12, side)
+    cold = []
+    for x in signals:
+        signal_space._plan_of.cache_clear()
+        cold.append(coordinates(x, ob).tobytes())
+    warm = [coordinates(x, orthonormal_basis(12, side)).tobytes() for x in signals * 2]
+    assert warm == cold * 2
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_plans_are_read_only_and_hold_no_caller_buffer(side):
+    ob = orthonormal_basis(10, side)
+    cells = ob.cells.copy()
+    x = lift_signal(delta(7, 3), 14, side)
+    want = coordinates(x, ob)
+    plan = signal_space._plan_of(np.asarray(cells, dtype=int).tobytes(), 14, side)
+    arrays = [a for a in plan if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b) for a in arrays for b in (ob.cells, cells, x))
+    with pytest.raises(ValueError):
+        arrays[0][0] = 0
+    cells[:] = 1  # a caller's later write reaches no plan
+    assert coordinates(x, ob).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_bases_of_equal_contents_share_one_plan(side):
+    signal_space._plan_of.cache_clear()
+    x = lift_signal(delta(5, 2), 10, side)
+    first = coordinates(x, orthonormal_basis(8, side))
+    again = coordinates(x, orthonormal_basis(8, side))  # a new basis object, equal cells
+    info = signal_space._plan_of.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    assert again.tobytes() == first.tobytes()
+
+
+def test_the_plan_memo_keeps_at_most_its_bound():
+    bound = signal_space._PLAN_MEMO_SIZE
+    bases = [orthonormal_basis(4, side) for side in Side]
+    for p in range(1, bound + 2):  # 2 * (bound + 1) distinct keys
+        for ob in bases:
+            coordinates(lift_signal(delta(2, 1), 2 * p, ob.side), ob)
+    info = signal_space._plan_of.cache_info()
+    assert info.maxsize == bound and info.currsize == bound

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -26,7 +27,7 @@ from stpcs import (
 from stpcs import signal_space
 from stpcs.errors import ZeroVector
 from stpcs.golden import SENSING_7X16
-from stpcs.signal_space import REDUCE_RTOL, _generator_products
+from stpcs.signal_space import REDUCE_RTOL, _generator_products, _layer
 from stpcs.stp import as_signal
 
 SIDES = [Side.LEFT, Side.RIGHT]
@@ -322,6 +323,21 @@ def test_matrices_equivalent_examples():
 
 
 @pytest.mark.parametrize("side", SIDES)
+def test_equivalence_predicates_answer_python_bools(side):
+    # atoms of one shape are compared entry by entry, of two shapes not at all
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    got = [equivalent([1, 2], lift_signal([1, 2], 4, side), side),
+           equivalent([1, 2], [1, 3], side),
+           equivalent([1, 2], [1, 2, 3], side),
+           matrices_equivalent(lift_matrix(a, 3, side), a, side),
+           matrices_equivalent(a, a.T, side),
+           matrices_equivalent(a, np.ones((2, 3)), side)]
+    assert [g.__class__ for g in got] == [bool] * 6
+    assert got == [True, False, False, True, False, False]
+    assert json.loads(json.dumps({"eq": got})) == {"eq": got}
+
+
+@pytest.mark.parametrize("side", SIDES)
 @given(int_signals, mults, mults)
 def test_equivalence_relation_on_lifts(side, x, a, b):
     xa, xb = lift(x, a, side), lift(x, b, side)
@@ -447,6 +463,30 @@ def test_angle_validates_each_argument_once_and_keeps_its_bits(side, monkeypatch
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("side", SIDES)
+def test_angle_is_right_at_subnormal_norms(side):
+    # small integers times 2^-k are exact down to 2^-1074, so every scaled
+    # pair has the angle of the unscaled one; a subnormal norm has few bits
+    rng = np.random.default_rng(23)
+    pairs = [([3.0, -4.0, 1.0], [1.0, 2.0])]
+    while len(pairs) < 12:
+        x, y = (rng.integers(-7, 8, int(rng.integers(1, 9))).astype(float) for _ in range(2))
+        if x.any() and y.any() and abs(math.cos(angle_v(x, y, side))) < 0.99:
+            pairs.append((x, y))
+    for x, y in pairs:
+        x, y = np.array(x), np.array(y)
+        want = angle_v(x, y, side)
+        for k in [*range(0, 1075, 50), *range(1040, 1075)]:
+            f = 2.0 ** -k
+            got = angle_v(x * f, y, side), angle_v(x, y * f, side), angle_v(x * f, y * f, side)
+            assert got == pytest.approx((want,) * 3, rel=0.0, abs=1e-12), (x, y, k)
+    # the norm of a nonzero signal may round to zero; the signal still has an angle
+    tiny = np.array([2.0 ** -1074, 0.0, 0.0, 0.0])
+    assert angle_v(tiny, [0.0, 1.0], side) == pytest.approx(angle_v([1.0, 0, 0, 0], [0.0, 1.0], side))
+    with pytest.raises(ZeroVector):
+        angle_v(tiny * 0.0, [1.0], side)
+
+
 def test_projection_residual_is_perpendicular_to_target_space():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(6)
@@ -494,6 +534,26 @@ def test_kernel_project_and_inner_v_match_the_lcm_lift(side, x, y, pairs):
     want = ones_lift(x, t, side) @ ones_lift(y, t, side) / t
     tol = 1e-12 * scale * np.abs(y).max()
     assert inner_v(x, y, side) == pytest.approx(want, rel=1e-12, abs=tol)
+
+
+def _layer_inputs(rng, p):
+    """A dim-p signal with exact zeros and negative zeros, at a scale of 10^-300, 1 or 10^300."""
+    x = rng.standard_normal(p) * 10.0 ** rng.choice([-300, 0, 300])
+    x[rng.random(p) < 0.2] = 0.0
+    x[rng.random(p) < 0.2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_layer_reads_are_the_kernel_on_the_whole_layer_bit_for_bit(side):
+    # every n, p in 1..80: the closed form makes the kernel's float operations
+    # on its operands; a sum over a zero-padded x would regroup the last LEFT segment
+    rng = np.random.default_rng(29)
+    for p in range(1, 81):
+        for n in range(1, 81):
+            x = _layer_inputs(rng, p)
+            want = _generator_products(x, np.full(n, n), np.arange(1, n + 1), side)
+            assert _layer(x, n, side).tobytes() == want.tobytes(), (p, n)
 
 
 @pytest.mark.parametrize("side", SIDES)
