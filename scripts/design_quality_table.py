@@ -5,8 +5,8 @@ For each number of points alpha, compares the two vertical expansions
 (row counts drive the compression ratio), the embedded sensing matrix
 built from the matching sign design, its coherence against the Welch
 bound, the per-block sparsity that coherence certifies, and its spark
-(`budget` where the gap between spark's bounds is too wide to enumerate
-within the default budget).
+(`budget` where spark cannot be settled within the default budget; the
+simplex search at 1 + 1/mu settles every design up to alpha = 10).
 """
 
 import numpy as np

@@ -22,8 +22,8 @@ Exit codes: 0 success, 1 domain, input or I/O error (a StpcsError,
 ValueError or OSError, whose class name is echoed), 2 usage error.  The
 environment variable STPCS_BUDGET overrides the subset-enumeration
 budget used by spark/RIP computations; spark applies it only to the
-subset sizes its bounds leave open; a value that is not a non-negative
-integer is a BadShape error.
+subset sizes its bounds leave open, and to the nodes of its simplex
+search; a value that is not a non-negative integer is a BadShape error.
 
 Each verb imports only the modules it calls, so a launch pays for the
 code it runs: `gen` loads `bibd`, not the recovery or metrics code.

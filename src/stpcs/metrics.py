@@ -5,9 +5,10 @@ recoverable-sparsity bound, and certification of the restricted
 isometry property.  Everything here is exact at desk scale: spark and
 the RIP constant are settled by the bounds proved below wherever those
 meet, and subsets are enumerated (guarded by a budget, never sampled)
-only in the gap the bounds leave.  The budget is a count of subsets:
-every entry point takes it through `stp.as_count`, so a negative or
-non-integer budget raises BadShape.
+only in the gap the bounds leave.  The budget is a count of subsets
+(and of the nodes of spark's simplex search, below): every entry point
+takes it through `stp.as_count`, so a negative or non-integer budget
+raises BadShape.
 
 Column scale changes neither dependence nor recoverability, so
 coherence, spark, the sparsity bound, `rip_check(normalize=True)` and
@@ -52,6 +53,41 @@ G = U^T U, and mu the largest |G_ij|, i != j.
   any r + 1 of them are dependent, and one such subset, confirmed by
   the test, gives W = r + 1.  Any m + 1 columns are dependent, and with
   n <= m the whole set is, once the rank bound fails.
+- Simplex search at L, when L < W.  Let gamma = min_j G_jj - (L - 1) mu.
+  Where gamma is 0 up to rounding, 1/mu is an integer, L = 1 + 1/mu is
+  the equality case of Gershgorin, and a dependent L-set is a
+  sign-switched regular simplex (Lemmens & Seidel 1973, J. Algebra 24).
+  Proof: let H be the exact Gram matrix of U, whose entries lie within
+  e = (m + 2) eps of G's (eps the spacing of floats at 1), so its
+  diagonal is at least min_j G_jj - e, its off-diagonal at most mu + e,
+  and its own gamma at least gamma - L e.  For a unit vector v on an
+  L-set T, with a = |v| and S = sum_i a_i,
+      v^T H_T v >= gamma - L e + (mu + e)(L - S^2)
+                   + sum_{i != j} (mu + e - |H_ij|) a_i a_j
+                   + sum_{i != j} (|H_ij| a_i a_j + H_ij v_i v_j),
+  and every term after gamma - L e is nonnegative (S^2 <= L by
+  Cauchy-Schwarz).  A set the test calls dependent has, at the v of its
+  smallest eigenvalue, v^T H_T v <= 1e-18 sigma_max^2 (plus the SVD's
+  rounding) <= 2e-18 L, so each of those terms is at most
+  s = 2e-18 L + max(0, -gamma) + L e.  The search runs where
+  L s <= mu / 100, which holds at the equality case.  There the first
+  gives sum_i (a_i - S/L)^2 = 1 - S^2/L <= s / (mu L), so every
+  a_i >= 0.89 / sqrt(L); the second then puts every |G_ij| >= |H_ij| - e
+  within L s of mu; and the last, whose pair terms would otherwise each
+  exceed 2 (0.99 mu)(0.8 / L) > s, makes every G_ij v_i v_j negative.
+  So the set is a clique of the graph of column pairs with
+  |G_ij| >= mu - eps_L, eps_L = max(1e-9, L s), whose signs sign(v_i)
+  make every switched product sign(v_i) sign(v_j) G_ij negative: every
+  triangle has G_ij G_jk G_ki < 0.  On the designs gamma is rounding,
+  and L s is about L^2 m 1e-16, far inside 1e-9.  `_simplex` searches
+  that graph from each root column i, the least of the set: each
+  neighbour j after i gets the sign -sign(G_ij), and the set grows in
+  increasing column order only by columns whose switched products with
+  all of it are negative.  A clique of L columns is confirmed by the
+  test, which alone decides dependence: a confirmed clique makes the
+  spark L, and an exhausted search raises L to L + 1.  The search counts
+  its nodes against the budget, as one more stage; once they run out,
+  size L is enumerated as below.
 If L = W that is the spark; otherwise sizes L..W-1 are enumerated, each
 under the budget, and the first dependent size is the spark, else W.
 
@@ -116,10 +152,18 @@ _SCREEN = 1e-12
 
 _CHUNK = 4096
 
+# The spacing of floats at 1, which bounds the rounding of G's entries
+# (module docstring).
+_EPS = float(np.finfo(float).eps)
+
 # Spark's Gershgorin bound calls a subset size independent only when it
 # puts lambda_min(G_T) above this, far above the 1e-18 sigma_max^2 the
 # singular-value test needs.
 _GERSHGORIN_MARGIN = 1e-6
+
+# The simplex search reads pairs with |G_ij| at least mu minus this, or
+# minus its proved radius where that is wider (module docstring).
+_SIMPLEX_EPS = 1e-9
 
 # rip_check certifies delta < 1 - _RIP_MARGIN: a true delta of exactly 1
 # reads a few ulps either side of 1 and must not pass on its last bit.
@@ -252,12 +296,10 @@ def _rank(sv: np.ndarray) -> int:
     return int(np.count_nonzero(sv > _RANK_RTOL * sv[0]))
 
 
-def _check_budget(n: int, k: int, budget: int, what: str) -> None:
-    count = math.comb(n, k)
+def _check_budget(count: int, budget: int, what: str, items: str) -> None:
+    """BudgetExceeded when `what` would enumerate more than `budget` `items`, `count` of them."""
     if count > budget:
-        raise BudgetExceeded(
-            f"{what} would enumerate {count} subsets of size {k} (budget {budget})"
-        )
+        raise BudgetExceeded(f"{what} would enumerate {count} {items} (budget {budget})")
 
 
 def spark(a, budget: int = DEFAULT_BUDGET):
@@ -267,10 +309,12 @@ def spark(a, budget: int = DEFAULT_BUDGET):
     rather than a numeric stand-in.  A subset is dependent when the
     smallest singular value of its unit-norm columns is at most 1e-9 of
     their largest, so column scale does not change the spark.  The spark
-    is settled from the rank, the nullity, the Gershgorin lower bound L and
-    a witness W (module docstring); only sizes L..W-1 are enumerated, in
-    increasing order, each against the budget, and the per-subset test
-    runs only on the subsets the Gram determinant screen flags.
+    is settled from the rank, the nullity, the Gershgorin lower bound L,
+    a witness W and, at L = 1 + 1/mu, a search for a dependent simplex
+    of L columns (module docstring); only the sizes those leave open are
+    enumerated, in increasing order, each against the budget, and the
+    per-subset test runs only on the subsets the Gram determinant screen
+    flags.
 
     Nullity one.  Let U (unit columns) have rank n - 1, v the unit right
     singular vector of its smallest singular value (its null vector), and
@@ -288,7 +332,10 @@ def spark(a, budget: int = DEFAULT_BUDGET):
 
 
 def _spark(geo: _Geometry, budget: int):
-    """(spark, the bound that decided it: "rank", "nullity", "bounds" or "enumeration")."""
+    """(spark, the bound that decided it: "rank", "nullity", "bounds" or "enumeration").
+
+    "bounds" covers the Gershgorin and witness bounds and the simplex search.
+    """
     u, g, mu = geo.u, geo.g, geo.mu
     m, n = u.shape
     sv = np.linalg.svd(u, compute_uv=False)
@@ -315,14 +362,63 @@ def _spark(geo: _Geometry, budget: int):
         if r < len(cols) and r + 1 < high and _dependent(u, np.array([cols[: r + 1]]))[0]:
             high = r + 1
 
+    # the simplex search's proved radius is low * slack (module docstring)
+    slack = 2e-18 * low + max(0.0, (low - 1) * mu - least) + low * (m + 2) * _EPS
+    if low < high and low * slack <= mu / 100:
+        found = _simplex(geo, low, max(_SIMPLEX_EPS, low * slack), budget)
+        if found:
+            return low, "bounds"
+        if found is not None:  # exhausted: no dependent set of size low
+            low += 1
     if low >= high:
         return high, "bounds"
     for k in range(low, high):
-        _check_budget(n, k, budget, "spark")
+        _check_budget(math.comb(n, k), budget, "spark", f"subsets of size {k}")
         for idx, _, suspect in _gram_blocks(g, k):
             if suspect.any() and _dependent(u, idx[suspect]).any():
                 return k, "enumeration"
     return high, "enumeration"
+
+
+def _simplex(geo: _Geometry, size: int, eps: float, budget: int):
+    """Whether `size` columns form a dependent sign-switched simplex; None once the budget runs out.
+
+    The search of the module docstring's simplex bound, over the pairs
+    with |G_ij| >= mu - eps.  Each node is one partial set, and the
+    search gives up after `budget` of them.  From root i, the columns
+    after it that pair with it, each signed -sign(G_ij), are held as
+    bitmasks of the ones each can join; a set grows by the lowest
+    candidate first, keeps the candidates that pair with all of it, and
+    stops where too few are left to reach `size`.
+    """
+    u, g, mu = geo.u, geo.g, geo.mu
+    near = np.abs(g) >= mu - eps
+    nodes = 0
+    for root in range(len(g) - size + 1):
+        cols = root + 1 + np.flatnonzero(near[root, root + 1:])
+        if cols.size < size - 1:
+            continue
+        sign = -np.sign(g[root, cols])
+        joins = g[np.ix_(cols, cols)] * np.outer(sign, sign) <= eps - mu
+        masks = [int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(joins, axis=1, bitorder="little")]
+        stack = [((), (1 << cols.size) - 1)]
+        while stack:
+            chosen, cands = stack.pop()
+            nodes += 1
+            if nodes > budget:
+                return None
+            need = size - 1 - len(chosen)
+            if not need:
+                if _dependent(u, np.array([(root, *cols[list(chosen)])]))[0]:
+                    return True
+                continue
+            while cands.bit_count() >= need:
+                bit = cands & -cands
+                cands ^= bit
+                c = bit.bit_length() - 1
+                stack.append((chosen + (c,), cands & masks[c]))
+    return False
 
 
 def max_sparsity(a) -> int:
@@ -389,7 +485,7 @@ def _sparsity_k(k, n: int) -> int:
 def _rip(a: np.ndarray, g: np.ndarray, k: int, budget: int) -> RipResult:
     """`rip_check` of the matrix a with Gram matrix g = A^T A, for a valid k."""
     m, n = a.shape
-    _check_budget(n, k, budget, "rip_check")
+    _check_budget(math.comb(n, k), budget, "rip_check", f"subsets of size {k}")
     off = np.abs(g - np.diag(g.diagonal()))
     radius = np.sort(off, axis=1)[:, n - k + 1:].sum(axis=1)  # the k-1 largest per column
     bound = float(np.max(np.abs(g.diagonal() - 1.0) + radius))

@@ -16,8 +16,11 @@ bound and by the support sweep outside it.  The sweep tries every
 support of at most k indices, from the chunked subset generator of
 spark and RIP (`metrics._subsets`), and fits each once by least squares
 against all s blocks; with spark(atom) > 2k the accepted solution is
-provably the only blockwise-k-sparse one.  Matching pursuit batches the
-same way: each step picks and refits for all blocks at once.
+provably the only blockwise-k-sparse one.  Like spark's enumeration,
+the sweep is guarded, never sampled: one of more than
+`metrics.DEFAULT_BUDGET` supports raises BudgetExceeded before its
+first fit.  Matching pursuit batches the same way: each step picks and
+refits for all blocks at once.
 ``method="omp"`` is the uncertified greedy override: pursuit alone,
 whatever the coherence.  GLOBAL sparsity, k nonzeros in all of x, is a
 budget the blocks share, decided from the same per-block fits as
@@ -122,12 +125,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import lcm, sqrt
+from math import comb, lcm, sqrt
 
 import numpy as np
 
 from .errors import BadShape, NoSolution, NotUnique
-from .metrics import DEFAULT_BUDGET, _Geometry, _geometry, _spark, _sparsity_bound, _subsets
+from .metrics import (DEFAULT_BUDGET, _check_budget, _Geometry, _geometry, _spark, _sparsity_bound,
+                      _subsets)
 from .signal_space import _class_atom, reduce_matrix
 from .stp import Side, _choice, as_count, as_matrix, as_side, as_signal, blocks, unblocks, unlift
 
@@ -350,17 +354,23 @@ def _sweep(atom: _Geometry, ys: np.ndarray, k: int):
     each column's first accepted support (k+1 when none fits), and the
     smallest size at which a rival was accepted (k+1 when there is none).
     The sweep decides nothing; `recover` weighs both sizes against the
-    sparsity budget.
+    sparsity budget.  Before the first fit it counts its supports,
+    sum_{1 <= i <= min(k, n)} C(n, i), against `metrics.DEFAULT_BUDGET`,
+    by spark's rule (`metrics._check_budget`), and raises BudgetExceeded
+    above it.
     """
     u, g, scale = atom.u, atom.g, atom.scale
     m, n = u.shape
+    top = min(k, n)
+    _check_budget(sum(comb(n, i) for i in range(1, top + 1)), DEFAULT_BUDGET,
+                  "the support sweep", f"supports of up to {top} columns")
     cols = ys.shape[1]
     xs = np.zeros((n, cols))
     used = np.where(np.linalg.norm(ys, axis=0) < RESIDUAL_TOL, 0, k + 1)  # the empty support
     alt = np.full(cols, k + 1)
     c = u.T @ ys
     chunk = max(1, _FIT_CHUNK // (cols * max(m, n)))
-    for size in range(1, min(k, n) + 1):
+    for size in range(1, top + 1):
         for idx in _subsets(n, size, chunk):
             coef, resid = _fit(u, g, idx, c[idx], ys)  # (chunk, size, cols), (chunk, m, cols)
             resid = np.linalg.norm(resid, axis=1)  # (chunk, cols)
@@ -414,7 +424,8 @@ def recover(a, s: int, y, spec: SparsitySpec, side: Side = Side.LEFT,
     guard of the module docstring, it answers by batched orthogonal
     matching pursuit, which is exact there, and outside it, or where
     pursuit does not fit, by the exhaustive support sweep with
-    uniqueness detection.  ``method="omp"``
+    uniqueness detection, which raises BudgetExceeded where it would fit
+    more than `metrics.DEFAULT_BUDGET` supports.  ``method="omp"``
     is the uncertified greedy override: pursuit, one pick and one
     stacked refit per step for all blocks still above the tolerance,
     whatever the coherence, and without a uniqueness check.  Either

@@ -44,10 +44,10 @@ overflowed or lost bits to underflow.  `_plain_sum` makes that test and
 `_unit_scale` the retake, for `norm_v`, the Parseval test of
 `basis.coordinates` and each column norm of `metrics._geometry`.  The
 generator products of `inner_v`, `project` and `basis.coordinates` are
-taken on the same rescaled signal and scaled back, so that no partial
-sum overflows while the answer is finite.  `dist_v` retakes its
-difference on x / c and y / c, c the larger max|.|, where the plain
-difference overflows.
+taken on the same rescaled signal (both rescaled signals, for `inner_v`)
+and scaled back, so that no partial sum overflows while the answer is
+finite.  `dist_v` retakes its difference on x / c and y / c, c the
+larger max|.|, where the plain difference overflows.
 `angle_v` takes the inner product of x / ||x|| and y / ||y||, which
 cannot overflow; where a norm is below the smallest normal float it
 normalises the rescaled copy from `_unit_scale` instead, since a
@@ -329,11 +329,15 @@ def inner_v(x, y, side: Side = Side.LEFT) -> float:
     """Lift-invariant inner product: lift both to lcm dim, dot, divide by dim.
 
     Computed without the lifts, as sum_j x[j] <y, d(dim x, j)> (`_layer`).
-    The products are taken on y / c, c from `_unit_scale`, and the sum is
-    scaled back by c, so no partial sum overflows while the answer is finite.
+    The products are taken on x / cx and y / cy, each factor from
+    `_unit_scale`, and the sum is scaled back by both, so no partial sum
+    overflows while the answer is finite.  Factors on either side of 1 are
+    multiplied first, and others are applied in turn, so that no step
+    overflows where the answer does not.
     """
-    x, (y, c, _), side = as_signal(x), _unit_scale(as_signal(y)), as_side(side)
-    return c * _inner(x, y, side)
+    (x, cx, _), (y, cy, _) = _unit_scale(as_signal(x)), _unit_scale(as_signal(y))
+    v = _inner(x, y, as_side(side))
+    return v * (cx * cy) if (cx < 1.0) != (cy < 1.0) else v * cx * cy
 
 
 def _inner(x: np.ndarray, y: np.ndarray, side: Side) -> float:

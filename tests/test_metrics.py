@@ -607,11 +607,17 @@ def test_spark_matches_the_oracle_with_a_rank_deficient_shared_support_group(see
     (lambda: star_design(7), 12, "nullity"),
     (lambda: vertical_design(11), math.inf, "rank"),
     (lambda: star_design(11), 20, "nullity"),
+    (lambda: star_design(5), 5, "bounds"),
+    (lambda: star_design(6), 6, "bounds"),
+    (lambda: vertical_design(6), 6, "bounds"),
 ], ids=["star4-witness", "star8-witness", "vertical8-witness", "star7-nullity",
-        "vertical11-rank", "star11-nullity"])
+        "vertical11-rank", "star11-nullity", "star5-simplex", "star6-simplex",
+        "vertical6-simplex"])
 def test_spark_of_the_designs_is_decided_by_a_bound_within_a_small_budget(design, expected, by):
     # a budget of 1000 subsets rules out enumeration: C(64, 8) is 4.4e9,
-    # and the alpha = 11 designs would walk sizes 1..20 of 22 columns
+    # the alpha = 11 designs would walk sizes 1..20 of 22 columns, and
+    # size 6 of the alpha = 6 designs has C(30, 6) = 593775 subsets; the
+    # simplex search finds a dependent 1 + 1/mu columns in fewer nodes
     a = design()
     assert spark(a, budget=1000) == expected
     assert metrics._spark(metrics._geometry(a), 1000) == (expected, by)
@@ -619,6 +625,116 @@ def test_spark_of_the_designs_is_decided_by_a_bound_within_a_small_budget(design
 
 def test_spark_of_the_smallest_star_design_matches_the_oracle():
     assert spark(star_design(4), budget=1000) == spark_oracle(star_design(4)) == 4
+
+
+# --- the simplex search at 1 + 1/mu ---------------------------------------------------
+
+def enumerated_spark(a, budget=metrics.DEFAULT_BUDGET):
+    """`_spark` of a with the simplex search giving up at once: size 1 + 1/mu is enumerated."""
+    with mock.patch.object(metrics, "_simplex", lambda *args: None):
+        return metrics._spark(metrics._geometry(a), budget)
+
+
+def test_spark_of_the_alpha_nine_star_design_is_decided_by_the_simplex_search():
+    # its bounds are 9 and 37 apart, and C(72, 9) is 8.5e10 subsets
+    assert metrics._spark(metrics._geometry(star_design(9)), metrics.DEFAULT_BUDGET) == (9, "bounds")
+    with pytest.raises(BudgetExceeded):
+        enumerated_spark(star_design(9))
+
+
+@pytest.mark.parametrize("design", [lambda: star_design(5), lambda: vertical_design(4),
+                                    lambda: vertical_design(5)],
+                         ids=["star5", "vertical4", "vertical5"])
+def test_spark_of_the_alpha_four_and_five_designs_matches_the_oracle(design):
+    a = design()
+    assert spark(a) == spark_oracle(a)
+
+
+@pytest.mark.parametrize("expansion", [star_design, vertical_design])
+@pytest.mark.parametrize("alpha", [4, 5, 6, 7, 8])
+def test_the_simplex_search_changes_no_spark_of_the_designs(expansion, alpha):
+    a = expansion(alpha)
+    value, by = metrics._spark(metrics._geometry(a), metrics.DEFAULT_BUDGET)
+    before = enumerated_spark(a)
+    assert value == before[0]
+    assert by == before[1] or (by, before[1]) == ("bounds", "enumeration")
+
+
+def planted_simplex_frame(seed, m, size):
+    """m + 2 columns in R^m of coherence 1/(size - 1), met by two planted dependent `size`-sets.
+
+    Each planted set is a regular simplex (unit vectors with pairwise
+    cosine -1/(size - 1), summing to zero) with random column signs, in
+    its own (size - 1)-dimensional part of a random orthonormal basis Q.
+    The other columns lie near-orthogonal in the rest of Q, with a tenth
+    of each in the simplices' span.  So the nullity is 2, and the
+    Gershgorin bound 1 + 1/mu = size is below the witness bound.  Columns
+    get random scales and a random order.  Returns the matrix and one
+    planted set's column indices.
+    """
+    rng = np.random.default_rng(seed)
+    d = size - 1
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    centred = np.eye(size) - 1.0 / size
+    simplex = np.linalg.svd(centred)[0][:, :d].T @ centred  # in the simplex's hyperplane
+    rest = m - 2 * d
+    parts = [q[:, :d] @ simplex * rng.choice([-1.0, 1.0], size),
+             q[:, d:2 * d] @ simplex * rng.choice([-1.0, 1.0], size),
+             q[:, 2 * d:] @ (np.eye(rest) + 0.05 * rng.standard_normal((rest, rest)))]
+    inside = q[:, :2 * d] @ rng.standard_normal((2 * d, rest))
+    parts[2] = (parts[2] / np.linalg.norm(parts[2], axis=0)
+                + 0.1 * inside / np.linalg.norm(inside, axis=0))
+    a = np.hstack(parts)
+    order = rng.permutation(m + 2)
+    a = a[:, order] / np.linalg.norm(a[:, order], axis=0) * 10.0 ** rng.uniform(-3.0, 3.0, m + 2)
+    return a, np.sort(np.argsort(order)[:size])
+
+
+FRAMES = [(6, 3), (9, 4), (11, 5)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m, size", FRAMES)
+def test_the_simplex_search_finds_a_planted_simplex(seed, m, size):
+    a, planted = planted_simplex_frame(seed, m, size)
+    geo = metrics._geometry(a)
+    assert round(1.0 / geo.mu) == size - 1
+    assert metrics._dependent(geo.u, planted[None, :])[0]
+    assert metrics._spark(geo, 1000) == (size, "bounds")
+    assert spark_oracle(a) == size
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m, size", FRAMES)
+def test_a_simplex_perturbed_at_1e_8_is_not_dependent(seed, m, size):
+    a, planted = planted_simplex_frame(seed, m, size)
+    a = a + 1e-8 * np.abs(a).max(axis=0) * np.random.default_rng(seed).standard_normal(a.shape)
+    geo = metrics._geometry(a)
+    assert not metrics._dependent(geo.u, planted[None, :])[0]
+    search, searched = metrics._simplex, []
+
+    def recorded(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    with mock.patch.object(metrics, "_simplex", recorded):
+        value, by = metrics._spark(geo, metrics.DEFAULT_BUDGET)
+    # the search ran, on pairs within its widened radius of mu, and found no dependent set
+    assert searched == [False]
+    assert value > size and value == enumerated_spark(a)[0]
+
+
+def test_a_search_out_of_nodes_falls_back_to_enumeration():
+    # five nodes are too few for the alpha = 6 star design's search, so
+    # size 6 is enumerated, under the budget, as before the search existed
+    search = metrics._simplex
+    a = star_design(6)
+    with mock.patch.object(metrics, "_simplex", lambda geo, size, eps, budget: search(geo, size, eps, 5)):
+        got = metrics._spark(metrics._geometry(a), metrics.DEFAULT_BUDGET)
+    assert search(metrics._geometry(a), 6, metrics._SIMPLEX_EPS, 5) is None
+    assert got == enumerated_spark(a) == (6, "enumeration")
+    with pytest.raises(BudgetExceeded):
+        metrics._spark(metrics._geometry(a), 5)
 
 
 # --- RIP stops at its Gershgorin bound ---------------------------------------------

@@ -1158,6 +1158,24 @@ def test_certified_oracle_enumerates_no_support(phi30, monkeypatch):
     assert np.allclose(recover(phi30, 2, y, global_spec, Side.RIGHT), x, atol=1e-8)
 
 
+@pytest.mark.parametrize("case", ["global-lift", "vertical13-k9"])
+def test_a_sweep_over_the_budget_raises_before_its_first_fit(case, monkeypatch):
+    # 2^32 - 1 supports of the 14x32 lift under GLOBAL k = 33, and about
+    # 4.6e9 of the 133x52 alpha=13 design at k = 9: neither would return
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep fitted a support")
+
+    monkeypatch.setattr(pipeline, "_fit", refuse)
+    if case == "global-lift":
+        a, spec = lift_matrix(SENSING_7X16, 2), SparsitySpec(32, 33, SparsityMode.GLOBAL)
+    else:
+        a = horizontal_expand(vertical_expand(incidence_matrix(13)), aocm(12))
+        spec = SparsitySpec(52, 9)
+    y = a[:, :3].sum(axis=1)
+    with pytest.raises(BudgetExceeded, match=r"support sweep .* \(budget 1000000\)"):
+        recover(a, 1, y, spec)
+
+
 def test_rival_guard_holds_up_to_its_tolerance_edge():
     # aocm(7): coherence 1/7 and column norms sqrt(7).  At k = 3 the
     # difference of two fits has up to 6 nonzeros, sigma^2 = 1 - 5/7, and

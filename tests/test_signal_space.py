@@ -570,6 +570,18 @@ def test_project_and_inner_v_keep_a_finite_answer_finite(side, scale):
 
 
 @pytest.mark.parametrize("side", SIDES)
+def test_inner_v_keeps_a_finite_answer_finite_at_any_scale_of_x(side):
+    # 1e300 * 5e99 overflows in the dot product, though the lcm-lift value is 0;
+    # a tiny x against a huge y must not lose its bits to a subnormal product either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inner_v([1e300, -1e300], [1e100, 1e100], side) == 0.0
+        assert inner_v([1e300, 1e300], [1e-300, 3e-300], side) == pytest.approx(2.0, rel=1e-15)
+        assert inner_v([1e-300, 1e-300], [1e300, 2e300], side) == pytest.approx(1.5, rel=1e-15)
+        assert inner_v([1e-300, 0.0], [1e-20], side) == pytest.approx(5e-321, rel=1e-3)
+
+
+@pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("q,want", [(10000, 2e306), (5000, math.sqrt(5) * 1e306)])
 def test_dist_v_keeps_a_finite_distance_finite(side, q, want):
     # 1e308 - (-1e308) overflows, though the distance is finite; with q = 5000
