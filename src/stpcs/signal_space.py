@@ -7,6 +7,17 @@ This module reduces signals/matrices to atoms, tests equivalence, and
 equips the quotient with a lift-invariant inner product, norm, distance,
 angle, and a cross-dimensional projection.
 
+Two signals x in R^p and y in R^q are equivalent when their lifts to
+L = lcm(p, q) are equal: x (x) 1_{L/p} = y (x) 1_{L/q} on LEFT and
+1_{L/p} (x) x = 1_{L/q} (x) y on RIGHT (Cheng 2019).  `equivalent` tests
+that definition in one O(p + q) pass that builds neither lift.  On LEFT
+every overlapping pair of cells of the two lifts meets at the start of
+one of them, so it compares x and y at the p + q cell starts.  On RIGHT
+entry i of x meets entry j of y iff i = j mod gcd(p, q), so it compares
+the largest and smallest entries of each residue class.  In exact
+arithmetic this is the same as x and y having one atom;
+`matrices_equivalent` compares atoms.
+
 Reduction is the quotient map, and it builds no lift: `reduce_signal`
 prunes the candidate multiplicities in one pass before testing the rest
 block by block, and `reduce_matrix` reads the diagonal blocks of a
@@ -215,23 +226,42 @@ def reduce_matrix(a, side: Side = Side.LEFT):
     return a, 1
 
 
-def _same_atom(p: np.ndarray, q: np.ndarray) -> bool:
-    """Same shape, and max|p - q| <= REDUCE_RTOL times the larger of max|p| and max|q|."""
-    tol = REDUCE_RTOL * max(_scale(p), _scale(q))
-    return p.shape == q.shape and bool(_gap(p, q).max() <= tol)
-
-
 def equivalent(x, y, side: Side = Side.LEFT) -> bool:
-    """True iff x and y reduce to the same atom, within REDUCE_RTOL times the larger max|atom|."""
-    return _same_atom(reduce_signal(x, side)[0], reduce_signal(y, side)[0])
+    """True iff the lifts of x and y to lcm(dim x, dim y) agree entrywise.
+
+    Entries count as equal within REDUCE_RTOL times the larger of max|x|
+    and max|y|.  Neither lift is built (module docstring).  With p = dim x,
+    q = dim y and g = gcd(p, q): LEFT compares x[i] with y[i (q/g) // (p/g)],
+    the entry of y whose cell holds the start of x's cell i, and y[j] with
+    x[j (p/g) // (q/g)]; RIGHT compares, in each residue class mod g, the
+    largest entry of either signal with the other's smallest.
+    """
+    x, y, side = as_signal(x), as_signal(y), as_side(side)
+    p, q = x.size, y.size
+    g = gcd(p, q)
+    # w's first half is compared with its second; between them the halves
+    # hold max|x| and max|y|, so _scale(w) sets the tolerance
+    if side is Side.LEFT:
+        a, b = p // g, q // g  # i b and j a stay below lcm(p, q), inside int64
+        i, j = np.arange(p, dtype=np.int64), np.arange(q, dtype=np.int64)
+        w = np.concatenate((x, y, y[i * b // a], x[j * a // b]))
+    else:
+        xs, ys = x.reshape(-1, g), y.reshape(-1, g)
+        w = np.concatenate((xs.max(0), ys.max(0), ys.min(0), xs.min(0)))
+    n = w.size // 2
+    return bool(_gap(w[:n], w[n:]).max() <= REDUCE_RTOL * _scale(w))
 
 
 def matrices_equivalent(a, b, side: Side = Side.LEFT) -> bool:
     """True iff a and b reduce to the same matrix atom.
 
     Entries count as equal within REDUCE_RTOL times the larger max|atom|.
+    This compares atoms where `equivalent` compares lifts; the two rules
+    agree in exact arithmetic.
     """
-    return _same_atom(reduce_matrix(a, side)[0], reduce_matrix(b, side)[0])
+    a, b = reduce_matrix(a, side)[0], reduce_matrix(b, side)[0]
+    tol = REDUCE_RTOL * max(_scale(a), _scale(b))
+    return a.shape == b.shape and bool(_gap(a, b).max() <= tol)
 
 
 def _class_atom(a) -> np.ndarray:
@@ -361,7 +391,11 @@ def _norm(x: np.ndarray) -> float:
 
 
 def dist_v(x, y, side: Side = Side.LEFT) -> float:
-    """Distance between classes: zero exactly when x and y are equivalent.
+    """Distance between classes: the norm of the difference of the lifts to lcm(dim x, dim y).
+
+    Zero exactly when the lifts are equal, so exactly when x and y are
+    equivalent in exact arithmetic; `equivalent` also accepts lifts that
+    differ within its tolerance, where the distance is small but not zero.
 
     The difference is taken plainly.  Only where it overflows is it
     retaken on x / c and y / c, with c the larger max|.|, and the norm

@@ -350,6 +350,85 @@ def test_equivalent_iff_zero_distance(x, y):
     assert equivalent(x, y, Side.LEFT) == (dist_v(x, y, Side.LEFT) < 1e-12)
 
 
+@given(int_signals, int_signals)
+def test_equivalent_iff_zero_distance_right(x, y):
+    assert equivalent(x, y, Side.RIGHT) == (dist_v(x, y, Side.RIGHT) < 1e-12)
+
+
+def lifts_agree(x, y, side):
+    """The definition of equivalence on the dense lifts to lcm(dim x, dim y): the test oracle."""
+    t = math.lcm(x.size, y.size)
+    with np.errstate(over="ignore"):  # 1e308 - (-1e308) is far
+        gap = np.abs(ones_lift(x, t, side) - ones_lift(y, t, side)).max()
+    return bool(gap <= REDUCE_RTOL * max(np.abs(x).max(), np.abs(y).max()))
+
+
+def equivalence_cases(rng, side, scale):
+    """(x, y, expected) pairs of dims 1..40: exact lifts, unrelated signals, and lifts
+    with noise of a fixed fraction of the tolerance on x, on y or on both.
+
+    expected is the answer the definition gives in exact arithmetic, None where it
+    depends on how the noise on x and on y combine.
+    """
+    for _ in range(40):
+        d = int(rng.integers(1, 11))
+        atom = rng.standard_normal(d) * scale
+        r, s = (int(m) for m in rng.integers(1, 40 // d + 1, size=2))
+        x, y = lift(atom, r, side), lift(atom, s, side)
+        yield x, y, True
+        p, q = (int(n) for n in rng.integers(1, 41, size=2))
+        yield rng.standard_normal(p) * scale, rng.standard_normal(q) * scale, None
+        tol = REDUCE_RTOL * np.abs(atom).max()
+        for f in (0.3, 0.9, 1.1, 2.0):
+            ex, ey = (f * tol * rng.choice([-1.0, 1.0], size=v.size) for v in (x, y))
+            yield x + ex, y, f < 1
+            yield x, y + ey, f < 1
+            yield x + ex, y + ey, None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_equivalent_is_the_definition(side, scale):
+    rng = np.random.default_rng(7)
+    for x, y, expected in equivalence_cases(rng, side, scale):
+        got = equivalent(x, y, side)
+        assert got.__class__ is bool and got == equivalent(y, x, side) == lifts_agree(x, y, side)
+        assert expected is None or got == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", SIDES)
+def test_equivalent_is_the_definition_at_the_float_maximum(side):
+    # differences of 2e308 overflow: they read as far, with no warning
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        atom = rng.choice([-1e308, 1e308, 0.0, 1.0], size=int(rng.integers(1, 6)))
+        r, s = (int(m) for m in rng.integers(1, 5, size=2))
+        x, y = lift(atom, r, side), lift(atom, s, side)
+        bumped = y.copy()
+        bumped[int(rng.integers(y.size))] = rng.choice([-1e308, 1e308])
+        assert equivalent(x, y, side)
+        for v in (y, bumped):
+            got = equivalent(x, v, side)
+            assert got.__class__ is bool and got == equivalent(v, x, side) == lifts_agree(x, v, side)
+
+
+def same_atom(x, y, side):
+    """Whether x and y reduce to one atom, the atoms compared within REDUCE_RTOL times the
+    larger max|atom|: the rule `equivalent` followed before it compared lifts."""
+    p, q = reduce_signal(x, side)[0], reduce_signal(y, side)[0]
+    tol = REDUCE_RTOL * max(np.abs(p).max(), np.abs(q).max())
+    return p.shape == q.shape and bool(np.abs(p - q).max() <= tol)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@given(int_signals, int_signals, mults, mults)
+def test_equivalent_keeps_the_atom_rule_on_exact_data(side, x, y, a, b):
+    for u, v in ((lift(x, a, side), lift(x, b, side)), (lift(x, a, side), lift(y, b, side))):
+        assert equivalent(u, v, side) == same_atom(u, v, side)
+
+
 # --- inner product, norm, distance ------------------------------------------
 
 def test_inner_of_ones_vectors():
